@@ -8,7 +8,8 @@ they carry exactly L^2 real degrees of freedom.  The chart stacks, per ell:
     z[ell^2 + 2m]     = Im(a_{ell,m})
 
 `to_chart` reads only the m >= 0 slots (after validating symmetry), so
-`to_chart(from_chart(z)) == z` bit-exactly.  `chart_linear_map` and
+`to_chart(from_chart(z)) == z` bit-exactly.  Both act on the last axis as
+index gathers, so (n, L^2) batches convert in one call.  `chart_linear_map` and
 `synthesis_matrix` give the real matrices T and M with
 
     T x = to_chart(U x),    M z = Y from_chart(z)   (real),    T M = I.
@@ -23,7 +24,7 @@ from .transform import ConstraintViolation, OperatorSet, mirror_residual
 
 
 def to_chart(a: np.ndarray, L: int, *, tol: float = 1e-8) -> np.ndarray:
-    """Real chart vector of conjugate-symmetric coefficients."""
+    """Real chart vectors of conjugate-symmetric coefficients, shape (..., L^2)."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-1] != L * L:
         raise ValueError(f"expected {L * L} coefficients, got {a.shape[-1]}")
@@ -32,29 +33,23 @@ def to_chart(a: np.ndarray, L: int, *, tol: float = 1e-8) -> np.ndarray:
         raise ConstraintViolation(
             f"coefficients break conjugate symmetry by {resid:.3e} (tol {tol:.1e})"
         )
-    z = np.empty(L * L)
-    for ell in range(L):
-        z[ell * ell] = a[indexing.spectral_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            c = a[indexing.spectral_index(ell, m)]
-            z[ell * ell + 2 * m - 1] = c.real
-            z[ell * ell + 2 * m] = c.imag
-    return z
+    perm, _ = indexing.mirror_permutation(L)
+    # Im(a_{ell,m}) sits in the chart slot that the spectral order gives (ell,-m)
+    return np.where(indexing.spectral_ms(L) < 0, a[..., perm].imag, a.real)
 
 
 def from_chart(z: np.ndarray, L: int) -> np.ndarray:
-    """Coefficient vector of a chart point; symmetric by construction."""
+    """Coefficient vectors of chart points, shape (..., L^2); symmetric by construction."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != L * L:
         raise ValueError(f"expected {L * L} chart entries, got {z.shape[-1]}")
-    a = np.empty(L * L, dtype=complex)
-    for ell in range(L):
-        a[indexing.spectral_index(ell, 0)] = z[ell * ell]
-        for m in range(1, ell + 1):
-            c = complex(z[ell * ell + 2 * m - 1], z[ell * ell + 2 * m])
-            a[indexing.spectral_index(ell, m)] = c
-            sign = -1.0 if m % 2 else 1.0
-            a[indexing.spectral_index(ell, -m)] = sign * np.conj(c)
+    perm, sign = indexing.mirror_permutation(L)
+    m = indexing.spectral_ms(L)
+    zp = z[..., perm]
+    a = np.empty(z.shape, dtype=complex)
+    # slot (ell,m>=0) holds Re z[i] + i z[perm i]; slot (ell,-m) its mirror (-1)^m conj
+    a.real = np.where(m < 0, sign * zp, z)
+    a.imag = np.where(m < 0, -sign * z, np.where(m > 0, zp, 0.0))
     return a
 
 

@@ -121,18 +121,15 @@ def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet, *,
 
     def fn(x, t):
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty_like(x2)
-        for i, xi in enumerate(x2):
-            z = to_chart(ops.U @ xi, L, tol=np.inf)  # Ux may be off-manifold; read m>=0 slots
-            s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
-            y = ops.Y @ s_complex
-            resid = float(np.max(np.abs(y.imag)))
-            if resid > imag_tol:
-                raise ConstraintViolation(
-                    f"auxiliary score imaginary residue {resid:.3e} > {imag_tol:.1e}"
-                )
-            out[i] = y.real
-        return out.reshape(np.shape(x))
+        z = to_chart(x2 @ ops.U.T, L, tol=np.inf)  # Ux may be off-manifold; read m>=0 slots
+        s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
+        y = s_complex @ ops.Y.T
+        resid = float(np.max(np.abs(y.imag), initial=0.0))
+        if resid > imag_tol:
+            raise ConstraintViolation(
+                f"auxiliary score imaginary residue {resid:.3e} > {imag_tol:.1e}"
+            )
+        return y.real.reshape(np.shape(x))
 
     return ScoreField(fn=fn, domain="spatial")
 

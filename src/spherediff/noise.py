@@ -134,8 +134,7 @@ def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray
 
 def lift_samples(Z: np.ndarray, L: int) -> np.ndarray:
     """Chart samples (n, L^2) -> constrained coefficient samples (n, L^2) complex."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return np.stack([from_chart(z, L) for z in Z])
+    return from_chart(np.atleast_2d(np.asarray(Z, dtype=float)), L)
 
 
 def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndarray:

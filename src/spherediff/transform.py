@@ -84,22 +84,22 @@ def build_operators(L: int) -> OperatorSet:
 
 
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
-    """Harmonic coefficients a = U x of a real sampled field."""
+    """Harmonic coefficients a = U x of real sampled fields, x of shape (d_X,) or (n, d_X)."""
     x = _check_length("spatial field", x, ops.d_spatial)
     if not np.all(np.isfinite(x)):
         raise ValueError("spatial field contains non-finite entries")
-    return ops.U @ np.asarray(x, dtype=float)
+    return np.asarray(x, dtype=float) @ ops.U.T
 
 
 def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.ndarray:
-    """Grid samples x = Y a of conjugate-symmetric coefficients.
+    """Grid samples x = Y a of conjugate-symmetric coefficients, a of shape (L^2,) or (n, L^2).
 
     The imaginary residue of Y a is checked (constraint violation above
     `imag_tol`) and stripped, rather than trusting the caller.
     """
     a = _check_length("spectral coefficients", a, ops.d_spectral)
-    x = ops.Y @ np.asarray(a, dtype=complex)
-    resid = float(np.max(np.abs(x.imag))) if x.size else 0.0
+    x = np.asarray(a, dtype=complex) @ ops.Y.T
+    resid = float(np.max(np.abs(x.imag), initial=0.0))
     if resid > imag_tol:
         raise ConstraintViolation(
             f"synthesis imaginary residual {resid:.3e} exceeds {imag_tol:.1e}; "
@@ -126,10 +126,11 @@ def q_norm_sq(ops: OperatorSet, x: np.ndarray) -> float:
 
 
 def mirror_residual(a: np.ndarray, L: int) -> float:
-    """Max deviation from a_{ell,m} = (-1)^m conj(a_{ell,-m}), incl. Im(a_{ell,0})."""
+    """Max deviation from a_{ell,m} = (-1)^m conj(a_{ell,-m}), incl. Im(a_{ell,0}),
+    over every vector of a (..., L^2) stack."""
     a = _check_length("spectral coefficients", np.asarray(a, dtype=complex), L * L)
     perm, sign = indexing.mirror_permutation(L)
-    return float(np.max(np.abs(a - sign * np.conj(a[perm]))))
+    return float(np.max(np.abs(a - sign * np.conj(a[..., perm])), initial=0.0))
 
 
 def is_mirror_symmetric(a: np.ndarray, L: int, tol: float = 1e-12) -> bool:
@@ -160,9 +161,17 @@ def field_from_csv(text: str, L: int) -> np.ndarray:
     rows = text.strip().splitlines()
     if rows and rows[0].strip() != "j,k,value":
         raise ValueError("expected header 'j,k,value'")
+    seen = np.zeros(d_x, dtype=bool)
     for row in rows[1:]:
         j, k, v = row.split(",")
-        out[int(j) * n_phi + int(k)] = float(v)
+        j, k = int(j), int(k)
+        if not (0 <= j < 2 * L and 0 <= k < n_phi):
+            raise ValueError(f"cell ({j},{k}) is outside the {2 * L} x {n_phi} grid")
+        i = j * n_phi + k
+        if seen[i]:
+            raise ValueError(f"cell ({j},{k}) appears more than once")
+        seen[i] = True
+        out[i] = float(v)
     if np.any(np.isnan(out)):
         raise ValueError("field file does not cover the full grid")
     return out
@@ -194,7 +203,10 @@ def coeffs_from_csv(text: str) -> np.ndarray:
     vals = {}
     for row in rows[1:]:
         ell, m, re, im = row.split(",")
-        vals[indexing.spectral_index(int(ell), int(m))] = float(re) + 1j * float(im)
+        i = indexing.spectral_index(int(ell), int(m))
+        if i in vals:
+            raise ValueError(f"coefficient ({ell},{m}) appears more than once")
+        vals[i] = float(re) + 1j * float(im)
     n = len(vals)
     L = int(round(np.sqrt(n)))
     if L * L != n or set(vals) != set(range(n)):

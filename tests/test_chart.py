@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import BAND_LIMITS, random_symmetric_coeffs
 from spherediff import chart, transform
+from spherediff.indexing import spectral_index
 from spherediff.transform import ConstraintViolation
 
 
@@ -80,3 +81,78 @@ def test_dimension_validation():
         chart.from_chart(np.zeros(5), 2)
     with pytest.raises(ValueError):
         chart.to_chart(np.zeros(5, dtype=complex), 2)
+
+
+def _to_chart_loop(a, L):
+    """Per-(ell, m) reference for one coefficient vector."""
+    z = np.empty(L * L)
+    for ell in range(L):
+        z[ell * ell] = a[spectral_index(ell, 0)].real
+        for m in range(1, ell + 1):
+            c = a[spectral_index(ell, m)]
+            z[ell * ell + 2 * m - 1] = c.real
+            z[ell * ell + 2 * m] = c.imag
+    return z
+
+
+def _from_chart_loop(z, L):
+    """Per-(ell, m) reference for one chart vector."""
+    a = np.empty(L * L, dtype=complex)
+    for ell in range(L):
+        a[spectral_index(ell, 0)] = z[ell * ell]
+        for m in range(1, ell + 1):
+            c = complex(z[ell * ell + 2 * m - 1], z[ell * ell + 2 * m])
+            a[spectral_index(ell, m)] = c
+            a[spectral_index(ell, -m)] = (-1.0 if m % 2 else 1.0) * np.conj(c)
+    return a
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS)
+def test_real_projector_is_the_complex_projector(L, ops_cache):
+    ops = ops_cache[L]
+    P = ops.projector()
+    MT = chart.synthesis_matrix(ops) @ chart.chart_linear_map(ops)
+    assert np.max(np.abs(MT - P)) <= 1e-14
+    assert np.max(np.abs(P.imag)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS + (32,))
+def test_batched_chart_maps_equal_row_by_row(L):
+    Z = np.random.default_rng(L + 7).standard_normal((6, L * L))
+    A = chart.from_chart(Z, L)
+    assert A.shape == Z.shape
+    assert np.array_equal(A, np.stack([chart.from_chart(z, L) for z in Z]))
+    assert np.array_equal(A, np.stack([_from_chart_loop(z, L) for z in Z]))
+    back = chart.to_chart(A, L)
+    assert np.array_equal(back, np.stack([chart.to_chart(a, L) for a in A]))
+    assert np.array_equal(back, np.stack([_to_chart_loop(a, L) for a in A]))
+    assert np.array_equal(back, Z)
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS)
+def test_batched_transforms_match_row_by_row(L, ops_cache):
+    ops = ops_cache[L]
+    rng = np.random.default_rng(L + 11)
+    X = rng.standard_normal((5, ops.d_spatial))
+    A = transform.analysis(ops, X)
+    assert A.shape == (5, L * L)
+    assert np.max(np.abs(A - np.stack([transform.analysis(ops, x) for x in X]))) <= 1e-13
+    S = chart.from_chart(rng.standard_normal((5, L * L)), L)
+    Xs = transform.synthesis(ops, S)
+    assert Xs.shape == (5, ops.d_spatial)
+    assert np.max(np.abs(Xs - np.stack([transform.synthesis(ops, a) for a in S]))) <= 1e-13
+
+
+def test_batches_with_one_bad_row_are_rejected(ops_cache):
+    L = 4
+    ops = ops_cache[L]
+    A = chart.from_chart(np.random.default_rng(12).standard_normal((5, L * L)), L)
+    A[3, 2] += 1.0  # (1,1) loses its mirrored (1,-1) partner in row 3 only
+    with pytest.raises(ConstraintViolation):
+        chart.to_chart(A, L)
+    with pytest.raises(ConstraintViolation):
+        transform.synthesis(ops, A)
+    X = np.random.default_rng(13).standard_normal((5, ops.d_spatial))
+    X[1, 7] = np.inf
+    with pytest.raises(ValueError):
+        transform.analysis(ops, X)

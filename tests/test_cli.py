@@ -151,6 +151,51 @@ def test_diffuse_rejects_bad_config_file(tmp_path):
     assert main(["diffuse", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("cfg", [
+    {"stpes": 5},
+    {"diffuse": {"n": 4, "stpes": 5}},
+])
+def test_diffuse_rejects_unknown_config_keys(tmp_path, capsys, cfg):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["diffuse", "--L", "2", "--n", "3", "--steps", "2",
+                 "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "stpes" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "diffuse_forward_frequency_L2.csv").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"L": "abc"},
+    {"beta_min": -1},
+    {"beta_min": 5.0, "beta_max": 1.0},
+    {"T": "x"},
+    {"n": 2.5},
+    {"seed": -3},
+    {"data_cov_scale": 0},
+    {"raw": "yes"},
+    {"diffuse": {"steps": None}},
+    ["not", "an", "object"],
+    {"diffuse": [1, 2]},
+])
+def test_diffuse_rejects_bad_config_values(tmp_path, capsys, cfg):
+    path = tmp_path / "bad_values.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["diffuse", "--L", "2", "--n", "3", "--steps", "2",
+                 "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("spherediff diffuse: error:") and len(err.splitlines()) == 1
+
+
+def test_diffuse_config_accepts_data_seed(tmp_path):
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps({"data_seed": 5}))
+    out = tmp_path / "law.csv"
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--L", "2", "--n", "4",
+                 "--steps", "2", "--seed", "1", "--out", str(out)]) == 0
+
+
 def test_diffuse_usage_validation():
     assert main(["diffuse", "--L", "2", "--steps", "0"]) == 1
     assert main(["diffuse", "--L", "0"]) == 1

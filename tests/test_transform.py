@@ -102,6 +102,20 @@ def test_field_csv_rejects_bad_header_and_gaps():
         transform.field_from_csv("j,k,value\n0,0,1.0\n", 1)  # missing points
 
 
+def test_field_csv_rejects_out_of_range_and_duplicate_cells():
+    L = 2  # 4 x 3 grid
+    full = transform.field_to_csv(np.arange(12.0), L)
+    lines = full.strip().splitlines()
+    # k = 5 >= 2L-1 would land in the next ring; j = 4 >= 2L; negative indices wrap
+    for bad in ("0,5,9.0", "4,0,9.0", "0,-1,9.0", "-1,0,9.0"):
+        with pytest.raises(ValueError):
+            transform.field_from_csv("\n".join(lines + [bad]) + "\n", L)
+        with pytest.raises(ValueError):  # also when the cell it aliases is left out
+            transform.field_from_csv("\n".join(lines[:-1] + [bad]) + "\n", L)
+    with pytest.raises(ValueError):
+        transform.field_from_csv("\n".join(lines + ["1,2,9.0"]) + "\n", L)
+
+
 def test_field_raw_round_trip():
     x = np.random.default_rng(6).standard_normal(2 * 2 * 3)
     np.testing.assert_array_equal(transform.field_from_raw(transform.field_to_raw(x), 2), x)
@@ -122,6 +136,12 @@ def test_coeffs_csv_round_trip_and_order_independence():
 def test_coeffs_csv_rejects_partial_files():
     with pytest.raises(ValueError):
         transform.coeffs_from_csv("ell,m,re,im\n0,0,1.0,0.0\n1,0,0.5,0.0\n")
+
+
+def test_coeffs_csv_rejects_duplicate_rows():
+    text = transform.coeffs_to_csv(random_symmetric_coeffs(2, np.random.default_rng(3)), 2)
+    with pytest.raises(ValueError):
+        transform.coeffs_from_csv(text + "1,1,9.0,9.0\n")
 
 
 def test_matrix_csv_complex_interleaving():
