@@ -28,6 +28,8 @@ def to_chart(a: np.ndarray, L: int, *, tol: float = 1e-8) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape[-1] != L * L:
         raise ValueError(f"expected {L * L} coefficients, got {a.shape[-1]}")
+    if not np.all(np.isfinite(a)):  # a NaN residual would pass `resid > tol`
+        raise ValueError("coefficients contain non-finite entries")
     resid = mirror_residual(a, L)
     if resid > tol:
         raise ConstraintViolation(

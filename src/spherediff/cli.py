@@ -63,6 +63,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm as one fixed-order reduction, so it does not depend on
+    the BLAS thread count (np.linalg.norm reduces with a threaded BLAS dot).
+
+    einsum's sum of products runs without BLAS and without a temporary the
+    size of x; complex x is read through its real view (re, im interleaved).
+    """
+    v = np.ravel(x)
+    if np.iscomplexobj(v):
+        v = v.view(float)
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
 # ---------------------------------------------------------------------------
 # verify-operators
 # ---------------------------------------------------------------------------
@@ -77,12 +90,13 @@ def cmd_verify_operators(args) -> int:
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
 
-    T = bops.T
-    UY = ops.U @ ops.Y
-    P = bops.M @ T  # the projector on real fields: M T = Re(YU)
+    T, M = bops.T, bops.M
+    # the projector on real fields is P = M T = Re(YU); P P - P = M (T M - I) T,
+    # grouped so that no d_X x d_X product is formed before the last one
+    TM_minus_I = T @ M - np.eye(L2)
     checks = {
-        "uy_minus_identity": float(np.linalg.norm(UY - np.eye(L2))),
-        "projector_idempotence": float(np.linalg.norm(P @ P - P)),
+        "uy_minus_identity": _frobenius(ops.U @ ops.Y - np.eye(L2)),
+        "projector_idempotence": _frobenius(M @ (TM_minus_I @ T)),
         "tt_transpose_minus_sigma": float(np.max(np.abs(T @ T.T - cov.Sigma))),
         "t_z": float(np.max(np.abs(bops.T @ bops.Z))),
         "t_tplus_minus_identity": float(np.max(np.abs(bops.T @ bops.Tplus - np.eye(L2)))),
@@ -143,7 +157,7 @@ def cmd_covariance(args) -> int:
         "L": args.L,
         "samples": args.samples,
         "t": args.t,
-        "rel_frobenius_error": float(np.linalg.norm(emp - theo) / np.linalg.norm(theo)),
+        "rel_frobenius_error": _frobenius(emp - theo) / _frobenius(theo),
         "max_abs_entry_error": float(np.max(np.abs(emp - theo))),
         "provenance": _provenance(config),
     }
@@ -297,11 +311,9 @@ def cmd_diffuse(args) -> int:
         rec_mu = state.values.mean(axis=0)
         rec_cov = noise.empirical_covariance(state.values)
         diag = {
-            "mean_rel_error": float(
-                np.linalg.norm(rec_mu - target_mu) / np.linalg.norm(target_mu)
-            ),
-            "cov_rel_frobenius_error": float(
-                np.linalg.norm(rec_cov - target_cov) / np.linalg.norm(target_cov)
+            "mean_rel_error": _frobenius(rec_mu - target_mu) / _frobenius(target_mu),
+            "cov_rel_frobenius_error": (
+                _frobenius(rec_cov - target_cov) / _frobenius(target_cov)
             ),
             "aborted_paths": aborted,
             "provenance": _provenance(cfg),
@@ -327,10 +339,10 @@ def cmd_bound_check(args) -> int:
     config = {"command": "bound-check", "L": args.L, "trials": args.trials, "seed": args.seed}
     ops = transform.build_operators(args.L)
     cov = noise.build_covariance(args.L)
-    report = lossmap.check_theorem2_bound(
-        ops, cov.Sigma, sde.VpSchedule(), args.trials, args.seed
-    )
     bops = lossmap.build_bound_operators(ops, cov.Sigma)
+    report = lossmap.check_theorem2_bound(
+        ops, cov.Sigma, sde.VpSchedule(), args.trials, args.seed, bops=bops
+    )
     L2 = ops.d_spectral
     report["identity_residuals"] = {
         "t_tplus_minus_identity": float(np.max(np.abs(bops.T @ bops.Tplus - np.eye(L2)))),
@@ -365,6 +377,9 @@ def cmd_sliced_w(args) -> int:
         B, meta_b = noise.load_samples(args.b)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load sample files: {exc}")
+    for path, X in ((args.a, A), (args.b, B)):
+        if X.shape[0] == 0:
+            raise UsageError(f"sample file {path} holds no samples")
     if A.shape[1] != B.shape[1]:
         raise UsageError(
             f"sample sets are not comparable: d={A.shape[1]} vs d={B.shape[1]} "

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
+from .noise import block_eigh
 from .sde import ScoreField, VpSchedule
 from .transform import ConstraintViolation, OperatorSet, mirror_residual, q_norm_sq
 
@@ -50,7 +51,7 @@ def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators
     """Assemble T+ = T^T Sigma^{-1} and Z = M - T+ (eigen pseudoinverse)."""
     T = chart_linear_map(ops)
     M = synthesis_matrix(ops)
-    w, V = np.linalg.eigh(np.asarray(Sigma, dtype=float))
+    w, V = block_eigh(Sigma)
     keep = w > 1e-10
     if not np.any(keep):
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
@@ -147,21 +148,22 @@ def kernel_chart_score(z, z0, t: float, schedule: VpSchedule, Sigma_pinv_apply):
 
 def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedule,
                          n_trials: int, seed, *, t_floor: float = 1e-3,
-                         rel_tol: float = 1e-8) -> dict:
+                         rel_tol: float = 1e-8, bops: BoundOperators | None = None) -> dict:
     """Monte Carlo check of the frequency-vs-spatial loss inequality.
 
     Each trial draws (z0, t, z_t, test score), evaluates both sides, and
     counts a violation when slack = RHS - LHS < -rel_tol * max(1, RHS).
     Test scores are random linear maps plus randomly scaled oracle scores,
-    covering near-optimal and far-off regimes.
+    covering near-optimal and far-off regimes.  `bops` are the bound
+    operators of (ops, Sigma), built here when not given.
     """
     L = ops.L
     d = L * L
-    Sigma = np.asarray(Sigma, dtype=float)
-    w, V = np.linalg.eigh(Sigma)
+    w, V = block_eigh(Sigma)
     keep = w > 1e-10
     pinv_apply = lambda r: (V[:, keep] / w[keep]) @ (V[:, keep].T @ r)
-    bops = build_bound_operators(ops, Sigma)
+    if bops is None:
+        bops = build_bound_operators(ops, Sigma)
     Lam_w = np.sqrt(np.clip(w, 0.0, None))
     UZ = ops.U @ bops.Z  # complex L^2 x L^2
 

@@ -88,28 +88,69 @@ def build_sigma(blocks: tuple, L: int) -> np.ndarray:
     return Sigma
 
 
+def block_eigh(A: np.ndarray):
+    """Eigendecomposition of a real symmetric matrix, one `eigh` per block.
+
+    The blocks are the connected components of the symmetrised nonzero
+    pattern of A; permuted to them, A is block-diagonal, so the union of the
+    block eigenpairs is an eigendecomposition of A.  For `build_sigma`'s
+    output these are the (m, part) blocks; a dense A is one block and goes to
+    `np.linalg.eigh` whole.  Returns (w, V) like `np.linalg.eigh`: w ascending
+    (ties in block order), V's columns the matching orthonormal eigenvectors.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    linked = A != 0
+    linked |= linked.T
+    blocks = []
+    seen = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if seen[i]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[i] = True
+        frontier = members.copy()
+        while frontier.any():  # breadth-first: every index linked to the block so far
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    if len(blocks) <= 1:
+        return np.linalg.eigh(A)
+    pairs = [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in blocks]
+    w = np.concatenate([wb for wb, _ in pairs])
+    order = np.argsort(w, kind="stable")
+    col = np.empty(n, dtype=np.intp)
+    col[order] = np.arange(n)  # output column of each eigenpair in block order
+    V = np.zeros((n, n))
+    start = 0
+    for idx, (_, Vb) in zip(blocks, pairs):
+        V[np.ix_(idx, col[start:start + idx.size])] = Vb
+        start += idx.size
+    return w[order], V
+
+
 def factor_sigma(Sigma: np.ndarray, *, clip: float = 1e-12, indefinite_tol: float = -1e-8):
     """Fixed factor Lambda = V sqrt(diag(w)) with Lambda Lambda^T = Sigma.
 
-    Eigenvalues sorted descending with clipping of small negatives; each
-    eigenvector's sign is fixed so its largest-magnitude entry is positive.
-    Returns (Lambda, min_eigenvalue).
+    The eigenpairs come from `block_eigh`, so Sigma is factored per (m, part)
+    block.  Eigenvalues sorted descending with clipping of small negatives;
+    each eigenvector's sign is fixed so its largest-magnitude entry is
+    positive.  Returns (Lambda, min_eigenvalue).
     """
     Sigma = np.asarray(Sigma, dtype=float)
     sym_err = float(np.max(np.abs(Sigma - Sigma.T)))
     if sym_err > 1e-12:
         raise ValueError(f"Sigma asymmetric by {sym_err:.3e}")
-    w, V = np.linalg.eigh(Sigma)
+    w, V = block_eigh(Sigma)
     min_eig = float(w.min())
     if min_eig < indefinite_tol:
         raise IndefiniteCovariance(f"Sigma indefinite: min eigenvalue {min_eig:.3e}")
-    order = np.argsort(-w, kind="stable")  # descending, ties keep eigh's order
+    order = np.argsort(-w, kind="stable")  # descending, ties keep block_eigh's order
     w, V = w[order], V[:, order]
     w = np.where(w < clip, 0.0, w)
-    for i in range(V.shape[1]):
-        col = V[:, i]
-        if col[np.argmax(np.abs(col))] < 0:
-            V[:, i] = -col
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    V[:, peak < 0] *= -1.0
     return V * np.sqrt(w), min_eig
 
 
@@ -146,16 +187,17 @@ def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndar
 
 
 def empirical_covariance(X: np.ndarray) -> np.ndarray:
-    """Sample covariance with a thread-count-independent reduction.
+    """Sample covariance as the BLAS Gram product R^T R / (n - 1), R = X - mean.
 
-    einsum (non-BLAS path) keeps the summation order fixed, so repeated runs
-    give bit-identical results regardless of BLAS threading.
+    BLAS threads split the output into blocks, not the sum over samples that
+    makes each entry, so every entry is reduced in the same order whatever
+    the thread count, and the result is bit-identical across thread counts.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
     R = X - X.mean(axis=0)
-    return np.einsum("ni,nj->ij", R, R) / (X.shape[0] - 1)
+    return (R.T @ R) / (X.shape[0] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +215,11 @@ def chart_labels(L: int):
 def sigma_to_csv(mat: np.ndarray, L: int) -> str:
     """Chart-indexed matrix as annotated CSV."""
     labels = chart_labels(L)
+    mat = np.asarray(mat, dtype=float)
+    row_fmt = ",".join([FMT] * mat.shape[1])  # one % call formats a whole row
     lines = ["index," + ",".join(f'"{c}"' for c in labels)]
-    for lab, row in zip(labels, np.asarray(mat, dtype=float)):
-        lines.append(f'"{lab}",' + ",".join(FMT % v for v in row))
+    for lab, row in zip(labels, mat):
+        lines.append(f'"{lab}",' + row_fmt % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -187,7 +231,8 @@ def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:
     if raw:
         path.write_bytes(np.ascontiguousarray(X, dtype="<f8").tobytes())
     else:
-        lines = [",".join(FMT % v for v in row) for row in X]
+        row_fmt = ",".join([FMT] * X.shape[1])  # one % call formats a whole row
+        lines = [row_fmt % tuple(row.tolist()) for row in X]
         path.write_text("\n".join(lines) + "\n")
     sidecar = dict(meta)
     sidecar.setdefault("n", int(X.shape[0]))
@@ -205,6 +250,8 @@ def load_samples(path):
     if meta.get("raw"):
         X = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, meta["d"])
         X = X.copy()
+    elif meta.get("n") == 0 and not path.read_text().strip():
+        X = np.empty((0, int(meta.get("d", 0))))  # loadtxt would warn and guess d = 1
     else:
         X = np.loadtxt(path, delimiter=",", ndmin=2)
     if "n" in meta and X.shape[0] != meta["n"]:

@@ -98,6 +98,8 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     `imag_tol`) and stripped, rather than trusting the caller.
     """
     a = _check_length("spectral coefficients", a, ops.d_spectral)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("spectral coefficients contain non-finite entries")
     x = np.asarray(a, dtype=complex) @ ops.Y.T
     resid = float(np.max(np.abs(x.imag), initial=0.0))
     if resid > imag_tol:

@@ -156,3 +156,11 @@ def test_batches_with_one_bad_row_are_rejected(ops_cache):
     X[1, 7] = np.inf
     with pytest.raises(ValueError):
         transform.analysis(ops, X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.nan)])
+def test_to_chart_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        chart.to_chart(np.full(4, bad, dtype=complex), 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        chart.to_chart(np.full(4, bad, dtype=complex), 2, tol=np.inf)

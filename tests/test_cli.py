@@ -272,6 +272,37 @@ def test_sliced_w_reads_raw_samples(tmp_path):
     assert _read_json(out)["sw"] > 0.5
 
 
+def test_sliced_w_on_an_empty_sample_file_is_usage_error(tmp_path, capsys):
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    assert main(["diffuse", "--L", "2", "--n", "0", "--steps", "5", "--seed", "1",
+                 "--out", str(empty)]) == 0
+    assert main(["diffuse", "--L", "2", "--n", "8", "--steps", "5", "--seed", "1",
+                 "--out", str(full)]) == 0
+    capsys.readouterr()
+    for a, b in ((empty, full), (full, empty), (empty, empty)):
+        assert main(["sliced-w", "--a", str(a), "--b", str(b), "--n-proj", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "holds no samples" in err
+
+
+def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):
+    from spherediff import lossmap
+
+    calls = []
+    build = lossmap.build_bound_operators
+    monkeypatch.setattr(lossmap, "build_bound_operators",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    out = tmp_path / "bound.json"
+    assert main(["bound-check", "--L", "2", "--trials", "20", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rep = _read_json(out)
+    assert set(rep) == {"n_trials", "violations", "min_slack", "mean_lhs", "mean_rhs",
+                        "mean_gap_term", "identity_residuals", "provenance"}
+    assert set(rep["identity_residuals"]) == {
+        "t_tplus_minus_identity", "t_z", "m_minus_tplus_plus_z", "sigma_condition_number"}
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for o in (o1, o2):

@@ -178,3 +178,11 @@ def test_uz_vanishes_identically(ops_cache, cov_cache):
     for L in (2, 4):
         b = lossmap.build_bound_operators(ops_cache[L], cov_cache[L].Sigma)
         assert np.max(np.abs(ops_cache[L].U @ b.Z)) < 1e-13
+
+
+def test_bound_check_reuses_given_bound_operators(ops_cache, cov_cache):
+    ops, Sigma = ops_cache[4], cov_cache[4].Sigma
+    bops = lossmap.build_bound_operators(ops, Sigma)
+    built = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9)
+    given = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9, bops=bops)
+    assert given == built

@@ -162,3 +162,74 @@ def test_sigma_csv_annotations(cov_cache):
     text = noise.sigma_to_csv(cov_cache[2].Sigma, 2)
     header = text.splitlines()[0]
     assert header.startswith('index,"(0,0,re)","(1,0,re)","(1,1,re)","(1,1,im)"')
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS + (32,))
+def test_block_eigh_reconstructs_sigma(L, cov_cache):
+    Sigma = cov_cache[L].Sigma if L in cov_cache else noise.build_covariance(L).Sigma
+    w, V = noise.block_eigh(Sigma)
+    assert np.all(np.diff(w) >= 0)  # ascending, like np.linalg.eigh
+    assert np.max(np.abs((V * w) @ V.T - Sigma)) <= 1e-13
+    assert np.max(np.abs(V.T @ V - np.eye(L * L))) <= 1e-13
+    # each eigenvector lives in one (m, part) block of Sigma
+    ms, im = chart_ms(L), chart_is_im(L)
+    for col in V.T:
+        support = col != 0
+        assert len(set(zip(ms[support], im[support]))) == 1
+
+
+def test_block_eigh_on_a_dense_matrix_is_one_eigh():
+    A = np.random.default_rng(3).standard_normal((12, 12))
+    S = A @ A.T + np.eye(12)
+    w, V = noise.block_eigh(S)
+    w0, V0 = np.linalg.eigh(S)
+    np.testing.assert_array_equal(w, w0)
+    np.testing.assert_array_equal(V, V0)
+
+
+def test_block_eigh_on_a_diagonal_matrix():
+    w, V = noise.block_eigh(np.diag([3.0, 1.0, 2.0]))
+    np.testing.assert_array_equal(w, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(V, np.eye(3)[:, [1, 2, 0]])
+    with pytest.raises(noise.IndefiniteCovariance):
+        noise.factor_sigma(np.diag([1.0, 2.0, -1e-3, 4.0]))
+
+
+def test_empirical_covariance_matches_the_einsum_reference():
+    X = np.random.default_rng(4).standard_normal((500, 64)) * np.linspace(0.1, 3.0, 64)
+    R = X - X.mean(axis=0)
+    ref = np.einsum("ni,nj->ij", R, R) / (X.shape[0] - 1)
+    got = noise.empirical_covariance(X)
+    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def _awkward_matrix():
+    X = np.random.default_rng(6).standard_normal((5, 7)) * 10.0 ** np.arange(-3, 4)
+    X[0, 0], X[1, 2], X[2, 4], X[4, 6] = 0.0, -0.0, 1e-300, -1e-300
+    return X
+
+
+def test_sample_csv_matches_the_per_value_formatter(tmp_path):
+    X = _awkward_matrix()
+    p = tmp_path / "s.csv"
+    noise.save_samples(p, X, {"L": 2, "t": 1.0, "seed": 0})
+    ref = "\n".join(",".join(transform.FMT % v for v in row) for row in X) + "\n"
+    assert p.read_text() == ref
+    assert "-0," in ref and "1e-300" in ref
+
+
+def test_sigma_csv_matches_the_per_value_formatter():
+    X = np.zeros((4, 4))
+    X[:, :3] = _awkward_matrix()[:4, :3]
+    X[3, 3] = -0.0
+    labels = noise.chart_labels(2)
+    ref = ["index," + ",".join(f'"{c}"' for c in labels)]
+    ref += [f'"{lab}",' + ",".join(transform.FMT % v for v in row) for lab, row in zip(labels, X)]
+    assert noise.sigma_to_csv(X, 2) == "\n".join(ref) + "\n"
+
+
+def test_empty_sample_file_round_trips(tmp_path):
+    p = tmp_path / "empty.csv"
+    noise.save_samples(p, np.zeros((0, 9)), {"L": 3, "t": 1.0, "seed": 0})
+    X, meta = noise.load_samples(p)
+    assert X.shape == (0, 9) and meta["n"] == 0

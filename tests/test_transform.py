@@ -150,3 +150,13 @@ def test_matrix_csv_complex_interleaving():
     lines = text.splitlines()
     assert lines[0] == "a:re,a:im,b:re,b:im"
     assert [float(v) for v in lines[1].split(",")] == [1.0, 2.0, 3.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_synthesis_rejects_non_finite_coefficients(ops_cache, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        transform.synthesis(ops_cache[2], np.full(4, bad, dtype=complex))
+    a = np.zeros((3, 4), dtype=complex)
+    a[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        transform.synthesis(ops_cache[2], a)
