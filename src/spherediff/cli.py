@@ -290,7 +290,10 @@ def cmd_diffuse(args) -> int:
             score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
             rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
         else:
-            score = sde.gaussian_spatial_score(M @ mu, M @ S @ M.T, schedule)
+            w, V = np.linalg.eigh(S)  # S = (V sqrt(w)) (V sqrt(w))^T; S is PD
+            score = sde.gaussian_spatial_score(
+                M @ mu, None, schedule, factor=M @ (V * np.sqrt(w))
+            )
             rev = sde.spatial_reverse_stepper(schedule, score)
         state, ab, _ = sde.integrate(
             state, schedule, "reverse", rev, None if seed is None else int(seed) + 2

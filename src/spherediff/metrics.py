@@ -27,6 +27,28 @@ class SlicedWassersteinResult:
         return (self.value - 2.0 * self.se, self.value + 2.0 * self.se)
 
 
+def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with the same bits under any BLAS thread count.
+
+    Measured with OpenBLAS 0.3.31 under one, two and four threads: a product
+    gives the same bits when its inner dimension is at most 288 and its
+    column count is a multiple of 8.  A longer inner dimension (552) changes
+    the last bits almost everywhere, and other column counts change the last
+    columns (threads end on different edge tiles).  So the inner dimension is
+    summed in chunks of at most 256, in one fixed order, and b gets zero
+    columns up to a multiple of 8, dropped from the result.  Inside those
+    limits this is the plain product, bit for bit.
+    """
+    k, n = b.shape
+    pad = -n % 8
+    if pad:
+        b = np.concatenate([b, np.zeros((k, pad))], axis=1)
+    out = a[..., :256] @ b[:256]
+    for j in range(256, k, 256):
+        out += a[..., j:j + 256] @ b[j:j + 256]
+    return out[..., :n] if pad else out
+
+
 def _as_samples(name: str, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -72,8 +94,8 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000, seed=None,
     dirs = rng.standard_normal((n_proj, A.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    PA = A @ dirs.T  # (n, n_proj)
-    PB = B @ dirs.T
+    PA = _fixed_order_matmul(A, dirs.T)  # (n, n_proj)
+    PB = _fixed_order_matmul(B, dirs.T)
     if A.shape[0] == B.shape[0]:
         PA.sort(axis=0)
         PB.sort(axis=0)

@@ -256,4 +256,7 @@ def load_samples(path):
         X = np.loadtxt(path, delimiter=",", ndmin=2)
     if "n" in meta and X.shape[0] != meta["n"]:
         raise ValueError(f"sample file has {X.shape[0]} rows, sidecar says {meta['n']}")
+    if "d" in meta and X.shape[1] != meta["d"]:
+        raise ValueError(f"sample file {path} has {X.shape[1]} columns, "
+                         f"sidecar says d = {meta['d']}")
     return X, meta

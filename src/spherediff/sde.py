@@ -7,8 +7,9 @@ v(t) = 1 - exp(-B(t)), B(t) the integral of beta; in chart coordinates the
 noise covariance is v(t) Sigma instead of v(t) I.
 
 Chart-domain paths stay on the real chart, so lifted coefficients satisfy
-conjugate symmetry exactly.  Euler-Maruyama throughout; reverse steppers take
-dt < 0 and use the score-corrected drift f - g^2 * (Sigma) * score.
+conjugate symmetry exactly.  All four steppers are one Euler-Maruyama update;
+reverse steppers take dt < 0 and use the score-corrected drift
+f - g^2 * (Sigma) * score.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+
+from .metrics import _fixed_order_matmul
 
 BLOWUP_LIMIT = 1e6
 
@@ -93,15 +96,40 @@ class ScoreField:
         return self.fn(values, t)
 
 
-def _advance(state: DiffusionState, dt: float, values: np.ndarray) -> DiffusionState:
-    return dataclasses.replace(state, time=state.time + dt, values=values)
+def _drift(schedule, x, t, g, score, precond):
+    """f(x,t) - g^2 P s(x,t), or f(x,t) alone without a score.
+
+    Each branch is one expression of fresh temporaries, which NumPy reuses
+    in place instead of allocating another (n, d) array.
+    """
+    if score is None:
+        return schedule.drift(x, t)
+    if precond is None:
+        return schedule.drift(x, t) - g * g * score(x, t)
+    return schedule.drift(x, t) - g * g * _fixed_order_matmul(score(x, t), precond.T)
+
+
+def _em_update(state, schedule, dt, xi, *, noise_factor=None, score=None, precond=None):
+    """The one Euler-Maruyama update x + (f - g^2 P s) dt + g sqrt(|dt|) F xi.
+
+    F is `noise_factor` (Lambda) or I when None; P is `precond` (Sigma) or I
+    when None; without a score the drift is f alone.  f and g come from
+    `schedule.drift` and `schedule.g`, so any schedule providing those works.
+    """
+    expected = "spatial" if precond is None else "chart"  # P = Sigma only in the chart
+    if score is not None and score.domain != expected:
+        raise ValueError(f"score domain {score.domain!r}, expected {expected!r}")
+    x, t = state.values, state.time
+    g = schedule.g(t)
+    new = (x + _drift(schedule, x, t, g, score, precond) * dt
+           + g * np.sqrt(abs(dt))
+           * (xi if noise_factor is None else _fixed_order_matmul(xi, noise_factor.T)))
+    return dataclasses.replace(state, time=state.time + dt, values=new)
 
 
 def forward_step_spatial(state, schedule, dt, noise_draw):
     """x <- x + f(x,t) dt + g(t) sqrt(dt) xi."""
-    x, t = state.values, state.time
-    new = x + schedule.drift(x, t) * dt + schedule.g(t) * np.sqrt(dt) * noise_draw
-    return _advance(state, dt, new)
+    return _em_update(state, schedule, dt, noise_draw)
 
 
 def forward_step_frequency(state, schedule, dt, Lambda, noise_draw):
@@ -110,31 +138,18 @@ def forward_step_frequency(state, schedule, dt, Lambda, noise_draw):
     The chart drift equals the spatial VP drift because U f(Y a, t) =
     -beta(t)/2 * a (UY = I); see vp_drift_identity_error.
     """
-    z, t = state.values, state.time
-    new = z + schedule.drift(z, t) * dt + schedule.g(t) * np.sqrt(dt) * (noise_draw @ Lambda.T)
-    return _advance(state, dt, new)
+    return _em_update(state, schedule, dt, noise_draw, noise_factor=Lambda)
 
 
 def reverse_step_spatial(state, schedule, dt, score, noise_draw):
     """x <- x + (f - g^2 s) dt + g sqrt(|dt|) xi, with dt < 0."""
-    if score.domain != "spatial":
-        raise ValueError(f"score domain {score.domain!r}, expected 'spatial'")
-    x, t = state.values, state.time
-    g = schedule.g(t)
-    drift = schedule.drift(x, t) - g * g * score(x, t)
-    new = x + drift * dt + g * np.sqrt(abs(dt)) * noise_draw
-    return _advance(state, dt, new)
+    return _em_update(state, schedule, dt, noise_draw, score=score)
 
 
 def reverse_step_frequency(state, schedule, dt, Sigma, Lambda, score, noise_draw):
     """z <- z + (f - g^2 Sigma s) dt + g sqrt(|dt|) Lambda xi, with dt < 0."""
-    if score.domain != "chart":
-        raise ValueError(f"score domain {score.domain!r}, expected 'chart'")
-    z, t = state.values, state.time
-    g = schedule.g(t)
-    drift = schedule.drift(z, t) - g * g * (score(z, t) @ Sigma.T)
-    new = z + drift * dt + g * np.sqrt(abs(dt)) * (noise_draw @ Lambda.T)
-    return _advance(state, dt, new)
+    return _em_update(state, schedule, dt, noise_draw,
+                      noise_factor=Lambda, score=score, precond=Sigma)
 
 
 def spatial_forward_stepper(schedule):
@@ -155,12 +170,23 @@ def frequency_reverse_stepper(schedule, Sigma, Lambda, score):
     )
 
 
+def _blown_up(x: np.ndarray) -> np.ndarray:
+    """Rows of x holding a NaN, an infinity or a magnitude above BLOWUP_LIMIT.
+
+    One pass: a NaN makes the row maximum NaN, and NaN <= limit is False.
+    """
+    return ~(np.abs(x).max(axis=1) <= BLOWUP_LIMIT)
+
+
 def integrate(state, schedule, direction, stepper, seed, *, thin=None):
     """Run `schedule.steps` uniform Euler-Maruyama steps.
 
     direction "forward" runs time up from state.time; "reverse" runs it down.
     Paths whose coordinates go non-finite or exceed BLOWUP_LIMIT are frozen at
     their last good value and reported as {"path": i, "step": k}.
+
+    The noise of every step is drawn into one reused (n, d) buffer, so a
+    stepper must not return or keep a view of it.
 
     Returns (final_state, aborted, trajectory); trajectory is a list of
     (time, values) captured every `thin` steps (None -> only endpoints absent).
@@ -170,70 +196,96 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
     dt = schedule.dt if direction == "forward" else -schedule.dt
     rng = np.random.default_rng(seed)
     n, d = state.values.shape
+    xi = np.empty((n, d))
     dead = np.zeros(n, dtype=bool)
     aborted = []
     trajectory = [(state.time, state.values.copy())] if thin else None
 
     for k in range(schedule.steps):
-        xi = rng.standard_normal((n, d))
+        rng.standard_normal(out=xi)
         prev = state.values
         state = stepper(state, dt, xi)
-        vals = state.values.copy()
-        bad = ~np.all(np.isfinite(vals), axis=1) | (np.max(np.abs(vals), axis=1) > BLOWUP_LIMIT)
-        newly = bad & ~dead
-        if np.any(newly):
-            for i in np.flatnonzero(newly):
-                aborted.append({"path": int(i), "step": k})
+        newly = _blown_up(state.values) & ~dead
+        if newly.any():
+            aborted.extend({"path": int(i), "step": k} for i in np.flatnonzero(newly))
             dead |= newly
-        if np.any(dead):
+            if dead.all():
+                raise BlowUpError(f"all {n} paths diverged by step {k}")
+        if dead.any():
+            vals = state.values.copy()
             vals[dead] = prev[dead]  # freeze at the last good value
-        state = dataclasses.replace(state, values=vals)
+            state = dataclasses.replace(state, values=vals)
         if thin and ((k + 1) % thin == 0 or k == schedule.steps - 1):
-            trajectory.append((state.time, vals.copy()))
-        if dead.size and np.all(dead):
-            raise BlowUpError(f"all {n} paths diverged by step {k}")
+            trajectory.append((state.time, state.values.copy()))
     return state, aborted, trajectory
 
 
 # ---------------------------------------------------------------------------
 # analytic Gaussian scores (closed-form test harness, no training)
 # ---------------------------------------------------------------------------
+#
+# Both scores are built in a basis fixed once per score, so a call costs a
+# few products plus elementwise work and no LAPACK call.  Every product here
+# and in a step goes through metrics._fixed_order_matmul, so it gives the
+# same bits under any BLAS thread count.
 
 def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     """Score of the time-t chart marginal for data z(0) ~ N(mu, S).
 
-    Marginal: N(m(t) mu, m(t)^2 S + v(t) Sigma); score(z) = -A_t^{-1}(z - m mu).
+    Marginal: N(m(t) mu, A_t), A_t = m(t)^2 S + v(t) Sigma, and
+    score(z) = -A_t^{-1}(z - m mu).  Whitening S (PD) and diagonalising the
+    whitened Sigma gives B with B^T S B = I and B^T Sigma B = diag(kappa),
+    so A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
     """
     mu = np.asarray(mu, dtype=float)
-    S = np.asarray(S, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
+    s_eval, s_vec = np.linalg.eigh(np.asarray(S, dtype=float))
+    if not s_eval[0] > 0:
+        raise ValueError(f"data covariance S is not positive definite "
+                         f"(min eigenvalue {s_eval[0]:.3e})")
+    W = s_vec / np.sqrt(s_eval)  # W^T S W = I
+    K = _fixed_order_matmul(_fixed_order_matmul(W.T, np.asarray(Sigma, dtype=float)), W)
+    kappa, P = np.linalg.eigh(0.5 * (K + K.T))
+    B = _fixed_order_matmul(W, P)
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
-        A = m * m * S + v * Sigma
-        r = np.atleast_2d(z) - m * mu
-        s = -np.linalg.solve(A, r.T).T
-        return s.reshape(np.shape(z))
+        r = z - m * mu  # one (d,) vector or an (n, d) batch
+        w = _fixed_order_matmul(r, B) / -(m * m + v * kappa)
+        return _fixed_order_matmul(w, B.T)
 
     return ScoreField(fn=fn, domain="chart")
 
 
-def gaussian_spatial_score(mu_x, cov_x, schedule) -> ScoreField:
+def gaussian_spatial_score(mu_x, cov_x, schedule, *, factor=None) -> ScoreField:
     """Score of the time-t spatial marginal for data x(0) ~ N(mu_x, cov_x).
 
-    cov_x may be singular (band-limited data): A_t = m^2 cov_x + v I is
-    inverted through a one-time eigendecomposition of cov_x.
+    cov_x may be singular (band-limited data).  With cov_x = Q diag(e) Q^T,
+    Q orthonormal (d x r), A_t = m^2 cov_x + v I inverts as
+    A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.  Given `factor` G
+    with G G^T = cov_x (e.g. M S^{1/2}, r = L^2 columns), Q and e come from
+    the r x r eigenproblem of G^T G and cov_x is not used (pass None);
+    otherwise from `eigh(cov_x)`, keeping the eigenvalues above its
+    round-off level.
     """
     mu_x = np.asarray(mu_x, dtype=float)
-    evals, V = np.linalg.eigh(np.asarray(cov_x, dtype=float))
-    evals = np.clip(evals, 0.0, None)
+    if factor is not None:
+        G = np.asarray(factor, dtype=float)
+        e, P = np.linalg.eigh(_fixed_order_matmul(G.T, G))
+        if not e[0] > 0:
+            raise ValueError("factor does not have full column rank")
+        Q = _fixed_order_matmul(G, P) / np.sqrt(e)
+    else:
+        cov_x = np.asarray(cov_x, dtype=float)
+        e, Q = np.linalg.eigh(cov_x)
+        keep = e > e[-1] * cov_x.shape[0] * np.finfo(float).eps
+        e, Q = e[keep], Q[:, keep]
 
     def fn(x, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
-        r = np.atleast_2d(x) - m * mu_x
-        w = r @ V
-        s = -(w / (m * m * evals + v)) @ V.T
-        return s.reshape(np.shape(x))
+        r = x - m * mu_x  # one (d,) vector or an (n, d) batch
+        m2e = m * m * e
+        w = _fixed_order_matmul(r, Q) * (m2e / (m2e + v))
+        return (_fixed_order_matmul(w, Q.T) - r) / v
 
     return ScoreField(fn=fn, domain="spatial")
 

@@ -285,6 +285,18 @@ def test_sliced_w_on_an_empty_sample_file_is_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "holds no samples" in err
 
 
+def test_sliced_w_on_a_sidecar_with_the_wrong_width_is_usage_error(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in (a, b):
+        noise.save_samples(path, np.ones((3, 4)), {"L": 2, "t": 1.0, "seed": 0})
+    sidecar = tmp_path / "b.csv.json"
+    sidecar.write_text(sidecar.read_text().replace('"d": 4', '"d": 9'))
+    capsys.readouterr()
+    assert main(["sliced-w", "--a", str(a), "--b", str(b), "--n-proj", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sidecar says d = 9" in err
+
+
 def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):
     from spherediff import lossmap
 

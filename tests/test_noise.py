@@ -158,6 +158,15 @@ def test_sample_sidecar_mismatch_detected(tmp_path):
         noise.load_samples(p)
 
 
+def test_sample_sidecar_width_mismatch_detected(tmp_path):
+    p = tmp_path / "s.csv"
+    noise.save_samples(p, np.ones((3, 4)), {"L": 2, "t": 1.0, "seed": 0})
+    sidecar = p.with_name("s.csv.json")
+    sidecar.write_text(sidecar.read_text().replace('"d": 4', '"d": 9'))
+    with pytest.raises(ValueError, match="4 columns"):
+        noise.load_samples(p)
+
+
 def test_sigma_csv_annotations(cov_cache):
     text = noise.sigma_to_csv(cov_cache[2].Sigma, 2)
     header = text.splitlines()[0]

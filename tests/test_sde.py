@@ -225,3 +225,75 @@ def test_replay_is_bit_identical():
 def test_drift_identity(ops_cache):
     err = sde.vp_drift_identity_error(ops_cache[4], sde.VpSchedule(), 0.3)
     assert err < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Euler-Maruyama kernel and the fixed-basis Gaussian scores
+# ---------------------------------------------------------------------------
+
+SCORE_TIMES = (sde.VpSchedule(steps=1000).dt, 0.3, 1.0)  # smallest: v(t) ~ 1e-4
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("L", [2, 4, 12])
+def test_fixed_basis_chart_score_matches_solve(L):
+    from spherediff.cli import _surrogate_gaussian
+
+    cov = noise.build_covariance(L)
+    s = sde.VpSchedule()
+    mu, S = _surrogate_gaussian(L, 0.25, 0.04, seed=31)
+    score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
+    z = np.random.default_rng(32).standard_normal((9, L * L))
+    for t in SCORE_TIMES:
+        m, v = s.mean_coeff(t), s.marginal_var(t)
+        ref = -np.linalg.solve(m * m * S + v * cov.Sigma, (z - m * mu).T).T
+        assert _rel(score(z, t), ref) <= 1e-10, t
+        assert _rel(score(z[0], t), ref[0]) <= 1e-10, t  # one unbatched vector
+
+
+@pytest.mark.parametrize("L", [4, 12])
+def test_factor_built_spatial_score_matches_direct_inverse(L):
+    from spherediff.cli import _surrogate_gaussian
+
+    ops = transform.build_operators(L)
+    M = chart.synthesis_matrix(ops)
+    s = sde.VpSchedule()
+    mu, S = _surrogate_gaussian(L, 0.25, 0.04, seed=41)
+    w, V = np.linalg.eigh(S)
+    cov_x = M @ S @ M.T
+    by_factor = sde.gaussian_spatial_score(M @ mu, None, s, factor=M @ (V * np.sqrt(w)))
+    dense = sde.gaussian_spatial_score(M @ mu, cov_x, s)
+    x = np.random.default_rng(42).standard_normal((9, ops.d_spatial))
+    for t in SCORE_TIMES:
+        m, v = s.mean_coeff(t), s.marginal_var(t)
+        At = m * m * cov_x + v * np.eye(ops.d_spatial)
+        ref = -np.linalg.solve(At, (x - m * (M @ mu)).T).T
+        assert _rel(by_factor(x, t), ref) <= 1e-10, t
+        assert _rel(dense(x, t), ref) <= 1e-10, t
+
+
+def test_blow_up_check_flags_exactly_the_bad_rows():
+    x = np.zeros((7, 3))
+    x[1, 2] = np.nan
+    x[2, 0] = np.inf
+    x[3, 1] = -np.inf
+    x[4, 0] = np.nextafter(sde.BLOWUP_LIMIT, np.inf)
+    x[5, 2] = -2 * sde.BLOWUP_LIMIT
+    x[6, 1] = -sde.BLOWUP_LIMIT  # at the limit is still good
+    assert sde._blown_up(x).tolist() == [False, True, True, True, True, True, False]
+
+
+def test_integrate_draws_the_same_noise_as_fresh_draws():
+    s = sde.VpSchedule(steps=20)
+    Lam = noise.build_covariance(2).Lambda
+    st = sde.DiffusionState(time=0.0, values=np.ones((6, 4)), domain="chart")
+    got, _, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=9)
+    rng = np.random.default_rng(9)
+    ref = st
+    for _ in range(s.steps):
+        ref = sde.forward_step_frequency(ref, s, s.dt, Lam, rng.standard_normal((6, 4)))
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(st.values, np.ones((6, 4)))  # the start state is untouched

@@ -1,8 +1,9 @@
-"""Operator-suite outputs do not depend on the BLAS thread count.
+"""Command outputs do not depend on the BLAS thread count.
 
-The three operator commands run at L = 16, where BLAS and LAPACK split
-their work among threads, in child processes under one and two threads;
-every output file must be byte-identical.
+The three operator commands run at L = 16, and the recovery path (reverse
+`diffuse` in both domains, then `sliced-w`) at L = 12, where BLAS and LAPACK
+split their work among threads.  Each runs in child processes under one and
+two threads; every output file must be byte-identical.
 """
 
 import os
@@ -20,9 +21,31 @@ COMMANDS = [
 ]
 
 
-def _run(out_dir: Path, threads: str) -> None:
+RECOVERY = [
+    ["diffuse", "--config", "law.json", "--direction", "reverse",
+     "--score", "gaussian-analytic", "--domain", domain, "--L", "12", "--n", "250",
+     "--steps", "40", "--seed", seed, "--out", f"{domain}_{seed}.csv"]
+    for domain, seed in (("frequency", "3"), ("spatial", "3"), ("spatial", "4"))
+] + [["sliced-w", "--a", "spatial_3.csv", "--b", "spatial_4.csv", "--n-proj", "500",
+      "--seed", "5", "--out", "sw_spatial.json"]]
+
+
+# (rows, inner, columns): the spatial score's projection r @ Q at L = 12, and
+# sliced-w's 500 projections of chart and grid samples at L = 12 and L = 4;
+# plain BLAS products of these shapes differ under one and two threads
+PRODUCTS = [(250, 552, 144), (250, 552, 500), (250, 144, 500), (1000, 56, 500)]
+PRODUCT_SCRIPT = f"""
+import hashlib, numpy as np
+from spherediff.metrics import _fixed_order_matmul
+rng = np.random.default_rng(0)
+for m, k, n in {PRODUCTS}:
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((n, k)).T
+    print(hashlib.sha256(_fixed_order_matmul(a, b).tobytes()).hexdigest())
+"""
+
+
+def _env(threads: str) -> dict:
     env = dict(os.environ)
-    env[ENV_OUT_DIR] = str(out_dir)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
     # the child runs with cwd=out_dir, so a relative PYTHONPATH entry would
@@ -30,7 +53,13 @@ def _run(out_dir: Path, threads: str) -> None:
     pkg_root = str(Path(spherediff.__file__).resolve().parents[1])
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root + os.pathsep + inherited if inherited else pkg_root
-    for cmd in COMMANDS:
+    return env
+
+
+def _run(out_dir: Path, threads: str, commands=COMMANDS) -> None:
+    env = _env(threads)
+    env[ENV_OUT_DIR] = str(out_dir)
+    for cmd in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "spherediff.cli", *cmd],
             env=env, cwd=str(out_dir), capture_output=True, text=True,
@@ -49,3 +78,27 @@ def test_operator_outputs_byte_identical_under_one_and_two_threads(tmp_path):
     assert len(names) == 5  # verify json, two covariance CSVs, summary, bound json
     diffs = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert diffs == []
+
+
+def test_recovery_outputs_byte_identical_under_one_and_two_threads(tmp_path):
+    one, two = tmp_path / "threads1", tmp_path / "threads2"
+    for out_dir in (one, two):
+        out_dir.mkdir()
+        (out_dir / "law.json").write_text('{"data_seed": 5}\n')
+    _run(one, "1", RECOVERY)
+    _run(two, "2", RECOVERY)
+    names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(two)) for p in two.rglob("*") if p.is_file())
+    assert len(names) == 11  # law, three (csv, sidecar, diagnostics) triples, sw json
+    diffs = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
+    assert diffs == []
+
+
+def test_fixed_order_product_byte_identical_under_one_and_two_threads():
+    hashes = [
+        subprocess.run([sys.executable, "-c", PRODUCT_SCRIPT], env=_env(threads),
+                       capture_output=True, text=True, check=True).stdout.split()
+        for threads in ("1", "2")
+    ]
+    assert len(hashes[0]) == len(PRODUCTS)
+    assert hashes[0] == hashes[1]
