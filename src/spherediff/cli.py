@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chart, lossmap, metrics, noise, sde, transform
+from .metrics import _fixed_order_eigh, _fixed_order_matmul
 
 ENV_OUT_DIR = "SPHEREDIFF_OUT_DIR"
 
@@ -91,12 +92,17 @@ def cmd_verify_operators(args) -> int:
     L2 = ops.d_spectral
 
     T, M = bops.T, bops.M
-    # the projector on real fields is P = M T = Re(YU); P P - P = M (T M - I) T,
-    # grouped so that no d_X x d_X product is formed before the last one
+    # the projector on real fields is P = M T = Re(YU); P P - P = M (T M - I) T
+    # is formed 256 rows of M at a time, and its squared norm summed over the
+    # blocks in one fixed order, so no array larger than 256 x d_X is built
     TM_minus_I = T @ M - np.eye(L2)
+    idem_sq = 0.0
+    for i in range(0, M.shape[0], 256):
+        block = (M[i:i + 256] @ TM_minus_I) @ T
+        idem_sq += float(np.einsum("ij,ij->", block, block))
     checks = {
         "uy_minus_identity": _frobenius(ops.U @ ops.Y - np.eye(L2)),
-        "projector_idempotence": _frobenius(M @ (TM_minus_I @ T)),
+        "projector_idempotence": float(np.sqrt(idem_sq)),
         "tt_transpose_minus_sigma": float(np.max(np.abs(T @ T.T - cov.Sigma))),
         "t_z": float(np.max(np.abs(bops.T @ bops.Z))),
         "t_tplus_minus_identity": float(np.max(np.abs(bops.T @ bops.Tplus - np.eye(L2)))),
@@ -241,7 +247,7 @@ def _surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
     rng = np.random.default_rng(seed)
     mu = rng.normal(0.0, mean_scale, d)
     A = rng.normal(0.0, np.sqrt(cov_scale) / np.sqrt(d), (d, d))
-    S = A @ A.T + cov_scale * np.eye(d)
+    S = _fixed_order_matmul(A, A.T) + cov_scale * np.eye(d)
     return mu, S
 
 
@@ -268,8 +274,13 @@ def cmd_diffuse(args) -> int:
         mu, S = _surrogate_gaussian(
             L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]), data_seed
         )
-        z0 = np.random.default_rng(data_seed).multivariate_normal(mu, S, size=n, method="eigh")
-        start = z0 if domain == "chart" else z0 @ M.T
+        # z0 ~ N(mu, S) from the normals and eigenfactor that
+        # Generator.multivariate_normal(mu, S, n, method="eigh") uses; S is PD
+        w, V = _fixed_order_eigh(S)
+        S_half = V * np.sqrt(w)  # S = S_half S_half^T
+        g = np.random.default_rng(data_seed).standard_normal((n, L * L))
+        z0 = mu + _fixed_order_matmul(g, S_half.T)
+        start = z0 if domain == "chart" else _fixed_order_matmul(z0, M.T)
     else:
         start = np.zeros((n, d))
 
@@ -290,9 +301,8 @@ def cmd_diffuse(args) -> int:
             score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
             rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
         else:
-            w, V = np.linalg.eigh(S)  # S = (V sqrt(w)) (V sqrt(w))^T; S is PD
             score = sde.gaussian_spatial_score(
-                M @ mu, None, schedule, factor=M @ (V * np.sqrt(w))
+                M @ mu, None, schedule, factor=_fixed_order_matmul(M, S_half)
             )
             rev = sde.spatial_reverse_stepper(schedule, score)
         state, ab, _ = sde.integrate(

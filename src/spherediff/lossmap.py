@@ -15,17 +15,20 @@ checked by `check_theorem2_bound` is, per trial,
 
 with s_ref the Gaussian transition-kernel chart score and s' the auxiliary
 spatial score x -> Y s_hat(U x).  Everything is evaluated on closed-form
-VP-schedule kernels, so no training is involved.
+VP-schedule kernels, so no training is involved.  The test score s_hat
+contains a random linear map G applied at the one point z_t, so each trial
+draws G z_t from its exact law N(0, 0.25 |z_t|^2 / d I), not a d x d
+matrix, and all trials are evaluated together as row-batched products.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
+from .metrics import _fixed_order_matmul
 from .noise import block_eigh
 from .sde import ScoreField, VpSchedule
 from .transform import ConstraintViolation, OperatorSet, mirror_residual, q_norm_sq
@@ -33,17 +36,20 @@ from .transform import ConstraintViolation, OperatorSet, mirror_residual, q_norm
 
 @dataclass(frozen=True)
 class BoundOperators:
-    """T, its right pseudoinverse, and the kernel part of the synthesis map."""
+    """T, its right pseudoinverse, the kernel part of the synthesis map, and
+    the eigenpairs of Sigma the pseudoinverse came from."""
 
     L: int
     T: np.ndarray = field(repr=False)        # L^2 x d_X
     Tplus: np.ndarray = field(repr=False)    # d_X x L^2
     Z: np.ndarray = field(repr=False)        # d_X x L^2
     M: np.ndarray = field(repr=False)        # d_X x L^2, M = Tplus + Z
+    w: np.ndarray = field(repr=False)        # eigenvalues of Sigma, ascending
+    V: np.ndarray = field(repr=False)        # L^2 x L^2, the matching eigenvectors
     sigma_cond: float                        # condition number of Sigma
 
     def __post_init__(self):
-        for arr in (self.T, self.Tplus, self.Z, self.M):
+        for arr in (self.T, self.Tplus, self.Z, self.M, self.w, self.V):
             arr.setflags(write=False)
 
 
@@ -58,7 +64,8 @@ def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators
     cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
     Sigma_pinv = (V[:, keep] / w[keep]) @ V[:, keep].T
     Tplus = T.T @ Sigma_pinv
-    return BoundOperators(L=ops.L, T=T, Tplus=Tplus, Z=M - Tplus, M=M, sigma_cond=cond)
+    return BoundOperators(L=ops.L, T=T, Tplus=Tplus, Z=M - Tplus, M=M, w=w, V=V,
+                          sigma_cond=cond)
 
 
 def _eval(score, x, t):
@@ -135,15 +142,57 @@ def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet, *,
     return ScoreField(fn=fn, domain="spatial")
 
 
-def kernel_chart_score(z, z0, t: float, schedule: VpSchedule, Sigma_pinv_apply):
-    """Chart score of the VP transition kernel N(m(t) z0, v(t) Sigma).
+def _draw_trials(rng, n_trials: int, d: int, schedule: VpSchedule, t_floor: float) -> dict:
+    """The random inputs of n_trials bound trials, one row (or entry) per trial."""
+    return {
+        "t": rng.uniform(t_floor, schedule.T, n_trials),
+        "z0": rng.standard_normal((n_trials, d)),
+        "xi": rng.standard_normal((n_trials, d)),      # kernel noise behind z_t
+        "g": rng.standard_normal((n_trials, d)),       # normals behind G z_t
+        "alpha": rng.uniform(0.0, 2.0, n_trials),
+        "offset": rng.normal(0.0, 0.5, (n_trials, d)),
+    }
 
-    Returns (score, Sigma @ score); the latter is -(z - m z0)/v and needs no
-    inverse, which is why both are exposed.
+
+def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
+                 draws: dict):
+    """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
+
+    Every product goes through `_fixed_order_matmul` and every per-trial
+    quadratic form is one einsum row reduction, so the terms have the same
+    bits under any BLAS thread count.
     """
-    m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
-    sigma_s = -(np.asarray(z) - m * np.asarray(z0)) / v
-    return Sigma_pinv_apply(sigma_s), sigma_s
+    t, z0 = draws["t"], draws["z0"]
+    d = z0.shape[1]
+    m = np.array([schedule.mean_coeff(s) for s in t])[:, None]
+    v = np.array([schedule.marginal_var(s) for s in t])[:, None]
+    lam = np.sqrt(np.clip(bops.w, 0.0, None))  # V diag(lam) is a square root of Sigma
+    z_t = m * z0 + np.sqrt(v) * _fixed_order_matmul(draws["xi"] * lam, bops.V.T)
+
+    # kernel score of N(m z0, v Sigma): Sigma s_ref = -(z_t - m z0)/v needs no
+    # inverse; s_ref = Sigma^+ (Sigma s_ref) through the eigenpairs of Sigma
+    sigma_s_ref = -(z_t - m * z0) / v
+    keep = bops.w > 1e-10
+    Vk = bops.V[:, keep]
+    s_ref = _fixed_order_matmul(_fixed_order_matmul(sigma_s_ref, Vk) / bops.w[keep], Vk.T)
+
+    # test score s_hat = G z_t + offset + alpha Sigma s_ref with G_ij ~ N(0, 0.25/d)
+    # i.i.d.; given z_t, G z_t ~ N(0, 0.25 |z_t|^2 / d I), drawn as such
+    g_z = np.sqrt(0.25 / d * np.einsum("ij,ij->i", z_t, z_t))[:, None] * draws["g"]
+    s_hat = g_z + draws["offset"] + draws["alpha"][:, None] * sigma_s_ref
+    e = s_hat - sigma_s_ref
+    lhs = np.einsum("ij,j,ij->i", e, chart_weights(ops.L), e)
+
+    # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t, so
+    # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref
+    r = _fixed_order_matmul(s_hat, bops.M.T) - _fixed_order_matmul(s_ref, bops.T)
+    term_q = np.einsum("ij,j,ij->i", r, ops.q, r)
+
+    gap_sq = 0.0
+    for U_part in (ops.U.real, ops.U.imag):  # |U Z Sigma s_ref|^2 = |Re|^2 + |Im|^2
+        gap = _fixed_order_matmul(sigma_s_ref, _fixed_order_matmul(U_part, bops.Z).T)
+        gap_sq = gap_sq + np.einsum("ij,ij->i", gap, gap)
+    return lhs, term_q, gap_sq
 
 
 def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedule,
@@ -151,65 +200,30 @@ def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedu
                          rel_tol: float = 1e-8, bops: BoundOperators | None = None) -> dict:
     """Monte Carlo check of the frequency-vs-spatial loss inequality.
 
-    Each trial draws (z0, t, z_t, test score), evaluates both sides, and
-    counts a violation when slack = RHS - LHS < -rel_tol * max(1, RHS).
-    Test scores are random linear maps plus randomly scaled oracle scores,
-    covering near-optimal and far-off regimes.  `bops` are the bound
-    operators of (ops, Sigma), built here when not given.
+    Each trial draws t ~ U(t_floor, T), z0 ~ N(0, I), z_t from the VP kernel
+    N(m(t) z0, v(t) Sigma) and a test score s_hat = G z_t + offset +
+    alpha Sigma s_ref, with G_ij ~ N(0, 0.25/d) i.i.d., offset ~ N(0, 0.25 I)
+    and alpha ~ U(0, 2): near-oracle and far-off scores alike.  Only G z_t
+    enters, so it is drawn from its exact law N(0, 0.25 |z_t|^2/d I) with d
+    normals instead of a d x d matrix.  All trials are drawn as arrays and
+    evaluated as one batch (memory O(n_trials * d_X)); a trial is a
+    violation when slack = RHS - LHS < -rel_tol * max(1, RHS).  `bops` are
+    the bound operators of (ops, Sigma), built here when not given; their
+    eigenpairs of Sigma are reused, so no eigendecomposition runs here.
     """
-    L = ops.L
-    d = L * L
-    w, V = block_eigh(Sigma)
-    keep = w > 1e-10
-    pinv_apply = lambda r: (V[:, keep] / w[keep]) @ (V[:, keep].T @ r)
     if bops is None:
         bops = build_bound_operators(ops, Sigma)
-    Lam_w = np.sqrt(np.clip(w, 0.0, None))
-    UZ = ops.U @ bops.Z  # complex L^2 x L^2
-
-    rng = np.random.default_rng(seed)
-    lhs_v = np.empty(n_trials)
-    rhs_v = np.empty(n_trials)
-    gap_v = np.empty(n_trials)
-    slack_v = np.empty(n_trials)
-
-    for i in range(n_trials):
-        t = rng.uniform(t_floor, schedule.T)
-        m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
-        z0 = rng.standard_normal(d)
-        z_t = m * z0 + np.sqrt(v) * (V @ (Lam_w * rng.standard_normal(d)))
-
-        s_ref, sigma_s_ref = kernel_chart_score(z_t, z0, t, schedule, pinv_apply)
-
-        G = rng.normal(0.0, 0.5 / np.sqrt(d), (d, d))
-        alpha = rng.uniform(0.0, 2.0)
-        s_hat_vec = G @ z_t + rng.normal(0.0, 0.5, d) + alpha * sigma_s_ref
-
-        lhs = chart_sq_norm(s_hat_vec - sigma_s_ref, L)
-
-        # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t,
-        # so s'(x_t) = Y from_chart(s_hat_vec) = M s_hat_vec.
-        s_prime = bops.M @ s_hat_vec
-        s_pullback = bops.T.T @ s_ref
-        term_q = q_norm_sq(ops, s_prime - s_pullback)
-
-        gap = UZ @ sigma_s_ref
-        gap_sq = float(np.vdot(gap, gap).real)
-
-        rhs = 2.0 * (term_q + gap_sq)
-        slack = rhs - lhs
-        lhs_v[i], rhs_v[i], gap_v[i], slack_v[i] = lhs, rhs, gap_sq, slack
-
-    violations = int(np.sum(slack_v < -rel_tol * np.maximum(1.0, rhs_v)))
+    draws = _draw_trials(np.random.default_rng(seed), n_trials, ops.L * ops.L,
+                         schedule, t_floor)
+    lhs, term_q, gap_sq = _trial_terms(ops, bops, schedule, draws)
+    rhs = 2.0 * (term_q + gap_sq)
+    slack = rhs - lhs
+    violations = int(np.sum(slack < -rel_tol * np.maximum(1.0, rhs)))
     return {
         "n_trials": int(n_trials),
         "violations": violations,
-        "min_slack": float(slack_v.min()),
-        "mean_lhs": float(lhs_v.mean()),
-        "mean_rhs": float(rhs_v.mean()),
-        "mean_gap_term": float(gap_v.mean()),
+        "min_slack": float(slack.min()),
+        "mean_lhs": float(lhs.mean()),
+        "mean_rhs": float(rhs.mean()),
+        "mean_gap_term": float(gap_sq.mean()),
     }
-
-
-def bound_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -8,7 +8,10 @@ exact merged-CDF segment walk over the union of quantile breakpoints.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +50,46 @@ def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(256, k, 256):
         out += a[..., j:j + 256] @ b[j:j + 256]
     return out[..., :n] if pad else out
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS bundled with NumPy,
+    or None when NumPy links some other BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy NumPy already loaded
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _fixed_order_eigh(a: np.ndarray):
+    """np.linalg.eigh(a) with the same bits under any BLAS thread count.
+
+    LAPACK's tridiagonal reduction calls threaded BLAS.  Measured with
+    OpenBLAS 0.3.31 at n = 2, 5, ..., 299 and 1024, eigh of an n x n matrix
+    differs between one and two threads from n = 146 on, at every n that is
+    not a multiple of 8 and at every n tried above 220.  So BLAS runs on one
+    thread for the call (the setting is process-wide, so this is not for
+    concurrent use from several Python threads).  Where NumPy's OpenBLAS
+    cannot be found this is the plain eigh.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        return np.linalg.eigh(a)
+    get, put = controls
+    threads = get()
+    put(1)
+    try:
+        return np.linalg.eigh(a)
+    finally:
+        put(threads)
 
 
 def _as_samples(name: str, X) -> np.ndarray:

@@ -27,6 +27,7 @@ from . import indexing
 from .chart import from_chart
 from .grid import build_grid
 from .harmonics import norm_legendre_table
+from .metrics import _fixed_order_eigh, _fixed_order_matmul
 from .transform import FMT, OperatorSet
 
 
@@ -95,7 +96,7 @@ def block_eigh(A: np.ndarray):
     pattern of A; permuted to them, A is block-diagonal, so the union of the
     block eigenpairs is an eigendecomposition of A.  For `build_sigma`'s
     output these are the (m, part) blocks; a dense A is one block and goes to
-    `np.linalg.eigh` whole.  Returns (w, V) like `np.linalg.eigh`: w ascending
+    `eigh` whole.  Returns (w, V) like `np.linalg.eigh`: w ascending
     (ties in block order), V's columns the matching orthonormal eigenvectors.
     """
     A = np.asarray(A, dtype=float)
@@ -116,8 +117,8 @@ def block_eigh(A: np.ndarray):
         seen |= members
         blocks.append(np.flatnonzero(members))
     if len(blocks) <= 1:
-        return np.linalg.eigh(A)
-    pairs = [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in blocks]
+        return _fixed_order_eigh(A)
+    pairs = [_fixed_order_eigh(A[np.ix_(idx, idx)]) for idx in blocks]
     w = np.concatenate([wb for wb, _ in pairs])
     order = np.argsort(w, kind="stable")
     col = np.empty(n, dtype=np.intp)
@@ -170,7 +171,7 @@ def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray
         raise ValueError("n must be nonnegative")
     d = Lambda.shape[0]
     g = np.random.default_rng(seed).standard_normal((n, d))
-    return np.sqrt(t) * (g @ Lambda.T)
+    return np.sqrt(t) * _fixed_order_matmul(g, Lambda.T)
 
 
 def lift_samples(Z: np.ndarray, L: int) -> np.ndarray:
@@ -191,13 +192,17 @@ def empirical_covariance(X: np.ndarray) -> np.ndarray:
 
     BLAS threads split the output into blocks, not the sum over samples that
     makes each entry, so every entry is reduced in the same order whatever
-    the thread count, and the result is bit-identical across thread counts.
+    the thread count.  Threads end on different edge tiles, so R gets zero
+    columns up to a multiple of 8 (dropped from the result); then the result
+    is bit-identical across thread counts.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] < 2:
+    n, d = X.shape
+    if n < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
-    R = X - X.mean(axis=0)
-    return (R.T @ R) / (X.shape[0] - 1)
+    R = np.zeros((n, d + -d % 8))
+    np.subtract(X, X.mean(axis=0), out=R[:, :d])
+    return (R.T @ R)[:d, :d] / (n - 1)
 
 
 # ---------------------------------------------------------------------------

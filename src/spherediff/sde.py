@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _fixed_order_matmul
+from .metrics import _fixed_order_eigh, _fixed_order_matmul
 
 BLOWUP_LIMIT = 1e6
 
@@ -238,13 +238,13 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     so A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
     """
     mu = np.asarray(mu, dtype=float)
-    s_eval, s_vec = np.linalg.eigh(np.asarray(S, dtype=float))
+    s_eval, s_vec = _fixed_order_eigh(np.asarray(S, dtype=float))
     if not s_eval[0] > 0:
         raise ValueError(f"data covariance S is not positive definite "
                          f"(min eigenvalue {s_eval[0]:.3e})")
     W = s_vec / np.sqrt(s_eval)  # W^T S W = I
     K = _fixed_order_matmul(_fixed_order_matmul(W.T, np.asarray(Sigma, dtype=float)), W)
-    kappa, P = np.linalg.eigh(0.5 * (K + K.T))
+    kappa, P = _fixed_order_eigh(0.5 * (K + K.T))
     B = _fixed_order_matmul(W, P)
 
     def fn(z, t):
@@ -270,13 +270,13 @@ def gaussian_spatial_score(mu_x, cov_x, schedule, *, factor=None) -> ScoreField:
     mu_x = np.asarray(mu_x, dtype=float)
     if factor is not None:
         G = np.asarray(factor, dtype=float)
-        e, P = np.linalg.eigh(_fixed_order_matmul(G.T, G))
+        e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
         if not e[0] > 0:
             raise ValueError("factor does not have full column rank")
         Q = _fixed_order_matmul(G, P) / np.sqrt(e)
     else:
         cov_x = np.asarray(cov_x, dtype=float)
-        e, Q = np.linalg.eigh(cov_x)
+        e, Q = _fixed_order_eigh(cov_x)
         keep = e > e[-1] * cov_x.shape[0] * np.finfo(float).eps
         e, Q = e[keep], Q[:, keep]
 

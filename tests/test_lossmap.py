@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -137,21 +135,6 @@ def test_auxiliary_score_real_on_bandlimited_inputs(ops_cache):
         )
 
 
-def test_kernel_chart_score_consistency(cov_cache):
-    L = 2
-    Sigma = cov_cache[L].Sigma
-    w, V = np.linalg.eigh(Sigma)
-    keep = w > 1e-10
-    pinv = lambda r: (V[:, keep] / w[keep]) @ (V[:, keep].T @ r)
-    sch = sde.VpSchedule()
-    rng = np.random.default_rng(7)
-    z, z0 = rng.standard_normal(L * L), rng.standard_normal(L * L)
-    s, sigma_s = lossmap.kernel_chart_score(z, z0, 0.3, sch, pinv)
-    np.testing.assert_allclose(Sigma @ s, sigma_s, atol=1e-12)
-    m, v = sch.mean_coeff(0.3), sch.marginal_var(0.3)
-    np.testing.assert_allclose(sigma_s, -(z - m * z0) / v, rtol=1e-14)
-
-
 def test_bound_holds_over_trials(ops_cache, cov_cache):
     rep = lossmap.check_theorem2_bound(
         ops_cache[2], cov_cache[2].Sigma, sde.VpSchedule(), 500, seed=123
@@ -162,15 +145,6 @@ def test_bound_holds_over_trials(ops_cache, cov_cache):
     # the kernel-score gap term vanishes for this operator family: columns of
     # Z lie in ker(T), and on real vectors ker(T) = ker(U)
     assert rep["mean_gap_term"] < 1e-20
-
-
-def test_bound_report_serialization(ops_cache, cov_cache):
-    rep = lossmap.check_theorem2_bound(
-        ops_cache[2], cov_cache[2].Sigma, sde.VpSchedule(), 10, seed=5
-    )
-    text = lossmap.bound_report_json(rep)
-    assert json.loads(text)["n_trials"] == 10
-    assert lossmap.bound_report_json(rep) == text
 
 
 def test_uz_vanishes_identically(ops_cache, cov_cache):
@@ -186,3 +160,71 @@ def test_bound_check_reuses_given_bound_operators(ops_cache, cov_cache):
     built = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9)
     given = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9, bops=bops)
     assert given == built
+
+
+def _loop_terms(ops, bops, schedule, draws):
+    """Reference: the inequality's terms one trial at a time, with plain
+    matrix-vector products and the complex U Z."""
+    L, d = ops.L, ops.L * ops.L
+    keep = bops.w > 1e-10
+    lam = np.sqrt(np.clip(bops.w, 0.0, None))
+    UZ = ops.U @ bops.Z
+    terms = []
+    for i, t in enumerate(draws["t"]):
+        m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
+        z0 = draws["z0"][i]
+        z_t = m * z0 + np.sqrt(v) * (bops.V @ (lam * draws["xi"][i]))
+        sigma_s_ref = -(z_t - m * z0) / v
+        s_ref = (bops.V[:, keep] / bops.w[keep]) @ (bops.V[:, keep].T @ sigma_s_ref)
+        g_z = np.sqrt(0.25 * (z_t @ z_t) / d) * draws["g"][i]  # G z_t, G_ij ~ N(0, 0.25/d)
+        s_hat = g_z + draws["offset"][i] + draws["alpha"][i] * sigma_s_ref
+        lhs = lossmap.chart_sq_norm(s_hat - sigma_s_ref, L)
+        term_q = transform.q_norm_sq(ops, bops.M @ s_hat - bops.T.T @ s_ref)
+        gap = UZ @ sigma_s_ref
+        terms.append((lhs, term_q, float(np.vdot(gap, gap).real)))
+    return np.array(terms).T
+
+
+@pytest.mark.parametrize("L", [2, 4, 16])
+def test_batched_bound_terms_match_a_per_trial_loop(L, ops_cache, cov_cache):
+    if L in ops_cache:
+        ops, Sigma = ops_cache[L], cov_cache[L].Sigma
+    else:
+        ops, Sigma = transform.build_operators(L), noise.build_covariance(L).Sigma
+    bops = lossmap.build_bound_operators(ops, Sigma)
+    schedule, n, seed = sde.VpSchedule(), 60, 31 + L
+    draws = lossmap._draw_trials(np.random.default_rng(seed), n, L * L, schedule, 1e-3)
+    lhs, term_q, gap = lossmap._trial_terms(ops, bops, schedule, draws)
+    ref_lhs, ref_q, ref_gap = _loop_terms(ops, bops, schedule, draws)
+    rhs, ref_rhs = 2.0 * (term_q + gap), 2.0 * (ref_q + ref_gap)
+
+    def close(a, b):
+        # relative, on the scale max(1, |b|): the gap term is round-off
+        # (about 1e-28) in both evaluations
+        return np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
+
+    assert close(lhs, ref_lhs) <= 1e-12
+    assert close(rhs, ref_rhs) <= 1e-12
+    assert close(gap, ref_gap) <= 1e-12
+    assert close(rhs - lhs, ref_rhs - ref_lhs) <= 1e-12
+    # the check reads exactly these draws from its seed
+    rep = lossmap.check_theorem2_bound(ops, Sigma, schedule, n, seed, bops=bops)
+    ref_slack = ref_rhs - ref_lhs
+    assert rep["n_trials"] == n and rep["violations"] == 0
+    assert abs(rep["min_slack"] - ref_slack.min()) <= 1e-12 * max(1.0, abs(ref_slack.min()))
+    assert abs(rep["mean_lhs"] - ref_lhs.mean()) <= 1e-12 * ref_lhs.mean()
+    assert abs(rep["mean_rhs"] - ref_rhs.mean()) <= 1e-12 * ref_rhs.mean()
+
+
+def test_bound_check_runs_no_eigendecomposition_given_the_operators(
+        ops_cache, cov_cache, monkeypatch):
+    ops, Sigma = ops_cache[4], cov_cache[4].Sigma
+    bops = lossmap.build_bound_operators(ops, Sigma)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    monkeypatch.setattr(lossmap, "block_eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    rep = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9, bops=bops)
+    assert rep["n_trials"] == 30 and rep["violations"] == 0

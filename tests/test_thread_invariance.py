@@ -2,10 +2,14 @@
 
 The three operator commands run at L = 16, and the recovery path (reverse
 `diffuse` in both domains, then `sliced-w`) at L = 12, where BLAS and LAPACK
-split their work among threads.  Each runs in child processes under one and
-two threads; every output file must be byte-identical.
+split their work among threads.  A sweep runs reverse `diffuse` at every
+L = 1 ... 13, where L^2 and 2L(2L-1) take each residue modulo 8 they can
+take (0, 1, 4 and 0, 2, 4, 6).  Each runs
+in child processes under one and two threads; every output file must be
+byte-identical.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +45,35 @@ rng = np.random.default_rng(0)
 for m, k, n in {PRODUCTS}:
     a, b = rng.standard_normal((m, k)), rng.standard_normal((n, k)).T
     print(hashlib.sha256(_fixed_order_matmul(a, b).tobytes()).hexdigest())
+"""
+
+
+# reverse diffuse in both domains at every L = 1 ... 13, covariance where L^2
+# (81, 289) is not a multiple of 8, and sliced-w on 306-wide grid samples
+SWEEP = [
+    ["diffuse", "--config", "law.json", "--direction", "reverse",
+     "--score", "gaussian-analytic", "--domain", domain, "--L", str(L), "--n", "40",
+     "--steps", "5", "--seed", seed, "--out", f"{domain}_L{L}_{seed}.csv"]
+    for L in range(1, 14) for domain in ("frequency", "spatial")
+    for seed in (("3", "4") if (L, domain) == (9, "spatial") else ("3",))
+] + [
+    ["covariance", "--L", str(L), "--samples", "20", "--seed", "8", "--out-dir", f"cov_L{L}"]
+    for L in (9, 17)
+] + [["sliced-w", "--a", "spatial_L9_3.csv", "--b", "spatial_L9_4.csv",
+      "--n-proj", "50", "--seed", "5", "--out", "sw_spatial_L9.json"]]
+# one child per thread count runs the whole sweep in-process and prints
+# {file name: sha256 of its bytes}
+SWEEP_SCRIPT = """
+import hashlib, json, os, sys
+from pathlib import Path
+from spherediff.cli import main
+out = Path(sys.argv[1])
+os.chdir(out)
+(out / "law.json").write_text('{"data_seed": 5}\\n')
+for cmd in json.loads(sys.argv[2]):
+    assert main(cmd) == 0, cmd
+print(json.dumps({str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(out.rglob("*")) if p.is_file()}))
 """
 
 
@@ -102,3 +135,20 @@ def test_fixed_order_product_byte_identical_under_one_and_two_threads():
     ]
     assert len(hashes[0]) == len(PRODUCTS)
     assert hashes[0] == hashes[1]
+
+
+def test_data_draw_sweep_byte_identical_under_one_and_two_threads(tmp_path):
+    hashes = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        out_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir), json.dumps(SWEEP)],
+            env=_env(threads), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(json.loads(proc.stdout.splitlines()[-1]))
+    # law.json, 27 (csv, sidecar, diagnostics) triples, 2 x 3 covariance files, sw json
+    assert len(hashes[0]) == 1 + 27 * 3 + 6 + 1
+    assert hashes[0].keys() == hashes[1].keys()
+    assert sorted(n for n in hashes[0] if hashes[0][n] != hashes[1][n]) == []
