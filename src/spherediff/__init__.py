@@ -1,4 +1,4 @@
-"""Spectral diffusion on the sphere: exact dense harmonic transforms,
+"""Spectral diffusion on the sphere: exact per-order harmonic transforms,
 mirrored Brownian motion, forward/reverse SDEs in spatial and chart
 coordinates, score-matching losses with the frequency-vs-spatial bound,
 and a sliced Wasserstein estimator."""

@@ -13,7 +13,6 @@ discrete analysis/synthesis pair exact on band-limited signals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,23 +91,3 @@ def ring_weights_flat(grid: GridSpec) -> np.ndarray:
     """
     return np.repeat(grid.weights, 2 * grid.L - 1)
 
-
-def grid_to_json(grid: GridSpec) -> str:
-    """Serialize to JSON with full double precision (repr round-trip)."""
-    payload = {
-        "L": grid.L,
-        "theta": grid.theta.tolist(),
-        "phi": grid.phi.tolist(),
-        "weights": grid.weights.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def grid_from_json(text: str) -> GridSpec:
-    payload = json.loads(text)
-    return GridSpec(
-        L=int(payload["L"]),
-        theta=np.asarray(payload["theta"], dtype=float),
-        phi=np.asarray(payload["phi"], dtype=float),
-        weights=np.asarray(payload["weights"], dtype=float),
-    )

@@ -31,7 +31,8 @@ from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix
 from .metrics import _fixed_order_matmul
 from .noise import block_eigh
 from .sde import ScoreField, VpSchedule
-from .transform import ConstraintViolation, OperatorSet, mirror_residual, q_norm_sq
+from .transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual, q_norm_sq,
+                        synthesis)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators
     if not np.any(keep):
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
     cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    Sigma_pinv = (V[:, keep] / w[keep]) @ V[:, keep].T
-    Tplus = T.T @ Sigma_pinv
+    Sigma_pinv = _fixed_order_matmul(V[:, keep] / w[keep], V[:, keep].T)
+    Tplus = _fixed_order_matmul(T.T, Sigma_pinv)
     return BoundOperators(L=ops.L, T=T, Tplus=Tplus, Z=M - Tplus, M=M, w=w, V=V,
                           sigma_cond=cond)
 
@@ -128,16 +129,9 @@ def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet, *,
     L = ops.L
 
     def fn(x, t):
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        z = to_chart(x2 @ ops.U.T, L, tol=np.inf)  # Ux may be off-manifold; read m>=0 slots
+        z = to_chart(analysis(ops, np.atleast_2d(x)), L)
         s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
-        y = s_complex @ ops.Y.T
-        resid = float(np.max(np.abs(y.imag), initial=0.0))
-        if resid > imag_tol:
-            raise ConstraintViolation(
-                f"auxiliary score imaginary residue {resid:.3e} > {imag_tol:.1e}"
-            )
-        return y.real.reshape(np.shape(x))
+        return synthesis(ops, s_complex, imag_tol=imag_tol).reshape(np.shape(x))
 
     return ScoreField(fn=fn, domain="spatial")
 

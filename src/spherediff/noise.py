@@ -28,7 +28,7 @@ from .chart import from_chart
 from .grid import build_grid
 from .harmonics import norm_legendre_table
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .transform import FMT, OperatorSet
+from .transform import FMT, OperatorSet, analysis
 
 
 class IndefiniteCovariance(ValueError):
@@ -184,7 +184,7 @@ def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndar
     if t < 0:
         raise ValueError("t must be nonnegative")
     g = np.random.default_rng(seed).standard_normal((n, ops.d_spatial))
-    return np.sqrt(t) * (g @ ops.U.T)
+    return np.sqrt(t) * analysis(ops, g)
 
 
 def empirical_covariance(X: np.ndarray) -> np.ndarray:

@@ -80,10 +80,6 @@ class DiffusionState:
         if self.domain not in ("spatial", "chart"):
             raise ValueError(f"unknown domain {self.domain!r}")
 
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class ScoreField:

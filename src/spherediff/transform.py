@@ -1,18 +1,26 @@
-"""Dense spherical analysis/synthesis operators and their actions.
+"""Spherical analysis/synthesis on the equiangular grid, one order at a time.
 
-Builds Y (harmonics evaluated on the grid, d_X x L^2), the diagonal weight
-matrix Q (stored as a length-d_X vector), U = Y^H Q, and the band-limit
-projector P = YU.  Spatial vectors are real, theta-major (index j*N_phi + k);
-spectral vectors are complex in the canonical ordering of `indexing`.
+The grid has 2L colatitude rings of N_phi = 2L-1 longitudes, so the orders
+m = -(L-1) ... L-1 are exactly the N_phi bins of a DFT along a ring and do
+not alias.  `analysis` (a = U x) therefore takes a real FFT of every ring and
+contracts bin m >= 0 with the ring weights q_j and the Legendre block
+Pbar_{ell,m}(cos theta_j); `synthesis` (x = Y a) contracts each order's
+coefficients with the same block, fills the +m and -m bins and takes a
+complex inverse FFT.  Spatial vectors are real, theta-major (index
+j*N_phi + k); spectral vectors are complex in the canonical ordering of
+`indexing`.  Analysis fills the -m slots of a real field's coefficients by
+the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
+conjugate-symmetric to the last bit.
 
-Negative-m columns of Y are constructed as (-1)^m conj of the +m columns, so
-analysis output of a real field is conjugate-symmetric to the last bit.
+The dense Y (harmonics on the grid, d_X x L^2), U = Y^H Q and the projector
+P = YU are built only on first access: the chart matrices T and M and the
+tests use them, the transforms do not.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,27 +40,62 @@ def _check_length(name: str, vec: np.ndarray, expected: int) -> np.ndarray:
     return vec
 
 
+def _pad8(n: int) -> int:
+    return n + -n % 8
+
+
 @dataclass(frozen=True)
 class OperatorSet:
-    """Dense operators for one band limit, immutable after construction."""
+    """Transforms for one band limit: the grid, the ring weights and the
+    per-order Legendre table, O(L^3) numbers.
+
+    `legendre[m, j, ell]` is Pbar_{ell,m}(cos theta_j), zero where ell < m;
+    both its ring and degree axes are zero-padded to a multiple of 8, so the
+    per-order products have the same bits under any BLAS thread count (see
+    `metrics._fixed_order_matmul`).  The dense `Y` and `U` are built on first
+    access, bit for bit as the columns Pbar_{ell,m} e^{i m phi} with the
+    -m columns (-1)^m times their conjugates, and U = Y^H Q.
+    """
 
     L: int
     grid: GridSpec
-    Y: np.ndarray = field(repr=False)       # complex, d_X x L^2
-    q: np.ndarray = field(repr=False)       # real, diag of Q, length d_X
-    U: np.ndarray = field(repr=False)       # complex, L^2 x d_X
+    q: np.ndarray = field(repr=False)         # real, diag of Q, length d_X
+    legendre: np.ndarray = field(repr=False)  # (L, pad8(2L), pad8(L)), [m, ring, ell]
 
     def __post_init__(self):
-        for arr in (self.Y, self.q, self.U):
+        for arr in (self.q, self.legendre):
             arr.setflags(write=False)
 
     @property
     def d_spatial(self) -> int:
-        return self.Y.shape[0]
+        return self.grid.band.d_spatial
 
     @property
     def d_spectral(self) -> int:
-        return self.Y.shape[1]
+        return self.L * self.L
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """Harmonics evaluated on the grid, complex d_X x L^2."""
+        L, n_theta = self.L, 2 * self.L
+        phase = np.exp(1j * np.outer(np.arange(L), self.grid.phi))  # (L, n_phi), row m
+        Y = np.empty((self.d_spatial, self.d_spectral), dtype=complex)
+        for ell in range(L):
+            for m in range(ell + 1):
+                col = np.outer(self.legendre[m, :n_theta, ell], phase[m]).reshape(-1)
+                Y[:, indexing.spectral_index(ell, m)] = col
+                if m > 0:
+                    sign = -1.0 if m % 2 else 1.0
+                    Y[:, indexing.spectral_index(ell, -m)] = sign * np.conj(col)
+        Y.setflags(write=False)
+        return Y
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """Analysis matrix Y^H Q, complex L^2 x d_X."""
+        U = self.Y.conj().T * self.q  # scaling columns of Y^H by the weights
+        U.setflags(write=False)
+        return U
 
     def projector(self) -> np.ndarray:
         """P = YU, materialized on demand (d_X x d_X)."""
@@ -60,27 +103,19 @@ class OperatorSet:
 
 
 def build_operators(L: int) -> OperatorSet:
-    """Evaluate Y on the grid and assemble U = Y^H Q."""
+    """Grid, ring weights and the padded per-order Legendre table."""
     grid = build_grid(L)
-    n_phi = grid.band.n_phi
-    d_x, d_hat = grid.band.d_spatial, grid.band.d_spectral
+    plm = norm_legendre_table(L, np.cos(grid.theta))  # (L, L, n_theta): [ell, m, ring]
+    legendre = np.zeros((L, _pad8(2 * L), _pad8(L)))
+    legendre[:, :2 * L, :L] = plm.transpose(1, 2, 0)
+    return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
 
-    # normalized Legendre values per ring: (L, L, n_theta)
-    plm = norm_legendre_table(L, np.cos(grid.theta))
-    phase = np.exp(1j * np.outer(np.arange(L), grid.phi))  # (L, n_phi), row m
 
-    Y = np.empty((d_x, d_hat), dtype=complex)
-    for ell in range(L):
-        for m in range(ell + 1):
-            col = np.outer(plm[ell, m], phase[m]).reshape(d_x)
-            Y[:, indexing.spectral_index(ell, m)] = col
-            if m > 0:
-                sign = -1.0 if m % 2 else 1.0
-                Y[:, indexing.spectral_index(ell, -m)] = sign * np.conj(col)
-
-    q = ring_weights_flat(grid)
-    U = Y.conj().T * q  # Y^H Q, scaling columns of Y^H by the weights
-    return OperatorSet(L=L, grid=grid, Y=Y, q=q, U=U)
+def _order_slots(L: int):
+    """(m, ell, +m slot, -m slot, (-1)^m) over the pairs ell >= m >= 0."""
+    ell, m = np.tril_indices(L)
+    plus = ell * ell + np.where(m > 0, 2 * m - 1, 0)
+    return m, ell, plus, ell * ell + 2 * m, np.where(m % 2, -1.0, 1.0)
 
 
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
@@ -88,7 +123,23 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     x = _check_length("spatial field", x, ops.d_spatial)
     if not np.all(np.isfinite(x)):
         raise ValueError("spatial field contains non-finite entries")
-    return np.asarray(x, dtype=float) @ ops.U.T
+    L, n_theta = ops.L, 2 * ops.L
+    rows = np.asarray(x, dtype=float).reshape(-1, n_theta, 2 * L - 1)
+    n = rows.shape[0]
+    F = np.fft.rfft(rows, axis=-1) * ops.grid.weights[:, None]  # bins m = 0 .. L-1
+    # per order m: [Re F; Im F] (2n x rings) times the Legendre block (rings x ell)
+    R = np.zeros((L, 2 * n, ops.legendre.shape[1]))
+    R[:, :n, :n_theta] = F.real.transpose(2, 0, 1)
+    R[:, n:, :n_theta] = F.imag.transpose(2, 0, 1)
+    C = R @ ops.legendre  # (L, 2n, pad8(L)): [m, Re/Im x n, ell]
+    m, ell, plus, minus, sign = _order_slots(L)
+    re, im = C[m, :n, ell].T, C[m, n:, ell].T  # (n, pairs)
+    a = np.empty((n, L * L), dtype=complex)
+    a.real[:, plus], a.imag[:, plus] = re, im
+    neg = m > 0  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
+    a.real[:, minus[neg]] = sign[neg] * re[:, neg]
+    a.imag[:, minus[neg]] = -sign[neg] * im[:, neg]
+    return a.reshape(np.shape(x)[:-1] + (L * L,))
 
 
 def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.ndarray:
@@ -100,19 +151,34 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     a = _check_length("spectral coefficients", a, ops.d_spectral)
     if not np.all(np.isfinite(a)):
         raise ValueError("spectral coefficients contain non-finite entries")
-    x = np.asarray(a, dtype=complex) @ ops.Y.T
+    L, n_theta, n_phi = ops.L, 2 * ops.L, 2 * ops.L - 1
+    A = np.asarray(a, dtype=complex).reshape(-1, L * L)
+    n = A.shape[0]
+    # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell
+    S = np.zeros((L, 4 * n, ops.legendre.shape[2]))
+    m, ell, plus, minus, sign = _order_slots(L)
+    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
+    neg = m > 0
+    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T
+    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * A[:, minus[neg]].imag.T
+    G = (S @ ops.legendre.transpose(0, 2, 1))[..., :n_theta]  # (L, 4n, rings)
+    spec = np.empty((n, n_theta, n_phi), dtype=complex)
+    spec[..., :L] = (G[:, :n] + 1j * G[:, n:2 * n]).transpose(1, 2, 0)
+    # bin n_phi - m holds order -m: bins L ... n_phi-1 are m = -(L-1) ... -1
+    spec[..., L:] = (G[:0:-1, 2 * n:3 * n] + 1j * G[:0:-1, 3 * n:]).transpose(1, 2, 0)
+    x = np.fft.ifft(spec, axis=-1, norm="forward").reshape(n, ops.d_spatial)
     resid = float(np.max(np.abs(x.imag), initial=0.0))
     if resid > imag_tol:
         raise ConstraintViolation(
             f"synthesis imaginary residual {resid:.3e} exceeds {imag_tol:.1e}; "
             "coefficients are not conjugate-symmetric"
         )
-    return x.real
+    return x.real.reshape(np.shape(a)[:-1] + (ops.d_spatial,))
 
 
 def project_bandlimited(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     """Q-orthogonal projection P x = Y U x onto the band-limited subspace."""
-    return (ops.Y @ analysis(ops, x)).real
+    return synthesis(ops, analysis(ops, x))
 
 
 def q_inner(ops: OperatorSet, x1: np.ndarray, x2: np.ndarray) -> float:
@@ -135,104 +201,4 @@ def mirror_residual(a: np.ndarray, L: int) -> float:
     return float(np.max(np.abs(a - sign * np.conj(a[..., perm])), initial=0.0))
 
 
-def is_mirror_symmetric(a: np.ndarray, L: int, tol: float = 1e-12) -> bool:
-    return mirror_residual(a, L) <= tol
-
-
-# ---------------------------------------------------------------------------
-# file formats
-# ---------------------------------------------------------------------------
-
-FMT = "%.17g"
-
-
-def field_to_csv(x: np.ndarray, L: int) -> str:
-    """Spatial field as CSV with header j,k,value (theta-major order)."""
-    n_phi = 2 * L - 1
-    x = _check_length("spatial field", x, 2 * L * n_phi)
-    lines = ["j,k,value"]
-    for i, v in enumerate(np.asarray(x, dtype=float)):
-        lines.append(f"{i // n_phi},{i % n_phi},{FMT % v}")
-    return "\n".join(lines) + "\n"
-
-
-def field_from_csv(text: str, L: int) -> np.ndarray:
-    n_phi = 2 * L - 1
-    d_x = 2 * L * n_phi
-    out = np.full(d_x, np.nan)
-    rows = text.strip().splitlines()
-    if rows and rows[0].strip() != "j,k,value":
-        raise ValueError("expected header 'j,k,value'")
-    seen = np.zeros(d_x, dtype=bool)
-    for row in rows[1:]:
-        j, k, v = row.split(",")
-        j, k = int(j), int(k)
-        if not (0 <= j < 2 * L and 0 <= k < n_phi):
-            raise ValueError(f"cell ({j},{k}) is outside the {2 * L} x {n_phi} grid")
-        i = j * n_phi + k
-        if seen[i]:
-            raise ValueError(f"cell ({j},{k}) appears more than once")
-        seen[i] = True
-        out[i] = float(v)
-    if np.any(np.isnan(out)):
-        raise ValueError("field file does not cover the full grid")
-    return out
-
-
-def field_to_raw(x: np.ndarray) -> bytes:
-    """Raw little-endian float64, theta-major."""
-    return np.asarray(x, dtype="<f8").tobytes()
-
-
-def field_from_raw(data: bytes, L: int) -> np.ndarray:
-    x = np.frombuffer(data, dtype="<f8")
-    return _check_length("spatial field", x, 2 * L * (2 * L - 1)).copy()
-
-
-def coeffs_to_csv(a: np.ndarray, L: int) -> str:
-    """Spectral coefficients as CSV with header ell,m,re,im (canonical order)."""
-    a = _check_length("spectral coefficients", np.asarray(a, dtype=complex), L * L)
-    lines = ["ell,m,re,im"]
-    for (ell, m), v in zip(indexing.spectral_entries(L), a):
-        lines.append(f"{ell},{m},{FMT % v.real},{FMT % v.imag}")
-    return "\n".join(lines) + "\n"
-
-
-def coeffs_from_csv(text: str) -> np.ndarray:
-    rows = text.strip().splitlines()
-    if rows and rows[0].strip() != "ell,m,re,im":
-        raise ValueError("expected header 'ell,m,re,im'")
-    vals = {}
-    for row in rows[1:]:
-        ell, m, re, im = row.split(",")
-        i = indexing.spectral_index(int(ell), int(m))
-        if i in vals:
-            raise ValueError(f"coefficient ({ell},{m}) appears more than once")
-        vals[i] = float(re) + 1j * float(im)
-    n = len(vals)
-    L = int(round(np.sqrt(n)))
-    if L * L != n or set(vals) != set(range(n)):
-        raise ValueError("coefficient file does not cover a full 0..L^2-1 index set")
-    return np.array([vals[i] for i in range(n)])
-
-
-def matrix_to_csv(mat: np.ndarray, row_labels=None, col_labels=None) -> str:
-    """Dense matrix CSV; complex matrices get re/im interleaved columns."""
-    mat = np.asarray(mat)
-    buf = io.StringIO()
-    is_complex = np.iscomplexobj(mat)
-    if col_labels is not None:
-        cols = []
-        for c in col_labels:
-            cols.extend([f"{c}:re", f"{c}:im"] if is_complex else [str(c)])
-        buf.write(("row," if row_labels is not None else "") + ",".join(cols) + "\n")
-    for i in range(mat.shape[0]):
-        cells = []
-        for v in mat[i]:
-            if is_complex:
-                cells.extend([FMT % v.real, FMT % v.imag])
-            else:
-                cells.append(FMT % v)
-        prefix = f"{row_labels[i]}," if row_labels is not None else ""
-        buf.write(prefix + ",".join(cells) + "\n")
-    return buf.getvalue()
+FMT = "%.17g"  # the 17-significant-digit format of every CSV value

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from spherediff import cli, noise
+from spherediff import chart, cli, noise, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -62,6 +63,73 @@ def test_verify_operators_impossible_tolerance_fails(tmp_path, capsys):
 
 def test_verify_operators_rejects_bad_band_limit():
     assert main(["verify-operators", "--L", "0"]) == 1
+
+
+def _dense_verify_residuals(L, seed):
+    """verify-operators' seven residuals from the dense Y, U, T and M."""
+    ops = transform.build_operators(L)
+    Sigma = noise.build_covariance(L).Sigma
+    T, M = chart.chart_linear_map(ops), chart.synthesis_matrix(ops)
+    w, V = np.linalg.eigh(Sigma)
+    keep = w > 1e-10
+    Tplus = T.T @ ((V[:, keep] / w[keep]) @ V[:, keep].T)
+    eye, P = np.eye(L * L), M @ T
+    res = {
+        "uy_minus_identity": np.linalg.norm(ops.U @ ops.Y - eye),
+        "projector_idempotence": np.linalg.norm(P @ P - P),
+        "tt_transpose_minus_sigma": np.max(np.abs(T @ T.T - Sigma)),
+        "t_z": np.max(np.abs(T @ (M - Tplus))),
+        "t_tplus_minus_identity": np.max(np.abs(T @ Tplus - eye)),
+    }
+    rng = np.random.default_rng(seed)
+    X = (chart.from_chart(rng.standard_normal((200, L * L)), L) @ ops.Y.T).real
+    A = X @ ops.U.T
+    lhs = np.sum(X[0::2] * ops.q * X[1::2], axis=1)
+    rhs = np.sum(A[0::2].conj() * A[1::2], axis=1).real
+    res["isometry_relative"] = np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
+    a = chart.from_chart(rng.standard_normal((20, L * L)), L)
+    res["analysis_synthesis_round_trip"] = np.max(np.abs(((a @ ops.Y.T).real @ ops.U.T) - a))
+    return res
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8, 16])
+def test_verify_operators_per_order_residuals_match_a_dense_oracle(tmp_path, L):
+    out = tmp_path / "verify.json"
+    assert main(["verify-operators", "--L", str(L), "--out", str(out)]) == 0
+    got = _read_json(out)["residuals"]
+    want = _dense_verify_residuals(L, 0)
+    assert got.keys() == want.keys()
+    # the dense Y's phases exp(i m phi_k) round m * phi_k, so at L = 16 dense
+    # synthesis is off the exact-angle values by 1.4e-13 against 8e-15 for the
+    # ring FFT; the isometry residual measures that round-off, and the
+    # per-order one may therefore be the smaller by more than 1e-13
+    assert got["isometry_relative"] <= want.pop("isometry_relative") + 1e-13
+    assert all(abs(got[k] - want[k]) <= 1e-13 for k in want), (got, want)
+
+
+def test_verify_operators_fails_when_a_ring_weight_is_off(tmp_path, monkeypatch, capsys):
+    build_grid = transform.build_grid
+
+    def off_grid(L):
+        grid = build_grid(L)
+        weights = grid.weights.copy()
+        weights[1] *= 1 + 1e-6
+        return dataclasses.replace(grid, weights=weights)
+
+    monkeypatch.setattr(transform, "build_grid", off_grid)
+    assert main(["verify-operators", "--L", "4"]) == 2
+    assert "FAILED" in capsys.readouterr().err
+    assert "uy_minus_identity" in _read_json(tmp_path / "verify_operators_L4.json")["failures"]
+
+
+def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense Y or U was built")
+
+    monkeypatch.setattr(transform.OperatorSet, "Y", property(refuse))
+    monkeypatch.setattr(transform.OperatorSet, "U", property(refuse))
+    assert main(["verify-operators", "--L", "64"]) == 0
+    assert _read_json(tmp_path / "verify_operators_L64.json")["pass"] is True
 
 
 def test_covariance_outputs(tmp_path):

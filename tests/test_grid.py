@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherediff.grid import BandLimit, GridSpec, build_grid, grid_from_json, grid_to_json, ring_weights_flat
+from spherediff.grid import BandLimit, GridSpec, build_grid, ring_weights_flat
 
 
 def test_band_limit_dimensions():
@@ -52,18 +50,6 @@ def test_ring_weights_flat_layout():
     assert q.shape == (g.band.d_spatial,)
     # theta-major: first n_phi entries all equal the first ring weight
     np.testing.assert_array_equal(q[: g.band.n_phi], np.full(g.band.n_phi, g.weights[0]))
-
-
-def test_json_round_trip_byte_stable():
-    g = build_grid(5)
-    text = grid_to_json(g)
-    g2 = grid_from_json(text)
-    assert g2.L == g.L
-    np.testing.assert_array_equal(g2.theta, g.theta)
-    np.testing.assert_array_equal(g2.weights, g.weights)
-    assert grid_to_json(g2) == text
-    payload = json.loads(text)
-    assert payload["L"] == 5
 
 
 @settings(max_examples=25, deadline=None)

@@ -37,7 +37,6 @@ def test_state_and_score_domain_validation():
     with pytest.raises(ValueError):
         sde.DiffusionState(time=0.0, values=np.zeros((1, 2)), domain="fourier")
     st = sde.DiffusionState(time=1.0, values=np.zeros((3, 4)), domain="chart")
-    assert st.n_paths == 3
     wrong = sde.ScoreField(fn=lambda x, t: x, domain="chart")
     with pytest.raises(ValueError):
         sde.reverse_step_spatial(st, sde.VpSchedule(), -0.1, wrong, np.zeros((3, 4)))

@@ -1,6 +1,7 @@
 """Command outputs do not depend on the BLAS thread count.
 
-The three operator commands run at L = 16, and the recovery path (reverse
+The three operator commands run at L = 16, `verify-operators` and
+`bound-check` also at L = 20, and the recovery path (reverse
 `diffuse` in both domains, then `sliced-w`) at L = 12, where BLAS and LAPACK
 split their work among threads.  A sweep runs reverse `diffuse` at every
 L = 1 ... 13, where L^2 and 2L(2L-1) take each residue modulo 8 they can
@@ -22,6 +23,11 @@ COMMANDS = [
     ["verify-operators", "--L", "16", "--seed", "7"],
     ["covariance", "--L", "16", "--samples", "500", "--seed", "8"],
     ["bound-check", "--L", "16", "--trials", "50", "--seed", "9"],
+]
+
+COMMANDS_L20 = [
+    ["verify-operators", "--L", "20", "--seed", "7"],
+    ["bound-check", "--L", "20", "--trials", "50", "--seed", "9"],
 ]
 
 
@@ -109,6 +115,20 @@ def test_operator_outputs_byte_identical_under_one_and_two_threads(tmp_path):
     names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file())
     assert names == sorted(str(p.relative_to(two)) for p in two.rglob("*") if p.is_file())
     assert len(names) == 5  # verify json, two covariance CSVs, summary, bound json
+    diffs = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
+    assert diffs == []
+
+
+def test_operator_outputs_at_L20_byte_identical_under_one_and_two_threads(tmp_path):
+    # L^2 = 400 and d_X = 1560 exceed the 288 inner terms that a plain BLAS
+    # product keeps thread-invariant, in the bound operators and identity checks
+    one, two = tmp_path / "threads1", tmp_path / "threads2"
+    one.mkdir()
+    two.mkdir()
+    _run(one, "1", COMMANDS_L20)
+    _run(two, "2", COMMANDS_L20)
+    names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file())
+    assert names == ["bound_check_L20.json", "verify_operators_L20.json"]
     diffs = [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()]
     assert diffs == []
 

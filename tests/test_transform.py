@@ -46,7 +46,6 @@ def test_analysis_output_exactly_mirror_symmetric(ops_cache):
     x = np.random.default_rng(3).standard_normal(ops.d_spatial)
     a = transform.analysis(ops, x)
     assert transform.mirror_residual(a, 4) == 0.0
-    assert transform.is_mirror_symmetric(a, 4)
 
 
 def test_synthesis_rejects_asymmetric_coefficients(ops_cache):
@@ -86,72 +85,6 @@ def test_dimension_checks(ops_cache):
         transform.analysis(ops, np.full(ops.d_spatial, np.nan))
 
 
-def test_field_csv_round_trip():
-    L = 3
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(2 * L * (2 * L - 1))
-    text = transform.field_to_csv(x, L)
-    assert text.splitlines()[0] == "j,k,value"
-    np.testing.assert_array_equal(transform.field_from_csv(text, L), x)
-
-
-def test_field_csv_rejects_bad_header_and_gaps():
-    with pytest.raises(ValueError):
-        transform.field_from_csv("a,b,c\n0,0,1.0\n", 1)
-    with pytest.raises(ValueError):
-        transform.field_from_csv("j,k,value\n0,0,1.0\n", 1)  # missing points
-
-
-def test_field_csv_rejects_out_of_range_and_duplicate_cells():
-    L = 2  # 4 x 3 grid
-    full = transform.field_to_csv(np.arange(12.0), L)
-    lines = full.strip().splitlines()
-    # k = 5 >= 2L-1 would land in the next ring; j = 4 >= 2L; negative indices wrap
-    for bad in ("0,5,9.0", "4,0,9.0", "0,-1,9.0", "-1,0,9.0"):
-        with pytest.raises(ValueError):
-            transform.field_from_csv("\n".join(lines + [bad]) + "\n", L)
-        with pytest.raises(ValueError):  # also when the cell it aliases is left out
-            transform.field_from_csv("\n".join(lines[:-1] + [bad]) + "\n", L)
-    with pytest.raises(ValueError):
-        transform.field_from_csv("\n".join(lines + ["1,2,9.0"]) + "\n", L)
-
-
-def test_field_raw_round_trip():
-    x = np.random.default_rng(6).standard_normal(2 * 2 * 3)
-    np.testing.assert_array_equal(transform.field_from_raw(transform.field_to_raw(x), 2), x)
-
-
-def test_coeffs_csv_round_trip_and_order_independence():
-    L = 3
-    a = random_symmetric_coeffs(L, np.random.default_rng(8))
-    text = transform.coeffs_to_csv(a, L)
-    assert text.splitlines()[0] == "ell,m,re,im"
-    np.testing.assert_array_equal(transform.coeffs_from_csv(text), a)
-    # rows may arrive in any order; (ell, m) keys define the layout
-    lines = text.strip().splitlines()
-    shuffled = "\n".join([lines[0]] + lines[:0:-1]) + "\n"
-    np.testing.assert_array_equal(transform.coeffs_from_csv(shuffled), a)
-
-
-def test_coeffs_csv_rejects_partial_files():
-    with pytest.raises(ValueError):
-        transform.coeffs_from_csv("ell,m,re,im\n0,0,1.0,0.0\n1,0,0.5,0.0\n")
-
-
-def test_coeffs_csv_rejects_duplicate_rows():
-    text = transform.coeffs_to_csv(random_symmetric_coeffs(2, np.random.default_rng(3)), 2)
-    with pytest.raises(ValueError):
-        transform.coeffs_from_csv(text + "1,1,9.0,9.0\n")
-
-
-def test_matrix_csv_complex_interleaving():
-    mat = np.array([[1 + 2j, 3 - 1j]])
-    text = transform.matrix_to_csv(mat, col_labels=["a", "b"])
-    lines = text.splitlines()
-    assert lines[0] == "a:re,a:im,b:re,b:im"
-    assert [float(v) for v in lines[1].split(",")] == [1.0, 2.0, 3.0, -1.0]
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_synthesis_rejects_non_finite_coefficients(ops_cache, bad):
     with pytest.raises(ValueError, match="non-finite"):
@@ -160,3 +93,30 @@ def test_synthesis_rejects_non_finite_coefficients(ops_cache, bad):
     a[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         transform.synthesis(ops_cache[2], a)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 12, 32])
+def test_per_order_transforms_match_the_dense_matrices(L):
+    ops = transform.build_operators(L)
+    rng = np.random.default_rng(40 + L)
+    x = rng.standard_normal((6, ops.d_spatial))
+    a = np.stack([random_symmetric_coeffs(L, rng) for _ in range(6)])
+    dense_a, dense_x = x @ ops.U.T, a @ ops.Y.T
+    assert np.max(np.abs(dense_x.imag)) < 1e-12
+    for got, want in ((transform.analysis(ops, x), dense_a),
+                      (transform.analysis(ops, x[2]), dense_a[2]),
+                      (transform.synthesis(ops, a), dense_x.real),
+                      (transform.synthesis(ops, a[2]), dense_x[2].real)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert transform.mirror_residual(transform.analysis(ops, x), L) == 0.0
+    assert transform.analysis(ops, x[:0]).shape == (0, L * L)
+    assert transform.synthesis(ops, a[:0]).shape == (0, ops.d_spatial)
+
+
+def test_dense_operators_are_built_on_first_access_only():
+    ops = transform.build_operators(3)
+    assert "Y" not in vars(ops) and "U" not in vars(ops)
+    transform.synthesis(ops, transform.analysis(ops, np.ones(ops.d_spatial)))
+    assert "Y" not in vars(ops) and "U" not in vars(ops)
+    assert ops.U is ops.U and not ops.Y.flags.writeable
