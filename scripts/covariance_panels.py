@@ -13,18 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spherediff import noise, transform
-from spherediff.indexing import chart_index, spectral_index
-
-
-def chart_rows(A, L):
-    Z = np.empty((A.shape[0], L * L))
-    for ell in range(L):
-        Z[:, chart_index(ell, 0)] = A[:, spectral_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            Z[:, chart_index(ell, m, "re")] = A[:, spectral_index(ell, m)].real
-            Z[:, chart_index(ell, m, "im")] = A[:, spectral_index(ell, m)].imag
-    return Z
+from spherediff import chart, noise, transform
 
 
 def main() -> int:
@@ -41,7 +30,7 @@ def main() -> int:
     theo = args.t * cov.Sigma
 
     direct = noise.sample_mirrored_bm(cov.Lambda, args.t, args.samples, args.seed)
-    via_spatial = chart_rows(
+    via_spatial = chart.to_chart(
         noise.mirrored_bm_via_spatial(ops, args.t, args.samples, args.seed + 1), args.L
     )
 

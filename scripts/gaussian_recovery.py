@@ -5,57 +5,28 @@ Draws data from a seeded Gaussian surrogate in chart coordinates, diffuses it
 to the terminal time, integrates the reverse dynamics with the closed-form
 score of the diffused Gaussian, and reports how well the data law is
 recovered — in the frequency (chart) domain, the spatial domain, or both.
+Each domain runs the chain of `spherediff diffuse --direction reverse`
+(`sde.run_chain`): path seed `seed`, data draw seed + 1, reverse seed + 2.
 """
 
 import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from spherediff import chart, metrics, noise, sde, transform
-from spherediff.cli import _surrogate_gaussian
+from spherediff import chart, metrics, sde, transform
 
 
-def run_domain(domain, ops, cov, schedule, mu, S, n, seed):
-    M = chart.synthesis_matrix(ops)
-    z0 = np.random.default_rng(seed).multivariate_normal(mu, S, size=n, method="eigh")
-    if domain == "frequency":
-        start, t_mu, t_cov = z0, mu, S
-        fwd = sde.frequency_forward_stepper(schedule, cov.Lambda)
-        score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
-        rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
-        dom = "chart"
-    else:
-        start, t_mu, t_cov = z0 @ M.T, M @ mu, M @ S @ M.T
-        fwd = sde.spatial_forward_stepper(schedule)
-        score = sde.gaussian_spatial_score(M @ mu, M @ S @ M.T, schedule)
-        rev = sde.spatial_reverse_stepper(schedule, score)
-        dom = "spatial"
-
-    state = sde.DiffusionState(time=0.0, values=start, domain=dom)
-    state, ab1, _ = sde.integrate(state, schedule, "forward", fwd, seed + 1)
-    state, ab2, _ = sde.integrate(state, schedule, "reverse", rev, seed + 2)
-    rec = state.values
-
-    fresh = np.random.default_rng(seed + 3).multivariate_normal(
-        mu, S, size=min(n, 1000), method="eigh"
+def run_domain(domain, L, schedule, law, n, seed):
+    state, aborted, errors = sde.run_chain(
+        L, schedule, "chart" if domain == "frequency" else "spatial", "reverse", law, n,
+        seed, seed + 1,
     )
+    fresh, _ = sde.draw_gaussian(*law, min(n, 1000), seed + 3)
     if domain == "spatial":
-        fresh = fresh @ M.T
-    sw = metrics.sliced_wasserstein(rec[: fresh.shape[0]], fresh, n_proj=1000, seed=seed)
-    return {
-        "mean_rel_error": float(
-            np.linalg.norm(rec.mean(axis=0) - t_mu) / np.linalg.norm(t_mu)
-        ),
-        "cov_rel_frobenius_error": float(
-            np.linalg.norm(noise.empirical_covariance(rec) - t_cov)
-            / np.linalg.norm(t_cov)
-        ),
-        "sliced_w_vs_fresh_data": sw.value,
-        "sliced_w_2se": 2.0 * sw.se,
-        "aborted_paths": len(ab1) + len(ab2),
-    }
+        fresh = fresh @ chart.synthesis_matrix(transform.build_operators(L)).T
+    sw = metrics.sliced_wasserstein(state.values[: len(fresh)], fresh, n_proj=1000, seed=seed)
+    return {**errors, "sliced_w_vs_fresh_data": sw.value, "sliced_w_2se": 2.0 * sw.se,
+            "aborted_paths": len(aborted)}
 
 
 def main() -> int:
@@ -69,19 +40,18 @@ def main() -> int:
     ap.add_argument("--cov-scale", type=float, default=0.04)
     ap.add_argument("--out", default="out/gaussian_recovery.json")
     args = ap.parse_args()
+    if args.n < 2:
+        ap.error("--n must be >= 2 (the report needs a sample covariance)")
 
-    ops = transform.build_operators(args.L)
-    cov = noise.build_covariance(args.L)
     schedule = sde.VpSchedule(steps=args.steps)
-    mu, S = _surrogate_gaussian(args.L, args.mean_scale, args.cov_scale, args.seed + 100)
-
+    law = sde.surrogate_gaussian(args.L, args.mean_scale, args.cov_scale, args.seed + 100)
     domains = ["frequency", "spatial"] if args.domain == "both" else [args.domain]
     report = {
         "L": args.L, "n": args.n, "steps": args.steps, "seed": args.seed,
         "mean_scale": args.mean_scale, "cov_scale": args.cov_scale,
     }
     for d in domains:
-        res = run_domain(d, ops, cov, schedule, mu, S, args.n, args.seed)
+        res = run_domain(d, args.L, schedule, law, args.n, args.seed)
         report[d] = res
         print(
             f"{d}: mean rel {res['mean_rel_error']:.4f}, "

@@ -56,29 +56,32 @@ def from_chart(z: np.ndarray, L: int) -> np.ndarray:
 
 
 def chart_linear_map(ops: OperatorSet) -> np.ndarray:
-    """Real matrix T (L^2 x d_X) with T x = to_chart(analysis(x))."""
-    L = ops.L
-    T = np.empty((L * L, ops.d_spatial))
-    for ell in range(L):
-        T[ell * ell] = ops.U[indexing.spectral_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            row = ops.U[indexing.spectral_index(ell, m)]
-            T[ell * ell + 2 * m - 1] = row.real
-            T[ell * ell + 2 * m] = row.imag
+    """Real matrix T (L^2 x d_X) with T x = to_chart(analysis(x)).
+
+    U = Y^H Q, so T = W^{-1} M^T Q with W = diag(chart_weights): scaling by
+    1 or 2 is exact, so T has the bits of the real and imaginary rows of U.
+    """
+    T = np.ascontiguousarray(synthesis_matrix(ops).T)
+    T *= ops.q
+    T /= chart_weights(ops.L)[:, None]
     return T
 
 
 def synthesis_matrix(ops: OperatorSet) -> np.ndarray:
-    """Real matrix M (d_X x L^2) with M z = synthesis(from_chart(z))."""
+    """Real matrix M (d_X x L^2) with M z = synthesis(from_chart(z)).
+
+    Column (ell, m) is w Pbar_{ell,m}(cos theta_j) times cos(m phi_k) in a Re
+    slot and -sin(m phi_k) in an Im slot, read from the per-order Legendre
+    table, with w = chart_weights (the -m coefficient adds the same column
+    for m > 0).  The phases are computed as in `OperatorSet.Y`, so M has the
+    bits of the dense real form 2 Re/-2 Im of Y's columns.
+    """
     L = ops.L
-    M = np.empty((ops.d_spatial, L * L))
-    for ell in range(L):
-        M[:, ell * ell] = ops.Y[:, indexing.spectral_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            col = ops.Y[:, indexing.spectral_index(ell, m)]
-            M[:, ell * ell + 2 * m - 1] = 2.0 * col.real
-            M[:, ell * ell + 2 * m] = -2.0 * col.imag
-    return M
+    m, im = indexing.chart_ms(L), indexing.chart_is_im(L)
+    phase = np.exp(1j * np.outer(np.arange(L), ops.grid.phi))  # (L, n_phi), row m
+    trig = np.where(im[:, None], -phase.imag[m], phase.real[m])  # (L^2, n_phi)
+    leg = ops.legendre[m, :2 * L, indexing.spectral_ells(L)] * chart_weights(L)[:, None]
+    return np.multiply(leg.T[:, None, :], trig.T, order="C").reshape(ops.d_spatial, L * L)
 
 
 def chart_weights(L: int) -> np.ndarray:
@@ -87,7 +90,4 @@ def chart_weights(L: int) -> np.ndarray:
     For symmetric coefficients a = from_chart(z), the complex squared norm
     sum_{ell,m} |a_{ell,m}|^2 equals sum_i w_i z_i^2 with these weights.
     """
-    w = np.full(L * L, 2.0)
-    for ell in range(L):
-        w[ell * ell] = 1.0
-    return w
+    return np.where(indexing.chart_ms(L) == 0, 1.0, 2.0)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chart, lossmap, metrics, noise, sde, transform
-from .metrics import _fixed_order_eigh, _fixed_order_matmul
+from .metrics import _fixed_order_eigh, _fixed_order_matmul, _frobenius
 
 ENV_OUT_DIR = "SPHEREDIFF_OUT_DIR"
 
@@ -62,19 +62,6 @@ def _provenance(config: dict) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm as one fixed-order reduction, so it does not depend on
-    the BLAS thread count (np.linalg.norm reduces with a threaded BLAS dot).
-
-    einsum's sum of products runs without BLAS and without a temporary the
-    size of x; complex x is read through its real view (re, im interleaved).
-    """
-    v = np.ravel(x)
-    if np.iscomplexobj(v):
-        v = v.view(float)
-    return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,74 +272,24 @@ def _check_diffuse_config(cfg: dict) -> None:
         raise UsageError("reverse integration requires --score gaussian-analytic")
 
 
-def _surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
-    """Seeded data Gaussian N(mu, S) in chart coordinates, S symmetric PD."""
-    d = L * L
-    rng = np.random.default_rng(seed)
-    mu = rng.normal(0.0, mean_scale, d)
-    A = rng.normal(0.0, np.sqrt(cov_scale) / np.sqrt(d), (d, d))
-    S = _fixed_order_matmul(A, A.T) + cov_scale * np.eye(d)
-    return mu, S
-
-
 def cmd_diffuse(args) -> int:
     cfg = _resolve_diffuse_config(args)
-    L, n = cfg["L"], cfg["n"]
+    L, n, seed = cfg["L"], cfg["n"], cfg["seed"]
     schedule = sde.VpSchedule(
         beta_min=float(cfg["beta_min"]), beta_max=float(cfg["beta_max"]),
         T=float(cfg["T"]), steps=cfg["steps"],
     )
-    seed = cfg["seed"]
     data_seed = cfg["data_seed"] if cfg["data_seed"] is not None else (
         None if seed is None else int(seed) + 1
     )
-    ops = transform.build_operators(L)
-    cov = noise.build_covariance(L)
-    M = chart.synthesis_matrix(ops)
-    domain = "chart" if cfg["domain"] == "frequency" else "spatial"
-    d = L * L if domain == "chart" else ops.d_spatial
-
-    use_gaussian = cfg["score"] == "gaussian-analytic"
-    mu = S = None
-    if use_gaussian:
-        mu, S = _surrogate_gaussian(
+    law = None
+    if cfg["score"] == "gaussian-analytic":
+        law = sde.surrogate_gaussian(
             L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]), data_seed
         )
-        # z0 ~ N(mu, S) from the normals and eigenfactor that
-        # Generator.multivariate_normal(mu, S, n, method="eigh") uses; S is PD
-        w, V = _fixed_order_eigh(S)
-        S_half = V * np.sqrt(w)  # S = S_half S_half^T
-        g = np.random.default_rng(data_seed).standard_normal((n, L * L))
-        z0 = mu + _fixed_order_matmul(g, S_half.T)
-        start = z0 if domain == "chart" else _fixed_order_matmul(z0, M.T)
-    else:
-        start = np.zeros((n, d))
-
-    state = sde.DiffusionState(time=0.0, values=start, domain=domain)
-    if domain == "chart":
-        fwd = sde.frequency_forward_stepper(schedule, cov.Lambda)
-    else:
-        fwd = sde.spatial_forward_stepper(schedule)
-
-    aborted = []
-    if cfg["direction"] == "forward":
-        state, ab, _ = sde.integrate(state, schedule, "forward", fwd, seed)
-        aborted += ab
-    else:
-        state, ab, _ = sde.integrate(state, schedule, "forward", fwd, seed)
-        aborted += ab
-        if domain == "chart":
-            score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
-            rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
-        else:
-            score = sde.gaussian_spatial_score(
-                M @ mu, None, schedule, factor=_fixed_order_matmul(M, S_half)
-            )
-            rev = sde.spatial_reverse_stepper(schedule, score)
-        state, ab, _ = sde.integrate(
-            state, schedule, "reverse", rev, None if seed is None else int(seed) + 2
-        )
-        aborted += ab
+    domain = "chart" if cfg["domain"] == "frequency" else "spatial"
+    state, aborted, errors = sde.run_chain(L, schedule, domain, cfg["direction"], law, n,
+                                           seed, data_seed)
 
     out = _out_path(args.out, f"diffuse_{cfg['direction']}_{cfg['domain']}_L{L}.csv")
     meta = {
@@ -361,21 +298,9 @@ def cmd_diffuse(args) -> int:
         "provenance": _provenance(cfg),
     }
     noise.save_samples(out, state.values, meta, raw=bool(cfg["raw"]))
-
-    if use_gaussian and cfg["direction"] == "reverse" and n > 1:
-        target_mu = mu if domain == "chart" else M @ mu
-        target_cov = S if domain == "chart" else M @ S @ M.T
-        rec_mu = state.values.mean(axis=0)
-        rec_cov = noise.empirical_covariance(state.values)
-        diag = {
-            "mean_rel_error": _frobenius(rec_mu - target_mu) / _frobenius(target_mu),
-            "cov_rel_frobenius_error": (
-                _frobenius(rec_cov - target_cov) / _frobenius(target_cov)
-            ),
-            "aborted_paths": aborted,
-            "provenance": _provenance(cfg),
-        }
-        _write_json(Path(str(out) + ".diagnostics.json"), diag)
+    if errors is not None:
+        _write_json(Path(str(out) + ".diagnostics.json"),
+                    {**errors, "aborted_paths": aborted, "provenance": _provenance(cfg)})
 
     if aborted:
         print(f"diffuse: {len(aborted)} path(s) aborted (non-finite): "

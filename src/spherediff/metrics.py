@@ -52,6 +52,19 @@ def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[..., :n] if pad else out
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm as one fixed-order reduction, so it does not depend on
+    the BLAS thread count (np.linalg.norm reduces with a threaded BLAS dot).
+
+    einsum's sum of products runs without BLAS and without a temporary the
+    size of x; complex x is read through its real view (re, im interleaved).
+    """
+    v = np.ravel(x)
+    if np.iscomplexobj(v):
+        v = v.view(float)
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
 @functools.cache
 def _blas_thread_controls():
     """(get, set) thread-count functions of the OpenBLAS bundled with NumPy,

@@ -74,18 +74,13 @@ def covariance_blocks(L: int) -> tuple:
 def build_sigma(blocks: tuple, L: int) -> np.ndarray:
     """Chart-coordinate covariance; entries off the (m, part) blocks exactly zero."""
     Sigma = np.zeros((L * L, L * L))
-    for m in range(L):
-        B = blocks[m]
-        for ell in range(m, L):
-            for ellp in range(m, L):
-                c = B[ell - m, ellp - m]
-                if m == 0:
-                    Sigma[ell * ell, ellp * ellp] = 2.0 * c
-                else:
-                    i_re = indexing.chart_index(ell, m, "re")
-                    j_re = indexing.chart_index(ellp, m, "re")
-                    Sigma[i_re, j_re] = c
-                    Sigma[i_re + 1, j_re + 1] = c
+    for m, B in enumerate(blocks):
+        ells = np.arange(m, L)
+        if m == 0:
+            Sigma[np.ix_(ells * ells, ells * ells)] = 2.0 * B
+        else:
+            for i in ells * ells + 2 * m - 1, ells * ells + 2 * m:  # the Re, then the Im slots
+                Sigma[np.ix_(i, i)] = B
     return Sigma
 
 
@@ -131,13 +126,14 @@ def block_eigh(A: np.ndarray):
     return w[order], V
 
 
-def factor_sigma(Sigma: np.ndarray, *, clip: float = 1e-12, indefinite_tol: float = -1e-8):
+def factor_sigma(Sigma: np.ndarray):
     """Fixed factor Lambda = V sqrt(diag(w)) with Lambda Lambda^T = Sigma.
 
     The eigenpairs come from `block_eigh`, so Sigma is factored per (m, part)
-    block.  Eigenvalues sorted descending with clipping of small negatives;
-    each eigenvector's sign is fixed so its largest-magnitude entry is
-    positive.  Returns (Lambda, min_eigenvalue).
+    block.  Eigenvalues are sorted descending; one below -1e-8 raises
+    IndefiniteCovariance and those below 1e-12 are clipped to zero.  Each
+    eigenvector's sign is fixed so its largest-magnitude entry is positive.
+    Returns (Lambda, min_eigenvalue).
     """
     Sigma = np.asarray(Sigma, dtype=float)
     sym_err = float(np.max(np.abs(Sigma - Sigma.T)))
@@ -145,11 +141,11 @@ def factor_sigma(Sigma: np.ndarray, *, clip: float = 1e-12, indefinite_tol: floa
         raise ValueError(f"Sigma asymmetric by {sym_err:.3e}")
     w, V = block_eigh(Sigma)
     min_eig = float(w.min())
-    if min_eig < indefinite_tol:
+    if min_eig < -1e-8:
         raise IndefiniteCovariance(f"Sigma indefinite: min eigenvalue {min_eig:.3e}")
     order = np.argsort(-w, kind="stable")  # descending, ties keep block_eigh's order
     w, V = w[order], V[:, order]
-    w = np.where(w < clip, 0.0, w)
+    w = np.where(w < 1e-12, 0.0, w)
     peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     V[:, peak < 0] *= -1.0
     return V * np.sqrt(w), min_eig
@@ -211,10 +207,7 @@ def empirical_covariance(X: np.ndarray) -> np.ndarray:
 
 def chart_labels(L: int):
     """Row/column annotations '(ell,m,part)' in chart order."""
-    labels = []
-    for ell, m, part in indexing.chart_entries(L):
-        labels.append(f"({ell},{m},{part})")
-    return labels
+    return [f"({ell},{m},{part})" for ell, m, part in indexing.chart_entries(L)]
 
 
 def sigma_to_csv(mat: np.ndarray, L: int) -> str:

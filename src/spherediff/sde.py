@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _fixed_order_eigh, _fixed_order_matmul
+from . import chart, noise, transform
+from .metrics import _fixed_order_eigh, _fixed_order_matmul, _frobenius
 
 BLOWUP_LIMIT = 1e6
 
@@ -284,6 +285,78 @@ def gaussian_spatial_score(mu_x, cov_x, schedule, *, factor=None) -> ScoreField:
         return (_fixed_order_matmul(w, Q.T) - r) / v
 
     return ScoreField(fn=fn, domain="spatial")
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian recovery chain
+# ---------------------------------------------------------------------------
+
+def surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
+    """Seeded data Gaussian N(mu, S) in chart coordinates, S symmetric PD."""
+    d = L * L
+    rng = np.random.default_rng(seed)
+    mu = rng.normal(0.0, mean_scale, d)
+    A = rng.normal(0.0, np.sqrt(cov_scale) / np.sqrt(d), (d, d))
+    S = _fixed_order_matmul(A, A.T) + cov_scale * np.eye(d)
+    return mu, S
+
+
+def draw_gaussian(mu, S, n: int, seed):
+    """n draws of N(mu, S), S PD, and the factor S_half (S = S_half S_half^T)
+    they were drawn with: the normals and eigenfactor that
+    Generator.multivariate_normal(mu, S, n, method="eigh") uses."""
+    w, V = _fixed_order_eigh(S)
+    S_half = V * np.sqrt(w)
+    g = np.random.default_rng(seed).standard_normal((n, len(mu)))
+    return mu + _fixed_order_matmul(g, S_half.T), S_half
+
+
+def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, data_seed):
+    """n Euler-Maruyama paths over [0, T] in the "chart" or "spatial" domain;
+    direction "reverse" then runs them back with the analytic Gaussian score.
+
+    Without a law (None) the paths start at zero and only run forward.  With
+    law = (mu, S), a chart Gaussian, they start at z0 ~ N(mu, S) drawn by
+    `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain,
+    whose score uses the factor M S_half of that draw.  The forward run draws
+    its noise from seed, the reverse run from seed + 2.  Returns (final_state,
+    aborted, errors); errors are the relative mean and covariance Frobenius
+    errors against the law in the run's domain after a reverse run of n >= 2
+    paths, else None.
+    """
+    if direction != "forward" and (direction != "reverse" or law is None):
+        raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
+    ops, cov = transform.build_operators(L), noise.build_covariance(L)
+    in_chart = domain == "chart"
+    if law is None:
+        start = np.zeros((n, L * L if in_chart else ops.d_spatial))
+    else:
+        mu, S = law
+        z0, S_half = draw_gaussian(mu, S, n, data_seed)
+        M = None if in_chart else chart.synthesis_matrix(ops)
+        start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
+    fwd = (frequency_forward_stepper(schedule, cov.Lambda) if in_chart
+           else spatial_forward_stepper(schedule))
+    state, aborted, _ = integrate(DiffusionState(time=0.0, values=start, domain=domain),
+                                  schedule, "forward", fwd, seed)
+    if direction == "forward":
+        return state, aborted, None
+    if in_chart:
+        score = gaussian_chart_score(mu, S, cov.Sigma, schedule)
+        rev = frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
+    else:
+        score = gaussian_spatial_score(mean, None, schedule, factor=_fixed_order_matmul(M, S_half))
+        rev = spatial_reverse_stepper(schedule, score)
+    state, more, _ = integrate(state, schedule, "reverse", rev,
+                               None if seed is None else int(seed) + 2)
+    if n < 2:
+        return state, aborted + more, None
+    target = S if in_chart else M @ S @ M.T
+    return state, aborted + more, {
+        "mean_rel_error": _frobenius(state.values.mean(axis=0) - mean) / _frobenius(mean),
+        "cov_rel_frobenius_error": (_frobenius(noise.empirical_covariance(state.values) - target)
+                                    / _frobenius(target)),
+    }
 
 
 def vp_drift_identity_error(ops, schedule, t: float) -> float:

@@ -13,8 +13,7 @@ the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
 conjugate-symmetric to the last bit.
 
 The dense Y (harmonics on the grid, d_X x L^2), U = Y^H Q and the projector
-P = YU are built only on first access: the chart matrices T and M and the
-tests use them, the transforms do not.
+P = YU are built only on first access: the tests use them, no command does.
 """
 
 from __future__ import annotations

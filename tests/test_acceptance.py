@@ -17,13 +17,14 @@ import pytest
 
 import spherediff
 from spherediff import chart, lossmap, metrics, noise, sde, transform
-from spherediff.cli import ENV_OUT_DIR, _surrogate_gaussian
+from spherediff.cli import ENV_OUT_DIR
 from spherediff.indexing import (
     chart_entries,
     chart_index,
     mirror_permutation,
     spectral_index,
 )
+from spherediff.sde import surrogate_gaussian as _surrogate_gaussian
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

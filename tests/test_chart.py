@@ -129,6 +129,30 @@ def test_batched_chart_maps_equal_row_by_row(L):
     assert np.array_equal(back, Z)
 
 
+def _chart_matrices_loop(ops):
+    """Per-(ell, m) reference T and M from the rows of the dense U and the
+    columns of the dense Y."""
+    L = ops.L
+    T, M = np.empty((L * L, ops.d_spatial)), np.empty((ops.d_spatial, L * L))
+    for ell in range(L):
+        T[ell * ell] = ops.U[spectral_index(ell, 0)].real
+        M[:, ell * ell] = ops.Y[:, spectral_index(ell, 0)].real
+        for m in range(1, ell + 1):
+            row, col = ops.U[spectral_index(ell, m)], ops.Y[:, spectral_index(ell, m)]
+            T[ell * ell + 2 * m - 1], T[ell * ell + 2 * m] = row.real, row.imag
+            M[:, ell * ell + 2 * m - 1], M[:, ell * ell + 2 * m] = 2.0 * col.real, -2.0 * col.imag
+    return T, M
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS + (12, 32))
+def test_chart_matrices_from_the_legendre_table_equal_the_dense_loop(L):
+    ops = transform.build_operators(L)
+    T, M = chart.chart_linear_map(ops), chart.synthesis_matrix(ops)
+    T_ref, M_ref = _chart_matrices_loop(ops)
+    assert np.array_equal(T, T_ref) and np.array_equal(M, M_ref)
+    assert M.flags.c_contiguous and T.flags.c_contiguous  # the layout the products saw
+
+
 @pytest.mark.parametrize("L", BAND_LIMITS)
 def test_batched_transforms_match_row_by_row(L, ops_cache):
     ops = ops_cache[L]

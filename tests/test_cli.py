@@ -132,6 +132,22 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
     assert _read_json(tmp_path / "verify_operators_L64.json")["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
+     "--score", "gaussian-analytic", "--domain", "frequency"],
+    ["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
+     "--score", "gaussian-analytic", "--domain", "spatial"],
+    ["bound-check", "--L", "4", "--trials", "20"],
+], ids=["diffuse-frequency", "diffuse-spatial", "bound-check"])
+def test_commands_build_no_dense_operator(argv, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense Y or U was built")
+
+    monkeypatch.setattr(transform.OperatorSet, "Y", property(refuse))
+    monkeypatch.setattr(transform.OperatorSet, "U", property(refuse))
+    assert main(argv) == 0
+
+
 def test_covariance_outputs(tmp_path):
     out_dir = tmp_path / "cov"
     rc = main(["covariance", "--L", "2", "--samples", "2000", "--seed", "3",

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import BAND_LIMITS
 from spherediff import chart, noise, transform
-from spherediff.indexing import chart_is_im, chart_ms
+from spherediff.indexing import chart_index, chart_is_im, chart_ms
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS)
@@ -34,6 +34,22 @@ def test_sigma_structure(L, cov_cache):
     # m = 0 block is doubled relative to C
     cov = cov_cache[L]
     assert Sigma[0, 0] == 2.0 * cov.C(0, 0, 0)
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS)
+def test_sigma_matches_the_per_entry_loop(L, cov_cache):
+    cov = cov_cache[L]
+    ref = np.zeros((L * L, L * L))
+    for ell in range(L):
+        for ellp in range(L):
+            for m in range(min(ell, ellp) + 1):
+                c = cov.C(ell, m, ellp)
+                if m == 0:
+                    ref[ell * ell, ellp * ellp] = 2.0 * c
+                else:
+                    i, j = chart_index(ell, m, "re"), chart_index(ellp, m, "re")
+                    ref[i, j] = ref[i + 1, j + 1] = c
+    assert np.array_equal(cov.Sigma, ref)
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS)

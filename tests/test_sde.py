@@ -239,7 +239,7 @@ def _rel(a, b):
 
 @pytest.mark.parametrize("L", [2, 4, 12])
 def test_fixed_basis_chart_score_matches_solve(L):
-    from spherediff.cli import _surrogate_gaussian
+    from spherediff.sde import surrogate_gaussian as _surrogate_gaussian
 
     cov = noise.build_covariance(L)
     s = sde.VpSchedule()
@@ -255,7 +255,7 @@ def test_fixed_basis_chart_score_matches_solve(L):
 
 @pytest.mark.parametrize("L", [4, 12])
 def test_factor_built_spatial_score_matches_direct_inverse(L):
-    from spherediff.cli import _surrogate_gaussian
+    from spherediff.sde import surrogate_gaussian as _surrogate_gaussian
 
     ops = transform.build_operators(L)
     M = chart.synthesis_matrix(ops)
