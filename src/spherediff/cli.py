@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chart, lossmap, metrics, noise, sde, transform
-from .metrics import _fixed_order_eigh, _fixed_order_matmul, _frobenius
+from .metrics import _frobenius
 
 ENV_OUT_DIR = "SPHEREDIFF_OUT_DIR"
 
@@ -64,80 +64,36 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise UsageError(f"--{name} must be a finite number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # verify-operators
 # ---------------------------------------------------------------------------
 
-def _order_residuals(ops: transform.OperatorSet, blocks: tuple) -> dict:
-    """The operator-identity residuals of verify-operators, one order at a time.
-
-    With 2L-1 longitudes the ring DFT makes UY, P = MT, TT^T, TT^+ and TZ
-    block-diagonal over m.  Per order, with V the Legendre block (rings x
-    ell) and q the ring weights: UY = N V^T Q V (N = 2L-1, once for each of
-    +-m), and the real projector is P_m = N V V^T Q, so PP - P = N V (UY - I)
-    V^T Q is a 2L x 2L block (the ring DFT is unitary, so the Frobenius norms
-    add over the 2L-1 bins).  The chart rows of T for order m are q_j
-    Pbar_{ell,m}(theta_j) times cos(m phi_k) (Re) and -sin(m phi_k) (Im), the
-    columns of M are Pbar_{ell,m} times 2cos and -2sin (once for m = 0), so
-    TT^T = (V^T Q^2 V) (x) g and TM = mult (V^T Q V) (x) g with g the Gram matrix
-    of the trig rows summed over the full ring.  Sigma^+ is the eigen
-    pseudoinverse of each (m, part) block of Sigma, as in
-    `lossmap.build_bound_operators`.  Every product has inner dimension at
-    most pad8(2L) and a column count that is a multiple of 8, and every sum
-    of squares is one einsum, so the residuals do not depend on the BLAS
-    thread count.
-    """
-    L, n_phi = ops.L, 2 * ops.L - 1
-    leg = ops.legendre  # (L, rings, ell), zero-padded
-    w = np.zeros(leg.shape[1])
-    w[:2 * L] = ops.grid.weights
-    ells, ms = np.arange(leg.shape[2]), np.arange(L)
-    eye = np.eye(leg.shape[2]) * ((ells >= ms[:, None]) & (ells < L))[:, None]  # ell >= m
-    eye_im = eye * (ms > 0)[:, None, None]  # m = 0 has no Im chart rows
-    mult = np.where(ms > 0, 2.0, 1.0)  # orders +-m, or the factor 2 of M's m > 0 columns
-
-    A = (leg * w[:, None]).transpose(0, 2, 1) @ leg  # V^T Q V
-    B = (leg * (w * w)[:, None]).transpose(0, 2, 1) @ leg  # V^T Q^2 V
-    D = n_phi * A - eye  # the (m, m) block of UY - I
-    E = n_phi * ((leg @ D) @ (leg * w[:, None]).transpose(0, 2, 1))  # (P P - P)_m
-
-    Sig = np.zeros_like(D)  # the Re and the Im block of Sigma for order m
-    Sig_pinv = np.zeros_like(D)
-    for m, C in enumerate(blocks):
-        C = 2.0 * C if m == 0 else C
-        ev, V = _fixed_order_eigh(C)
-        keep = ev > 1e-10
-        Sig[m, m:L, m:L] = C
-        Sig_pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
-    H = B @ Sig_pinv  # T_m T_m^T Sigma_m^+ up to the trig factors
-
-    trig = np.outer(ms, ops.grid.phi)
-    cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
-    cc, cs, ss = (np.einsum("mk,mk->m", u, v)[:, None, None]
-                  for u, v in ((cos, cos), (cos, sin), (sin, sin)))
-
-    def max_abs(*mats):
-        return float(max(np.max(np.abs(x)) for x in mats))
-
-    K = mult[:, None, None] * A - H  # TZ = TM - TT^+ up to the trig factors
-    return {
-        "uy_minus_identity": float(np.sqrt(np.einsum("m,mij,mij->", mult, D, D))),
-        "projector_idempotence": float(np.sqrt(np.einsum("m,mij,mij->", mult, E, E))),
-        "tt_transpose_minus_sigma": max_abs(cc * B - Sig, cs * B,
-                                            ss * B - Sig * (ms > 0)[:, None, None]),
-        "t_z": max_abs(cc * K, cs * K, ss * K),
-        "t_tplus_minus_identity": max_abs(cc * H - eye, cs * H, ss * H - eye_im),
-    }
-
-
 def cmd_verify_operators(args) -> int:
     if args.L < 1:
         raise UsageError("--L must be >= 1")
+    _require_finite("tol", args.tol)
     config = {"command": "verify-operators", "L": args.L, "tol": args.tol, "seed": args.seed}
     ops = transform.build_operators(args.L)
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
-    checks = _order_residuals(ops, noise.covariance_blocks(args.L))
+    blk = lossmap.order_blocks(ops, [2.0 * C if m == 0 else C
+                                     for m, C in enumerate(noise.covariance_blocks(args.L))])
+    # per order, UY = N V^T Q V (N = 2L-1, once for each of +-m) and the real
+    # projector is P_m = N V V^T Q, so PP - P = N V (UY - I) V^T Q; the ring DFT
+    # is unitary, so the Frobenius norms add over the bins (one einsum each)
+    leg = ops.legendre
+    D = (2 * args.L - 1) * blk.A - blk.eye
+    E = (2 * args.L - 1) * ((leg @ D) @ (leg * blk.q[:, None]).transpose(0, 2, 1))
+    checks = {
+        "uy_minus_identity": float(np.sqrt(np.einsum("m,mij,mij->", blk.mult, D, D))),
+        "projector_idempotence": float(np.sqrt(np.einsum("m,mij,mij->", blk.mult, E, E))),
+        **lossmap.order_residuals(blk),  # T T^T - Sigma, T Z and T T^+ - I
+    }
 
     # 100 pairs (z1, z2) drawn as rows 0, 2, 4, ... and 1, 3, 5, ... of one batch
     X = transform.synthesis(ops, chart.from_chart(rng.standard_normal((200, L2)), args.L))
@@ -175,6 +131,7 @@ def cmd_covariance(args) -> int:
         raise UsageError("--L must be >= 1")
     if args.samples < 2:
         raise UsageError("--samples must be >= 2 (cannot estimate a covariance otherwise)")
+    _require_finite("t", args.t)
     if args.t <= 0:
         raise UsageError("--t must be > 0")
     config = {
@@ -325,14 +282,7 @@ def cmd_bound_check(args) -> int:
     report = lossmap.check_theorem2_bound(
         ops, cov.Sigma, sde.VpSchedule(), args.trials, args.seed, bops=bops
     )
-    L2 = ops.d_spectral
-    report["identity_residuals"] = {
-        "t_tplus_minus_identity": float(np.max(np.abs(
-            _fixed_order_matmul(bops.T, bops.Tplus) - np.eye(L2)))),
-        "t_z": float(np.max(np.abs(_fixed_order_matmul(bops.T, bops.Z)))),
-        "m_minus_tplus_plus_z": float(np.max(np.abs(bops.M - (bops.Tplus + bops.Z)))),
-        "sigma_condition_number": bops.sigma_cond,
-    }
+    report["identity_residuals"] = lossmap.identity_residuals(bops)
     report["provenance"] = _provenance(config)
     _write_json(_out_path(args.out, f"bound_check_L{args.L}.json"), report)
     if report["violations"]:
@@ -349,6 +299,7 @@ def cmd_bound_check(args) -> int:
 def cmd_sliced_w(args) -> int:
     if args.n_proj < 1:
         raise UsageError("--n-proj must be >= 1")
+    _require_finite("p", args.p)
     if args.p < 1:
         raise UsageError("--p must be >= 1")
     config = {

@@ -19,54 +19,157 @@ VP-schedule kernels, so no training is involved.  The test score s_hat
 contains a random linear map G applied at the one point z_t, so each trial
 draws G z_t from its exact law N(0, 0.25 |z_t|^2 / d I), not a d x d
 matrix, and all trials are evaluated together as row-batched products.
+T, M, T+, Z and Sigma are block-diagonal over the order m after the ring
+DFT, so the bound works with their per-order blocks (`OrderBlocks`); the
+dense d_X x L^2 matrices are built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
-from .metrics import _fixed_order_matmul
+from .metrics import _fixed_order_eigh, _fixed_order_matmul
 from .noise import block_eigh
 from .sde import ScoreField, VpSchedule
-from .transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual, q_norm_sq,
-                        synthesis)
+from .transform import (ConstraintViolation, OperatorSet, _order_slots, _pad8, analysis,
+                        mirror_residual, q_norm_sq, synthesis)
+
+
+@dataclass(frozen=True)
+class OrderBlocks:
+    """T, M, Sigma and the bound's products one order at a time, O(L^3) numbers.
+
+    With 2L-1 longitudes the ring DFT makes all of them block-diagonal over
+    m.  Per order, with V the Legendre block (rings x ell) and Q the ring
+    weights, the chart rows of T are q_j Pbar_{ell,m}(theta_j) times
+    cos(m phi_k) (Re) and -sin(m phi_k) (Im), and the columns of M are `mult`
+    times the same.  With g = [[cc, cs], [cs, ss]] the Gram matrix of these
+    trig rows over a ring, T T^T = B (x) g and T M = mult A (x) g; Sigma has
+    the block Sigma_m in both parts, so T T^+ = H (x) g and T Z = K (x) g.
+    Arrays are (L, pad8(L), pad8(L)), [m, ell, ell'], zero off ell >= m, and
+    every product stays inside the limits of `metrics._fixed_order_matmul`,
+    so no block depends on the BLAS thread count.
+    """
+
+    q: np.ndarray           # ring weights, zero-padded like the Legendre rings
+    mult: np.ndarray        # (L,): 1 for m = 0, else 2
+    A: np.ndarray           # V^T Q V
+    B: np.ndarray           # V^T Q^2 V
+    sigma: np.ndarray       # Sigma_m
+    sigma_pinv: np.ndarray  # its eigen pseudoinverse Sigma_m^+
+    H: np.ndarray           # B Sigma_m^+
+    K: np.ndarray           # mult A - H
+    eye: np.ndarray         # the identity on the slots ell >= m
+    gram: tuple             # (cc, cs, ss), each (L, 1, 1)
+
+
+def order_blocks(ops: OperatorSet, sigma_blocks) -> OrderBlocks:
+    """The blocks, given Sigma_m for m = 0 .. L-1 (the m = 0 one doubled)."""
+    L, leg = ops.L, ops.legendre
+    q = np.zeros(leg.shape[1])
+    q[:2 * L] = ops.grid.weights
+    ells, ms = np.arange(leg.shape[2]), np.arange(L)
+    mult = np.where(ms > 0, 2.0, 1.0)
+    A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
+    B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
+    sigma, pinv = np.zeros_like(A), np.zeros_like(A)
+    for m, C in enumerate(sigma_blocks):
+        ev, V = _fixed_order_eigh(C)
+        keep = ev > 1e-10
+        sigma[m, m:L, m:L] = C
+        pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
+    H = B @ pinv
+    trig = np.outer(ms, ops.grid.phi)
+    cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
+    gram = tuple(np.einsum("mk,mk->m", u, v)[:, None, None]
+                 for u, v in ((cos, cos), (cos, sin), (sin, sin)))
+    eye = np.eye(leg.shape[2]) * ((ells >= ms[:, None]) & (ells < L))[:, None]
+    return OrderBlocks(q=q, mult=mult, A=A, B=B, sigma=sigma, sigma_pinv=pinv, H=H,
+                       K=mult[:, None, None] * A - H, eye=eye, gram=gram)
+
+
+def order_residuals(blk: OrderBlocks) -> dict:
+    """Max |T T^T - Sigma|, |T Z| and |T T^+ - I| over the orders."""
+    cc, cs, ss = blk.gram
+    im = (blk.mult > 1)[:, None, None]  # m = 0 has no Im chart rows
+
+    def max_abs(*mats):
+        return float(max(np.max(np.abs(x)) for x in mats))
+
+    return {
+        "tt_transpose_minus_sigma": max_abs(cc * blk.B - blk.sigma, cs * blk.B,
+                                            ss * blk.B - blk.sigma * im),
+        "t_z": max_abs(cc * blk.K, cs * blk.K, ss * blk.K),
+        "t_tplus_minus_identity": max_abs(cc * blk.H - blk.eye, cs * blk.H,
+                                          ss * blk.H - blk.eye * im),
+    }
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class BoundOperators:
-    """T, its right pseudoinverse, the kernel part of the synthesis map, and
-    the eigenpairs of Sigma the pseudoinverse came from."""
+    """The eigenpairs of Sigma and the per-order blocks of T, of its right
+    pseudoinverse T+ = T^T Sigma^+ and of the kernel part Z = M - T+.  The
+    dense d_X x L^2 `T`, `M`, `Tplus` and `Z` are built on first access: the
+    tests use them, no command does."""
 
     L: int
-    T: np.ndarray = field(repr=False)        # L^2 x d_X
-    Tplus: np.ndarray = field(repr=False)    # d_X x L^2
-    Z: np.ndarray = field(repr=False)        # d_X x L^2
-    M: np.ndarray = field(repr=False)        # d_X x L^2, M = Tplus + Z
-    w: np.ndarray = field(repr=False)        # eigenvalues of Sigma, ascending
-    V: np.ndarray = field(repr=False)        # L^2 x L^2, the matching eigenvectors
-    sigma_cond: float                        # condition number of Sigma
+    ops: OperatorSet = field(repr=False)
+    w: np.ndarray = field(repr=False)    # eigenvalues of Sigma, ascending
+    V: np.ndarray = field(repr=False)    # L^2 x L^2, the matching eigenvectors
+    sigma_cond: float                    # condition number of Sigma
+    blocks: OrderBlocks = field(repr=False)
 
-    def __post_init__(self):
-        for arr in (self.T, self.Tplus, self.Z, self.M, self.w, self.V):
-            arr.setflags(write=False)
+    @cached_property
+    def T(self) -> np.ndarray:
+        return _frozen(chart_linear_map(self.ops))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _frozen(synthesis_matrix(self.ops))
+
+    @cached_property
+    def Tplus(self) -> np.ndarray:
+        keep = self.w > 1e-10
+        Sigma_pinv = _fixed_order_matmul(self.V[:, keep] / self.w[keep], self.V[:, keep].T)
+        return _frozen(_fixed_order_matmul(self.T.T, Sigma_pinv))
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return _frozen(self.M - self.Tplus)
 
 
 def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
-    """Assemble T+ = T^T Sigma^{-1} and Z = M - T+ (eigen pseudoinverse)."""
-    T = chart_linear_map(ops)
-    M = synthesis_matrix(ops)
+    """Eigenpairs of the chart covariance Sigma and the per-order blocks,
+    with Sigma_m read from Sigma's (m, Re) block."""
     w, V = block_eigh(Sigma)
     keep = w > 1e-10
     if not np.any(keep):
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
     cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    Sigma_pinv = _fixed_order_matmul(V[:, keep] / w[keep], V[:, keep].T)
-    Tplus = _fixed_order_matmul(T.T, Sigma_pinv)
-    return BoundOperators(L=ops.L, T=T, Tplus=Tplus, Z=M - Tplus, M=M, w=w, V=V,
-                          sigma_cond=cond)
+    m, _, re, _, _ = _order_slots(ops.L)
+    sigma_blocks = [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)]
+    return BoundOperators(L=ops.L, ops=ops, w=_frozen(w), V=_frozen(V), sigma_cond=cond,
+                          blocks=order_blocks(ops, sigma_blocks))
+
+
+def identity_residuals(bops: BoundOperators) -> dict:
+    """bound-check's |T T^+ - I|, |T Z|, |M - (T+ + Z)| per order, and cond(Sigma)."""
+    blk, leg = bops.blocks, bops.ops.legendre
+    res = order_residuals(blk)
+    M = blk.mult[:, None, None] * leg  # M and T+ per order, up to the trig rows
+    Tplus = (leg * blk.q[:, None]) @ blk.sigma_pinv
+    return {"t_tplus_minus_identity": res["t_tplus_minus_identity"], "t_z": res["t_z"],
+            "m_minus_tplus_plus_z": float(np.max(np.abs(M - (Tplus + (M - Tplus))))),
+            "sigma_condition_number": bops.sigma_cond}
 
 
 def _eval(score, x, t):
@@ -147,16 +250,32 @@ def _draw_trials(rng, n_trials: int, d: int, schedule: VpSchedule, t_floor: floa
     }
 
 
+def _by_order(x: np.ndarray, L: int) -> np.ndarray:
+    """Chart rows (n, L^2) as [part (Re, Im), m, row, ell], ell zero-padded to pad8(L)."""
+    ms, ell, re, im, _ = _order_slots(L)
+    y = np.zeros((2, L, len(x), _pad8(L)))
+    y[0, ms, :, ell] = x[:, re].T
+    y[1, ms[ms > 0], :, ell[ms > 0]] = x[:, im[ms > 0]].T
+    return y
+
+
+def _gram(blk: OrderBlocks, v: np.ndarray) -> np.ndarray:
+    """g (x) I applied to per-order values [part (Re, Im), m, ...]."""
+    cc, cs, ss = blk.gram
+    return np.stack([cc * v[0] + cs * v[1], cs * v[0] + ss * v[1]])
+
+
 def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
                  draws: dict):
     """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
 
-    Every product goes through `_fixed_order_matmul` and every per-trial
-    quadratic form is one einsum row reduction, so the terms have the same
-    bits under any BLAS thread count.
+    Every product goes through `_fixed_order_matmul` or, like the per-order
+    ones, stays inside its limits, and every per-trial quadratic form is one
+    einsum row reduction, so the terms have the same bits under any BLAS
+    thread count.  No d_X x L^2 matrix is used.
     """
     t, z0 = draws["t"], draws["z0"]
-    d = z0.shape[1]
+    L, d = ops.L, z0.shape[1]
     m = np.array([schedule.mean_coeff(s) for s in t])[:, None]
     v = np.array([schedule.marginal_var(s) for s in t])[:, None]
     lam = np.sqrt(np.clip(bops.w, 0.0, None))  # V diag(lam) is a square root of Sigma
@@ -166,7 +285,7 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     # inverse; s_ref = Sigma^+ (Sigma s_ref) through the eigenpairs of Sigma
     sigma_s_ref = -(z_t - m * z0) / v
     keep = bops.w > 1e-10
-    Vk = bops.V[:, keep]
+    Vk = bops.V if keep.all() else bops.V[:, keep]  # no L^2 x L^2 copy when all are kept
     s_ref = _fixed_order_matmul(_fixed_order_matmul(sigma_s_ref, Vk) / bops.w[keep], Vk.T)
 
     # test score s_hat = G z_t + offset + alpha Sigma s_ref with G_ij ~ N(0, 0.25/d)
@@ -174,17 +293,24 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     g_z = np.sqrt(0.25 / d * np.einsum("ij,ij->i", z_t, z_t))[:, None] * draws["g"]
     s_hat = g_z + draws["offset"] + draws["alpha"][:, None] * sigma_s_ref
     e = s_hat - sigma_s_ref
-    lhs = np.einsum("ij,j,ij->i", e, chart_weights(ops.L), e)
+    lhs = np.einsum("ij,j,ij->i", e, chart_weights(L), e)
 
     # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t, so
-    # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref
-    r = _fixed_order_matmul(s_hat, bops.M.T) - _fixed_order_matmul(s_ref, bops.T)
-    term_q = np.einsum("ij,j,ij->i", r, ops.q, r)
+    # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref =
+    # Q M W^{-1} s_ref (W = diag(chart_weights)).  Per order, the columns of
+    # M are mult Pbar_{ell,m}(theta_j) (those of M W^{-1} Pbar_{ell,m}) times
+    # the trig rows, and the trig rows of different orders are orthogonal
+    # over a ring, so ||r||_Q^2 sums the ring-weighted g-forms of the orders
+    blk, leg = bops.blocks, ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
+    r = (_by_order(s_hat, L) * blk.mult[:, None, None]) @ leg
+    r -= blk.q * (_by_order(s_ref, L) @ leg)
+    term_q = np.einsum("j,pmij,pmij->i", blk.q, _gram(blk, r), r)
 
     # U x is conjugate-symmetric for real x = Z Sigma s_ref, so its squared
-    # norm is the chart-weighted one of T x = to_chart(U x)
-    gap = _fixed_order_matmul(sigma_s_ref, _fixed_order_matmul(bops.T, bops.Z).T)
-    return lhs, term_q, np.einsum("ij,j,ij->i", gap, chart_weights(ops.L), gap)
+    # norm is the chart-weighted one of T x = to_chart(U x); T Z is K (x) g
+    gap = _gram(blk, _by_order(sigma_s_ref, L) @ blk.K.transpose(0, 2, 1))
+    weight = np.stack([blk.mult, blk.mult * (blk.mult > 1)])  # chart weights per part
+    return lhs, term_q, np.einsum("pm,pmij,pmij->i", weight, gap, gap)
 
 
 def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedule,

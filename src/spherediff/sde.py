@@ -326,8 +326,9 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     """
     if direction != "forward" and (direction != "reverse" or law is None):
         raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
-    ops, cov = transform.build_operators(L), noise.build_covariance(L)
-    in_chart = domain == "chart"
+    in_chart = domain == "chart"  # the chart domain needs Sigma, the spatial one the grid
+    cov = noise.build_covariance(L) if in_chart else None
+    ops = None if in_chart else transform.build_operators(L)
     if law is None:
         start = np.zeros((n, L * L if in_chart else ops.d_spatial))
     else:

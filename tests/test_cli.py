@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from spherediff import chart, cli, noise, transform
+from spherediff import chart, cli, lossmap, noise, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -132,20 +133,44 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
     assert _read_json(tmp_path / "verify_operators_L64.json")["pass"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
-     "--score", "gaussian-analytic", "--domain", "frequency"],
-    ["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
-     "--score", "gaussian-analytic", "--domain", "spatial"],
-    ["bound-check", "--L", "4", "--trials", "20"],
-], ids=["diffuse-frequency", "diffuse-spatial", "bound-check"])
-def test_commands_build_no_dense_operator(argv, monkeypatch):
-    def refuse(self):
-        raise AssertionError("the dense Y or U was built")
+def _refuse_dense_operators(monkeypatch, *, bound):
+    """Make the dense Y and U raise, and with `bound` also the dense T, T^+, Z
+    and M of the bound operators and the chart matrices, wherever bound."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
 
-    monkeypatch.setattr(transform.OperatorSet, "Y", property(refuse))
-    monkeypatch.setattr(transform.OperatorSet, "U", property(refuse))
+    for name in ("Y", "U"):
+        monkeypatch.setattr(transform.OperatorSet, name, property(refuse))
+    if not bound:
+        return
+    for name in ("T", "Tplus", "Z", "M"):
+        monkeypatch.setattr(lossmap.BoundOperators, name, property(refuse))
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "spherediff"]
+    for module in modules:
+        for name in ("chart_linear_map", "synthesis_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
+      "--score", "gaussian-analytic", "--domain", "frequency"], False),
+    (["diffuse", "--L", "4", "--n", "20", "--steps", "5", "--direction", "reverse",
+      "--score", "gaussian-analytic", "--domain", "spatial"], False),
+    (["bound-check", "--L", "4", "--trials", "20"], False),
+    (["bound-check", "--L", "4", "--trials", "20"], True),
+    (["verify-operators", "--L", "4"], True),
+], ids=["diffuse-frequency", "diffuse-spatial", "bound-check", "bound-check-per-order",
+        "verify-operators-per-order"])
+def test_commands_build_no_dense_operator(argv, bound, monkeypatch):
+    _refuse_dense_operators(monkeypatch, bound=bound)
     assert main(argv) == 0
+
+
+def test_bound_check_at_L64_builds_no_dense_operator(tmp_path, monkeypatch):
+    _refuse_dense_operators(monkeypatch, bound=True)
+    assert main(["bound-check", "--L", "64", "--trials", "100"]) == 0
+    assert _read_json(tmp_path / "bound_check_L64.json")["violations"] == 0
 
 
 def test_covariance_outputs(tmp_path):
@@ -164,6 +189,20 @@ def test_covariance_usage_errors():
     assert main(["covariance", "--L", "2", "--samples", "1"]) == 1
     assert main(["covariance", "--L", "2", "--t", "0"]) == 1
     assert main(["covariance", "--L", "0"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify-operators", "--L", "2", "--tol"],
+    ["covariance", "--L", "2", "--samples", "10", "--t"],
+    ["sliced-w", "--a", "a.csv", "--b", "a.csv", "--n-proj", "4", "--p"],
+], ids=["tol", "t", "p"])
+def test_non_finite_float_flags_are_usage_errors(argv, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    noise.save_samples(tmp_path / "a.csv", np.ones((3, 4)), {"L": 2, "t": 1.0, "seed": 0})
+    assert main(argv + [value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{argv[-1]} must be a finite number" in err
 
 
 def test_diffuse_forward_writes_samples_and_sidecar(tmp_path):
