@@ -81,8 +81,7 @@ def cmd_verify_operators(args) -> int:
     ops = transform.build_operators(args.L)
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
-    blk = lossmap.order_blocks(ops, [2.0 * C if m == 0 else C
-                                     for m, C in enumerate(noise.covariance_blocks(args.L))])
+    blk = lossmap.order_blocks(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
     # per order, UY = N V^T Q V (N = 2L-1, once for each of +-m) and the real
     # projector is P_m = N V V^T Q, so PP - P = N V (UY - I) V^T Q; the ring DFT
     # is unitary, so the Frobenius norms add over the bins (one einsum each)
@@ -276,12 +275,10 @@ def cmd_bound_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     config = {"command": "bound-check", "L": args.L, "trials": args.trials, "seed": args.seed}
-    ops = transform.build_operators(args.L)
-    cov = noise.build_covariance(args.L)
-    bops = lossmap.build_bound_operators(ops, cov.Sigma)
-    report = lossmap.check_theorem2_bound(
-        ops, cov.Sigma, sde.VpSchedule(), args.trials, args.seed, bops=bops
-    )
+    ops, Sigma = transform.build_operators(args.L), noise.build_covariance(args.L).Sigma
+    bops = lossmap.build_bound_operators(ops, Sigma)  # one eigh per order; Lambda is never built
+    report = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), args.trials, args.seed,
+                                          bops=bops)
     report["identity_residuals"] = lossmap.identity_residuals(bops)
     report["provenance"] = _provenance(config)
     _write_json(_out_path(args.out, f"bound_check_L{args.L}.json"), report)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .noise import block_eigh
+from .noise import _block_slots, _frozen
 from .sde import ScoreField, VpSchedule
 from .transform import (ConstraintViolation, OperatorSet, _order_slots, _pad8, analysis,
                         mirror_residual, q_norm_sq, synthesis)
@@ -60,7 +60,9 @@ class OrderBlocks:
     A: np.ndarray           # V^T Q V
     B: np.ndarray           # V^T Q^2 V
     sigma: np.ndarray       # Sigma_m
+    sigma_root: np.ndarray  # its symmetric square root Sigma_m^{1/2}
     sigma_pinv: np.ndarray  # its eigen pseudoinverse Sigma_m^+
+    sigma_eig: np.ndarray   # its eigenvalues, every order's in one array
     H: np.ndarray           # B Sigma_m^+
     K: np.ndarray           # mult A - H
     eye: np.ndarray         # the identity on the slots ell >= m
@@ -76,19 +78,22 @@ def order_blocks(ops: OperatorSet, sigma_blocks) -> OrderBlocks:
     mult = np.where(ms > 0, 2.0, 1.0)
     A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
     B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
-    sigma, pinv = np.zeros_like(A), np.zeros_like(A)
+    sigma, root, pinv, eig = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A), []
     for m, C in enumerate(sigma_blocks):
         ev, V = _fixed_order_eigh(C)
         keep = ev > 1e-10
         sigma[m, m:L, m:L] = C
+        root[m, m:L, m:L] = _fixed_order_matmul(V * np.sqrt(np.clip(ev, 0.0, None)), V.T)
         pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
+        eig.append(ev)
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)
     cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
     gram = tuple(np.einsum("mk,mk->m", u, v)[:, None, None]
                  for u, v in ((cos, cos), (cos, sin), (sin, sin)))
     eye = np.eye(leg.shape[2]) * ((ells >= ms[:, None]) & (ells < L))[:, None]
-    return OrderBlocks(q=q, mult=mult, A=A, B=B, sigma=sigma, sigma_pinv=pinv, H=H,
+    return OrderBlocks(q=q, mult=mult, A=A, B=B, sigma=sigma, sigma_root=root,
+                       sigma_pinv=pinv, sigma_eig=np.concatenate(eig), H=H,
                        K=mult[:, None, None] * A - H, eye=eye, gram=gram)
 
 
@@ -109,22 +114,15 @@ def order_residuals(blk: OrderBlocks) -> dict:
     }
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class BoundOperators:
-    """The eigenpairs of Sigma and the per-order blocks of T, of its right
-    pseudoinverse T+ = T^T Sigma^+ and of the kernel part Z = M - T+.  The
-    dense d_X x L^2 `T`, `M`, `Tplus` and `Z` are built on first access: the
+    """The per-order blocks of T, of Sigma, of its right pseudoinverse
+    T+ = T^T Sigma^+ and of the kernel part Z = M - T+.  The dense
+    d_X x L^2 `T`, `M`, `Tplus` and `Z` are built on first access: the
     tests use them, no command does."""
 
     L: int
     ops: OperatorSet = field(repr=False)
-    w: np.ndarray = field(repr=False)    # eigenvalues of Sigma, ascending
-    V: np.ndarray = field(repr=False)    # L^2 x L^2, the matching eigenvectors
     sigma_cond: float                    # condition number of Sigma
     blocks: OrderBlocks = field(repr=False)
 
@@ -138,9 +136,10 @@ class BoundOperators:
 
     @cached_property
     def Tplus(self) -> np.ndarray:
-        keep = self.w > 1e-10
-        Sigma_pinv = _fixed_order_matmul(self.V[:, keep] / self.w[keep], self.V[:, keep].T)
-        return _frozen(_fixed_order_matmul(self.T.T, Sigma_pinv))
+        Tplus = np.empty_like(self.T.T)
+        for m, i in _block_slots(self.L):  # T^T Sigma^+, one (m, part) block of Sigma at a time
+            Tplus[:, i] = self.T.T[:, i] @ self.blocks.sigma_pinv[m, m:self.L, m:self.L]
+        return _frozen(Tplus)
 
     @cached_property
     def Z(self) -> np.ndarray:
@@ -148,17 +147,16 @@ class BoundOperators:
 
 
 def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
-    """Eigenpairs of the chart covariance Sigma and the per-order blocks,
-    with Sigma_m read from Sigma's (m, Re) block."""
-    w, V = block_eigh(Sigma)
+    """The per-order blocks, with Sigma_m read from Sigma's (m, Re) block;
+    one eigh per order."""
+    m, _, re, _, _ = _order_slots(ops.L)
+    blk = order_blocks(ops, [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)])
+    w = blk.sigma_eig
     keep = w > 1e-10
     if not np.any(keep):
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
     cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    m, _, re, _, _ = _order_slots(ops.L)
-    sigma_blocks = [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)]
-    return BoundOperators(L=ops.L, ops=ops, w=_frozen(w), V=_frozen(V), sigma_cond=cond,
-                          blocks=order_blocks(ops, sigma_blocks))
+    return BoundOperators(L=ops.L, ops=ops, sigma_cond=cond, blocks=blk)
 
 
 def identity_residuals(bops: BoundOperators) -> dict:
@@ -269,31 +267,31 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
                  draws: dict):
     """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
 
-    Every product goes through `_fixed_order_matmul` or, like the per-order
-    ones, stays inside its limits, and every per-trial quadratic form is one
-    einsum row reduction, so the terms have the same bits under any BLAS
-    thread count.  No d_X x L^2 matrix is used.
+    The chart vectors are held per order ([part, m, trial, ell], `_by_order`),
+    where Sigma, Sigma^{1/2}, Sigma^+ and T Z act block by block.  The
+    per-order products stay inside the limits of `_fixed_order_matmul`, and
+    every per-trial quadratic form is one einsum row reduction, so the terms
+    have the same bits under any BLAS thread count.  No d_X x L^2 or
+    L^2 x L^2 matrix is used.
     """
-    t, z0 = draws["t"], draws["z0"]
-    L, d = ops.L, z0.shape[1]
+    t, L, d, blk = draws["t"], ops.L, draws["z0"].shape[1], bops.blocks
     m = np.array([schedule.mean_coeff(s) for s in t])[:, None]
     v = np.array([schedule.marginal_var(s) for s in t])[:, None]
-    lam = np.sqrt(np.clip(bops.w, 0.0, None))  # V diag(lam) is a square root of Sigma
-    z_t = m * z0 + np.sqrt(v) * _fixed_order_matmul(draws["xi"] * lam, bops.V.T)
+    z0 = _by_order(draws["z0"], L)
+    z_t = m * z0 + np.sqrt(v) * (_by_order(draws["xi"], L) @ blk.sigma_root.transpose(0, 2, 1))
 
     # kernel score of N(m z0, v Sigma): Sigma s_ref = -(z_t - m z0)/v needs no
-    # inverse; s_ref = Sigma^+ (Sigma s_ref) through the eigenpairs of Sigma
+    # inverse; s_ref = Sigma^+ (Sigma s_ref) through the blocks Sigma_m^+
     sigma_s_ref = -(z_t - m * z0) / v
-    keep = bops.w > 1e-10
-    Vk = bops.V if keep.all() else bops.V[:, keep]  # no L^2 x L^2 copy when all are kept
-    s_ref = _fixed_order_matmul(_fixed_order_matmul(sigma_s_ref, Vk) / bops.w[keep], Vk.T)
+    s_ref = sigma_s_ref @ blk.sigma_pinv.transpose(0, 2, 1)
 
     # test score s_hat = G z_t + offset + alpha Sigma s_ref with G_ij ~ N(0, 0.25/d)
     # i.i.d.; given z_t, G z_t ~ N(0, 0.25 |z_t|^2 / d I), drawn as such
-    g_z = np.sqrt(0.25 / d * np.einsum("ij,ij->i", z_t, z_t))[:, None] * draws["g"]
-    s_hat = g_z + draws["offset"] + draws["alpha"][:, None] * sigma_s_ref
-    e = s_hat - sigma_s_ref
-    lhs = np.einsum("ij,j,ij->i", e, chart_weights(L), e)
+    sd = np.sqrt(0.25 / d * np.einsum("pmij,pmij->i", z_t, z_t))[:, None]
+    g_z = sd * _by_order(draws["g"], L)
+    s_hat = g_z + _by_order(draws["offset"], L) + draws["alpha"][:, None] * sigma_s_ref
+    e = s_hat - sigma_s_ref  # zero in the m = 0 Im slots, so both parts weigh `mult`
+    lhs = np.einsum("m,pmij,pmij->i", blk.mult, e, e)
 
     # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t, so
     # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref =
@@ -301,16 +299,14 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     # M are mult Pbar_{ell,m}(theta_j) (those of M W^{-1} Pbar_{ell,m}) times
     # the trig rows, and the trig rows of different orders are orthogonal
     # over a ring, so ||r||_Q^2 sums the ring-weighted g-forms of the orders
-    blk, leg = bops.blocks, ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
-    r = (_by_order(s_hat, L) * blk.mult[:, None, None]) @ leg
-    r -= blk.q * (_by_order(s_ref, L) @ leg)
+    leg = ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
+    r = (s_hat * blk.mult[:, None, None]) @ leg - s_ref @ (leg * blk.q)
     term_q = np.einsum("j,pmij,pmij->i", blk.q, _gram(blk, r), r)
 
     # U x is conjugate-symmetric for real x = Z Sigma s_ref, so its squared
     # norm is the chart-weighted one of T x = to_chart(U x); T Z is K (x) g
-    gap = _gram(blk, _by_order(sigma_s_ref, L) @ blk.K.transpose(0, 2, 1))
-    weight = np.stack([blk.mult, blk.mult * (blk.mult > 1)])  # chart weights per part
-    return lhs, term_q, np.einsum("pm,pmij,pmij->i", weight, gap, gap)
+    gap = _gram(blk, sigma_s_ref @ blk.K.transpose(0, 2, 1))
+    return lhs, term_q, np.einsum("m,pmij,pmij->i", blk.mult, gap, gap)
 
 
 def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedule,
@@ -318,15 +314,17 @@ def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedu
     """Monte Carlo check of the frequency-vs-spatial loss inequality.
 
     Each trial draws t ~ U(1e-3, T), z0 ~ N(0, I), z_t from the VP kernel
-    N(m(t) z0, v(t) Sigma) and a test score s_hat = G z_t + offset +
-    alpha Sigma s_ref, with G_ij ~ N(0, 0.25/d) i.i.d., offset ~ N(0, 0.25 I)
-    and alpha ~ U(0, 2): near-oracle and far-off scores alike.  Only G z_t
+    N(m(t) z0, v(t) Sigma) as m z0 + sqrt(v) Sigma^{1/2} xi, xi ~ N(0, I),
+    and a test score s_hat = G z_t + offset + alpha Sigma s_ref, with
+    G_ij ~ N(0, 0.25/d) i.i.d., offset ~ N(0, 0.25 I) and alpha ~ U(0, 2):
+    near-oracle and far-off scores alike.  Only G z_t
     enters, so it is drawn from its exact law N(0, 0.25 |z_t|^2/d I) with d
     normals instead of a d x d matrix.  All trials are drawn as arrays and
     evaluated as one batch (memory O(n_trials * d_X)); a trial is a
     violation when slack = RHS - LHS < -1e-8 * max(1, RHS).  `bops` are
-    the bound operators of (ops, Sigma), built here when not given; their
-    eigenpairs of Sigma are reused, so no eigendecomposition runs here.
+    the bound operators of (ops, Sigma), built here when not given; they
+    hold each order's Sigma_m^{1/2} and Sigma_m^+, so no eigendecomposition
+    runs here.
     """
     if bops is None:
         bops = build_bound_operators(ops, Sigma)

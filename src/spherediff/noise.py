@@ -11,14 +11,15 @@ covariance assembles into Sigma with the m = 0 block doubled, and the
 normative identity Sigma = T T^T ties the convention to the actual operators
 (the prefactor above makes the match exact; no rescaling is applied).
 
-Lambda is a fixed symmetric-eigendecomposition factor with Lambda Lambda^T =
-Sigma, so sqrt(t) * Lambda g, g ~ N(0, I), samples the time-t marginal.
+Lambda, a fixed factor with Lambda Lambda^T = Sigma from one eigh per order,
+makes sqrt(t) * Lambda g, g ~ N(0, I), a sample of the time-t marginal.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,27 +29,42 @@ from .chart import from_chart
 from .grid import build_grid
 from .harmonics import norm_legendre_table
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .transform import FMT, OperatorSet, analysis
+from .transform import FMT, OperatorSet, _order_slots, analysis
 
 
 class IndefiniteCovariance(ValueError):
     """Sigma has an eigenvalue below the indefiniteness threshold."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CovarianceSet:
-    """Covariance data for one band limit: C blocks, Sigma, and its factor."""
+    """Covariance data for one band limit: the C blocks, and on first access
+    the per-order eigenpairs of Sigma, Sigma itself and its factor Lambda."""
 
     L: int
-    blocks: tuple = field(repr=False)        # blocks[m]: (L-m, L-m), index ell-m
-    Sigma: np.ndarray = field(repr=False)    # real symmetric, L^2 x L^2
-    Lambda: np.ndarray = field(repr=False)   # Lambda @ Lambda.T == Sigma
+    blocks: tuple = field(repr=False)  # blocks[m]: (L-m, L-m), index ell-m
 
     def __post_init__(self):
         for b in self.blocks:
             b.setflags(write=False)
-        self.Sigma.setflags(write=False)
-        self.Lambda.setflags(write=False)
+
+    @cached_property
+    def eig(self) -> tuple:  # (w_m, V_m) of each Sigma_m, like np.linalg.eigh
+        return tuple(tuple(map(_frozen, _fixed_order_eigh(S)))
+                     for S in sigma_blocks(self.blocks))
+
+    @cached_property
+    def Sigma(self) -> np.ndarray:  # real symmetric, L^2 x L^2
+        return _frozen(build_sigma(self.blocks, self.L))
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:  # Lambda @ Lambda.T == Sigma
+        return _frozen(factor_sigma(self.eig)[0])
 
     def C(self, ell: int, m: int, ellp: int) -> float:
         """Covariance coefficient C[(ell,m),(ellp,m)]; m must not exceed ell, ellp."""
@@ -71,92 +87,54 @@ def covariance_blocks(L: int) -> tuple:
     return tuple(blocks)
 
 
+def sigma_blocks(blocks: tuple) -> tuple:
+    """Sigma_m, the block of Sigma in each chart part of order m: C_m, doubled at m = 0."""
+    return tuple(2.0 * B if m == 0 else B for m, B in enumerate(blocks))
+
+
+def _block_slots(L: int):
+    """(m, chart rows) of each (m, part) block of Sigma, in (m, part) order."""
+    ms, _, re, im, _ = _order_slots(L)
+    return [(m, part[ms == m]) for m in range(L) for part in ((re, im) if m else (re,))]
+
+
 def build_sigma(blocks: tuple, L: int) -> np.ndarray:
     """Chart-coordinate covariance; entries off the (m, part) blocks exactly zero."""
-    Sigma = np.zeros((L * L, L * L))
-    for m, B in enumerate(blocks):
-        ells = np.arange(m, L)
-        if m == 0:
-            Sigma[np.ix_(ells * ells, ells * ells)] = 2.0 * B
-        else:
-            for i in ells * ells + 2 * m - 1, ells * ells + 2 * m:  # the Re, then the Im slots
-                Sigma[np.ix_(i, i)] = B
+    Sigma, S = np.zeros((L * L, L * L)), sigma_blocks(blocks)
+    for m, rows in _block_slots(L):
+        Sigma[np.ix_(rows, rows)] = S[m]
     return Sigma
 
 
-def block_eigh(A: np.ndarray):
-    """Eigendecomposition of a real symmetric matrix, one `eigh` per block.
-
-    The blocks are the connected components of the symmetrised nonzero
-    pattern of A; permuted to them, A is block-diagonal, so the union of the
-    block eigenpairs is an eigendecomposition of A.  For `build_sigma`'s
-    output these are the (m, part) blocks; a dense A is one block and goes to
-    `eigh` whole.  Returns (w, V) like `np.linalg.eigh`: w ascending
-    (ties in block order), V's columns the matching orthonormal eigenvectors.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    linked = A != 0
-    linked |= linked.T
-    blocks = []
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[i] = True
-        frontier = members.copy()
-        while frontier.any():  # breadth-first: every index linked to the block so far
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
-        seen |= members
-        blocks.append(np.flatnonzero(members))
-    if len(blocks) <= 1:
-        return _fixed_order_eigh(A)
-    pairs = [_fixed_order_eigh(A[np.ix_(idx, idx)]) for idx in blocks]
-    w = np.concatenate([wb for wb, _ in pairs])
-    order = np.argsort(w, kind="stable")
-    col = np.empty(n, dtype=np.intp)
-    col[order] = np.arange(n)  # output column of each eigenpair in block order
-    V = np.zeros((n, n))
-    start = 0
-    for idx, (_, Vb) in zip(blocks, pairs):
-        V[np.ix_(idx, col[start:start + idx.size])] = Vb
-        start += idx.size
-    return w[order], V
-
-
-def factor_sigma(Sigma: np.ndarray):
+def factor_sigma(eig):
     """Fixed factor Lambda = V sqrt(diag(w)) with Lambda Lambda^T = Sigma.
 
-    The eigenpairs come from `block_eigh`, so Sigma is factored per (m, part)
-    block.  Eigenvalues are sorted descending; one below -1e-8 raises
-    IndefiniteCovariance and those below 1e-12 are clipped to zero.  Each
-    eigenvector's sign is fixed so its largest-magnitude entry is positive.
-    Returns (Lambda, min_eigenvalue).
+    `eig` holds the eigenpairs (w_m, V_m) of Sigma_m, m = 0..L-1; V scatters
+    them into the (m, part) blocks of Sigma.  Columns run by eigenvalue
+    descending, ties in (m, part) block order, then in eigh's order; an
+    eigenvalue below -1e-8 raises IndefiniteCovariance, those below 1e-12 are
+    clipped to zero, and each eigenvector's largest-magnitude entry is made
+    positive.  Returns (Lambda, min_eigenvalue).
     """
-    Sigma = np.asarray(Sigma, dtype=float)
-    sym_err = float(np.max(np.abs(Sigma - Sigma.T)))
-    if sym_err > 1e-12:
-        raise ValueError(f"Sigma asymmetric by {sym_err:.3e}")
-    w, V = block_eigh(Sigma)
+    slots = _block_slots(len(eig))
+    w = np.concatenate([eig[m][0] for m, _ in slots])
     min_eig = float(w.min())
     if min_eig < -1e-8:
         raise IndefiniteCovariance(f"Sigma indefinite: min eigenvalue {min_eig:.3e}")
-    order = np.argsort(-w, kind="stable")  # descending, ties keep block_eigh's order
-    w, V = w[order], V[:, order]
-    w = np.where(w < 1e-12, 0.0, w)
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    V[:, peak < 0] *= -1.0
-    return V * np.sqrt(w), min_eig
+    col = np.argsort(np.argsort(-w, kind="stable"))  # the Lambda column of each pair
+    scale = np.sqrt(np.where(w < 1e-12, 0.0, w))
+    Lambda, start = np.zeros((w.size, w.size)), 0
+    for m, rows in slots:
+        V, end = eig[m][1], start + len(rows)
+        sign = np.where(V[np.argmax(np.abs(V), axis=0), np.arange(len(rows))] < 0, -1.0, 1.0)
+        Lambda[np.ix_(rows, col[start:end])] = V * sign * scale[start:end]
+        start = end
+    return Lambda, min_eig
 
 
 def build_covariance(L: int) -> CovarianceSet:
-    """Compute C blocks, Sigma, and Lambda for one band limit."""
-    blocks = covariance_blocks(L)
-    Sigma = build_sigma(blocks, L)
-    Lambda, _ = factor_sigma(Sigma)
-    return CovarianceSet(L=L, blocks=blocks, Sigma=Sigma, Lambda=Lambda)
+    """The C blocks of one band limit; Sigma and Lambda follow on first access."""
+    return CovarianceSet(L=L, blocks=covariance_blocks(L))
 
 
 def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray:
@@ -257,4 +235,6 @@ def load_samples(path):
     if "d" in meta and X.shape[1] != meta["d"]:
         raise ValueError(f"sample file {path} has {X.shape[1]} columns, "
                          f"sidecar says d = {meta['d']}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"sample file {path} holds non-finite entries")
     return X, meta

@@ -420,6 +420,39 @@ def test_sliced_w_on_a_sidecar_with_the_wrong_width_is_usage_error(tmp_path, cap
     assert err.count("\n") == 1 and "sidecar says d = 9" in err
 
 
+@pytest.mark.parametrize("raw", [False, True], ids=["csv", "raw"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_sliced_w_on_a_non_finite_sample_is_usage_error(tmp_path, capsys, value, raw):
+    good, bad = tmp_path / "good.dat", tmp_path / "bad.dat"
+    X = np.random.default_rng(2).standard_normal((5, 4))
+    noise.save_samples(good, X, {"L": 2, "t": 1.0, "seed": 0}, raw=raw)
+    X[3, 1] = value
+    noise.save_samples(bad, X, {"L": 2, "t": 1.0, "seed": 0}, raw=raw)
+    capsys.readouterr()
+    assert main(["sliced-w", "--a", str(bad), "--b", str(good), "--n-proj", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite" in err
+
+
+def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Sigma was factored")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(noise, "factor_sigma", refuse)
+    out = tmp_path / "bound.json"
+    assert main(["bound-check", "--L", "8", "--trials", "50", "--out", str(out)]) == 0
+    assert _read_json(out)["violations"] == 0
+    assert sorted(calls) == [(n, n) for n in range(1, 9)]  # Sigma_m is (8 - m) x (8 - m)
+
+
 def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):
     from spherediff import lossmap
 

@@ -58,32 +58,47 @@ def test_sigma_equals_tt_transpose(L, ops_cache, cov_cache):
     assert np.max(np.abs(cov_cache[L].Sigma - T @ T.T)) < 1e-10
 
 
-@pytest.mark.parametrize("L", BAND_LIMITS)
+@pytest.mark.parametrize("L", BAND_LIMITS + (32,))
 def test_factor_reproduces_sigma(L, cov_cache):
-    cov = cov_cache[L]
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
     assert np.linalg.norm(cov.Lambda @ cov.Lambda.T - cov.Sigma) < 1e-10
 
 
+def _eig(*sigma_blocks):
+    """Per-order eigenpairs of the blocks Sigma_0, Sigma_1, ... (test helper)."""
+    return [np.linalg.eigh(np.asarray(S, dtype=float)) for S in sigma_blocks]
+
+
 def test_factor_identity_convention():
-    Lam, min_eig = noise.factor_sigma(np.eye(3))
-    np.testing.assert_array_equal(Lam, np.eye(3))
+    Lam, min_eig = noise.factor_sigma(_eig(np.eye(2), np.eye(1)))  # Sigma = I at L = 2
+    np.testing.assert_array_equal(Lam, np.eye(4))
     assert min_eig == 1.0
 
 
 def test_factor_clips_tiny_negatives_and_rejects_indefinite():
-    Lam, _ = noise.factor_sigma(np.diag([1.0, -1e-13]))
-    np.testing.assert_allclose(Lam @ Lam.T, np.diag([1.0, 0.0]), atol=1e-15)
+    Lam, _ = noise.factor_sigma(_eig(np.diag([1.0, -1e-13]), [[1.0]]))
+    np.testing.assert_allclose(Lam @ Lam.T, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-15)
     with pytest.raises(noise.IndefiniteCovariance):
-        noise.factor_sigma(np.diag([1.0, -1e-3]))
-    with pytest.raises(ValueError):
-        noise.factor_sigma(np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
+        noise.factor_sigma(_eig(np.diag([1.0, -1e-3]), [[1.0]]))
+    with pytest.raises(noise.IndefiniteCovariance):
+        noise.factor_sigma(_eig(np.diag([1.0, 2.0]), [[-1e-3]]))  # in an m > 0 block
 
 
 def test_factor_deterministic():
-    Sigma = noise.build_covariance(3).Sigma
-    a, _ = noise.factor_sigma(Sigma)
-    b, _ = noise.factor_sigma(Sigma.copy())
+    a, _ = noise.factor_sigma(noise.build_covariance(3).eig)
+    b, _ = noise.factor_sigma(noise.build_covariance(3).eig)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("L", BAND_LIMITS + (32,))
+def test_covariance_eigenpairs_are_one_eigh_per_order(L, cov_cache):
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
+    assert len(cov.eig) == L
+    for m, (w, V) in enumerate(cov.eig):
+        S = (2.0 if m == 0 else 1.0) * cov.blocks[m]  # Sigma_m
+        assert np.all(np.diff(w) >= 0)  # ascending, like np.linalg.eigh
+        assert np.max(np.abs((V * w) @ V.T - S)) <= 1e-13
+        assert np.max(np.abs(V.T @ V - np.eye(L - m))) <= 1e-13
 
 
 def test_sampler_zero_time_and_shapes(cov_cache):
@@ -190,34 +205,17 @@ def test_sigma_csv_annotations(cov_cache):
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
-def test_block_eigh_reconstructs_sigma(L, cov_cache):
-    Sigma = cov_cache[L].Sigma if L in cov_cache else noise.build_covariance(L).Sigma
-    w, V = noise.block_eigh(Sigma)
-    assert np.all(np.diff(w) >= 0)  # ascending, like np.linalg.eigh
-    assert np.max(np.abs((V * w) @ V.T - Sigma)) <= 1e-13
-    assert np.max(np.abs(V.T @ V - np.eye(L * L))) <= 1e-13
-    # each eigenvector lives in one (m, part) block of Sigma
+def test_factor_convention(L, cov_cache):
+    Lam = cov_cache[L].Lambda if L in cov_cache else noise.build_covariance(L).Lambda
+    # each column lives in one (m, part) block of Sigma
     ms, im = chart_ms(L), chart_is_im(L)
-    for col in V.T:
+    for col in Lam.T:
         support = col != 0
         assert len(set(zip(ms[support], im[support]))) == 1
-
-
-def test_block_eigh_on_a_dense_matrix_is_one_eigh():
-    A = np.random.default_rng(3).standard_normal((12, 12))
-    S = A @ A.T + np.eye(12)
-    w, V = noise.block_eigh(S)
-    w0, V0 = np.linalg.eigh(S)
-    np.testing.assert_array_equal(w, w0)
-    np.testing.assert_array_equal(V, V0)
-
-
-def test_block_eigh_on_a_diagonal_matrix():
-    w, V = noise.block_eigh(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_array_equal(w, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(V, np.eye(3)[:, [1, 2, 0]])
-    with pytest.raises(noise.IndefiniteCovariance):
-        noise.factor_sigma(np.diag([1.0, 2.0, -1e-3, 4.0]))
+    # eigenvalues descending: the squared column norms never increase
+    assert np.all(np.diff(np.einsum("ij,ij->j", Lam, Lam)) <= 0)
+    # the largest-magnitude entry of each column is positive
+    assert np.all(Lam[np.argmax(np.abs(Lam), axis=0), np.arange(L * L)] > 0)
 
 
 def test_empirical_covariance_matches_the_einsum_reference():
