@@ -223,11 +223,17 @@ def load_samples(path):
     """Read a sample matrix and its sidecar; returns (X, meta)."""
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar of {path} is not a JSON object")
+    if not isinstance(meta.get("raw", False), bool) or meta.get("raw") and "d" not in meta:
+        raise ValueError(f"sidecar of {path}: raw must be true (with a d) or false")
+    for key in ("n", "d"):
+        if type(meta.get(key, 0)) is not int or meta.get(key, 0) < 0:
+            raise ValueError(f"sidecar of {path}: {key} must be an integer >= 0")
     if meta.get("raw"):
-        X = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, meta["d"])
-        X = X.copy()
+        X = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, meta["d"]).copy()
     elif meta.get("n") == 0 and not path.read_text().strip():
-        X = np.empty((0, int(meta.get("d", 0))))  # loadtxt would warn and guess d = 1
+        X = np.empty((0, meta.get("d", 0)))  # loadtxt would warn and guess d = 1
     else:
         X = np.loadtxt(path, delimiter=",", ndmin=2)
     if "n" in meta and X.shape[0] != meta["n"]:

@@ -9,7 +9,8 @@ noise covariance is v(t) Sigma instead of v(t) I.
 Chart-domain paths stay on the real chart, so lifted coefficients satisfy
 conjugate symmetry exactly.  All four steppers are one Euler-Maruyama update;
 reverse steppers take dt < 0 and use the score-corrected drift
-f - g^2 * (Sigma) * score.
+f - g^2 * (Sigma) * score.  K forward steps map x to a x + s F zeta, a Gaussian
+law that `run_chain` draws in one step (`forward_law`, `forward_exact`).
 """
 
 from __future__ import annotations
@@ -94,11 +95,8 @@ class ScoreField:
 
 
 def _drift(schedule, x, t, g, score, precond):
-    """f(x,t) - g^2 P s(x,t), or f(x,t) alone without a score.
-
-    Each branch is one expression of fresh temporaries, which NumPy reuses
-    in place instead of allocating another (n, d) array.
-    """
+    """f(x,t) - g^2 P s(x,t), or f(x,t) alone without a score.  Each branch is one
+    expression of fresh temporaries, which NumPy reuses in place."""
     if score is None:
         return schedule.drift(x, t)
     if precond is None:
@@ -130,11 +128,8 @@ def forward_step_spatial(state, schedule, dt, noise_draw):
 
 
 def forward_step_frequency(state, schedule, dt, Lambda, noise_draw):
-    """z <- z + f(z,t) dt + g(t) sqrt(dt) Lambda xi (chart coordinates).
-
-    The chart drift equals the spatial VP drift because U f(Y a, t) =
-    -beta(t)/2 * a (UY = I); see vp_drift_identity_error.
-    """
+    """z <- z + f(z,t) dt + g(t) sqrt(dt) Lambda xi in chart coordinates, with the
+    spatial VP drift: U f(Y a, t) = -beta(t)/2 * a (UY = I; vp_drift_identity_error)."""
     return _em_update(state, schedule, dt, noise_draw, noise_factor=Lambda)
 
 
@@ -168,10 +163,8 @@ def frequency_reverse_stepper(schedule, Sigma, Lambda, score):
 
 
 def _blown_up(x: np.ndarray) -> np.ndarray:
-    """Rows of x holding a NaN, an infinity or a magnitude above BLOWUP_LIMIT.
-
-    One pass: a NaN makes the row maximum NaN, and NaN <= limit is False.
-    """
+    """Rows of x holding a NaN, an infinity or a magnitude above BLOWUP_LIMIT, in
+    one pass: a NaN makes the row maximum NaN, and NaN <= limit is False."""
     return ~(np.abs(x).max(axis=1) <= BLOWUP_LIMIT)
 
 
@@ -215,6 +208,32 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
         if thin and ((k + 1) % thin == 0 or k == schedule.steps - 1):
             trajectory.append((state.time, state.values.copy()))
     return state, aborted, trajectory
+
+
+def forward_law(schedule, t=0.0):
+    """(a, s^2, end time) of the forward steps from t: x -> a x + s F zeta, zeta ~ N(0, I).
+    Step k scales by 1 - beta(t_k) dt / 2 and adds variance g(t_k)^2 dt."""
+    a, s2, dt = 1.0, 0.0, schedule.dt
+    for _ in range(schedule.steps):
+        c = 1.0 - 0.5 * schedule.beta(t) * dt
+        a, s2, t = c * a, c * c * s2 + schedule.g(t) ** 2 * dt, t + dt  # t as in integrate
+    return a, s2, t
+
+
+def forward_exact(state, schedule, seed, *, noise_factor=None):
+    """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I);
+    a row that ends blown up keeps its start value and aborts at step steps - 1."""
+    a, s2, t = forward_law(schedule, state.time)
+    x, k = state.values, schedule.steps - 1
+    xi = np.random.default_rng(seed).standard_normal(x.shape)
+    new = a * x + np.sqrt(s2) * (xi if noise_factor is None
+                                 else _fixed_order_matmul(xi, noise_factor.T))
+    dead = _blown_up(new)
+    if dead.all() and len(x):
+        raise BlowUpError(f"all {len(x)} paths diverged by step {k}")
+    new[dead] = x[dead]
+    return (dataclasses.replace(state, time=t, values=new),
+            [{"path": int(i), "step": k} for i in np.flatnonzero(dead)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +337,12 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     Without a law (None) the paths start at zero and only run forward.  With
     law = (mu, S), a chart Gaussian, they start at z0 ~ N(mu, S) drawn by
     `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain,
-    whose score uses the factor M S_half of that draw.  The forward run draws
-    its noise from seed, the reverse run from seed + 2.  Returns (final_state,
-    aborted, errors); errors are the relative mean and covariance Frobenius
-    errors against the law in the run's domain after a reverse run of n >= 2
-    paths, else None.
+    whose score uses the factor M S_half of that draw.  The forward leg is one
+    exact draw of its Euler-Maruyama law from seed (`forward_exact`), the
+    reverse leg steps with `integrate` and noise from seed + 2.  Returns
+    (final_state, aborted, errors); errors are the relative mean and covariance
+    Frobenius errors against the law in the run's domain after a reverse run
+    of n >= 2 paths, else None.
     """
     if direction != "forward" and (direction != "reverse" or law is None):
         raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
@@ -336,10 +356,8 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         z0, S_half = draw_gaussian(mu, S, n, data_seed)
         M = None if in_chart else chart.synthesis_matrix(ops)
         start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
-    fwd = (frequency_forward_stepper(schedule, cov.Lambda) if in_chart
-           else spatial_forward_stepper(schedule))
-    state, aborted, _ = integrate(DiffusionState(time=0.0, values=start, domain=domain),
-                                  schedule, "forward", fwd, seed)
+    state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
+                                   schedule, seed, noise_factor=cov.Lambda if in_chart else None)
     if direction == "forward":
         return state, aborted, None
     if in_chart:

@@ -434,6 +434,31 @@ def test_sliced_w_on_a_non_finite_sample_is_usage_error(tmp_path, capsys, value,
     assert err.count("\n") == 1 and "non-finite" in err
 
 
+@pytest.mark.parametrize("raw, sidecar, message", [
+    (False, None, "not a JSON object"),
+    (False, [1], "not a JSON object"),
+    (False, "s", "not a JSON object"),
+    (True, {"raw": True, "n": 5}, "raw must be true (with a d) or false"),
+    (True, {"raw": True, "n": 5, "d": 2.5}, "d must be an integer >= 0"),
+    (False, {"raw": "yes", "n": 5, "d": 4}, "raw must be true (with a d) or false"),
+    (False, {"n": True, "d": 4}, "n must be an integer >= 0"),
+    (False, {"n": -1, "d": 4}, "n must be an integer >= 0"),
+    (False, {"n": 5, "d": "4"}, "d must be an integer >= 0"),
+], ids=["null", "list", "string", "raw-without-d", "fractional-d", "raw-string",
+        "bool-n", "negative-n", "string-d"])
+def test_sliced_w_on_a_malformed_sidecar_is_usage_error(tmp_path, capsys, raw, sidecar,
+                                                         message):
+    good, bad = tmp_path / "good.dat", tmp_path / "bad.dat"
+    X = np.random.default_rng(3).standard_normal((5, 4))
+    noise.save_samples(good, X, {"L": 2, "t": 1.0, "seed": 0})
+    noise.save_samples(bad, X, {"L": 2, "t": 1.0, "seed": 0}, raw=raw)
+    (tmp_path / "bad.dat.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert main(["sliced-w", "--a", str(bad), "--b", str(good), "--n-proj", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, monkeypatch):
     calls = []
     eigh = np.linalg.eigh

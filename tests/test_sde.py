@@ -296,3 +296,78 @@ def test_integrate_draws_the_same_noise_as_fresh_draws():
         ref = sde.forward_step_frequency(ref, s, s.dt, Lam, rng.standard_normal((6, 4)))
     assert np.array_equal(got.values, ref.values)
     assert np.array_equal(st.values, np.ones((6, 4)))  # the start state is untouched
+
+
+@pytest.mark.parametrize("config", [{}, {"beta_min": 0.5, "beta_max": 20.0, "T": 2.0}],
+                         ids=["default", "config"])
+@pytest.mark.parametrize("steps", [1, 4, 100, 1000])
+def test_forward_law_is_the_law_of_the_euler_maruyama_steppers(steps, config):
+    """The forward steppers are affine in (x, xi), so their K-step law is read
+    off them without a draw: rows 0 .. d-1 start at the basis with zero noise
+    (giving a I), every further row starts at zero and gets one unit normal at
+    one step (their Gram matrix gives s^2 F F^T)."""
+    s = sde.VpSchedule(steps=steps, **config)
+    a, s2, t = sde.forward_law(s)
+    Lam = noise.build_covariance(2).Lambda
+    for F, domain, step in (
+        (np.eye(1), "spatial", lambda st, xi: sde.forward_step_spatial(st, s, s.dt, xi)),
+        (Lam, "chart", lambda st, xi: sde.forward_step_frequency(st, s, s.dt, Lam, xi)),
+    ):
+        d = len(F)
+        x = np.zeros((d + steps * d, d))
+        x[:d] = np.eye(d)
+        state = sde.DiffusionState(time=0.0, values=x, domain=domain)
+        for k in range(steps):
+            xi = np.zeros_like(x)
+            xi[d * (k + 1):d * (k + 2)] = np.eye(d)
+            state = step(state, xi)
+        A, N = state.values[:d], state.values[d:]
+        assert state.time == t  # bit for bit
+        assert np.max(np.abs(A - a * np.eye(d))) <= 1e-12 * abs(a)
+        target = s2 * (F @ F.T)
+        assert np.max(np.abs(N.T @ N - target)) <= 1e-12 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("domain", ["chart", "spatial"])
+def test_reverse_chain_draws_one_forward_block_and_one_block_per_reverse_step(
+        monkeypatch, domain):
+    L, n, steps, seed, data_seed = 4, 30, 7, 20, 99
+    law = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
+    real, draws = np.random.default_rng, {}
+
+    class CountingRng:
+        def __init__(self, rng_seed):
+            self.seed, self.rng = rng_seed, real(rng_seed)
+
+        def standard_normal(self, size=None, out=None):
+            draws.setdefault(self.seed, []).append(np.size(out) if size is None
+                                                   else int(np.prod(size)))
+            return self.rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(sde.np.random, "default_rng", CountingRng)
+    state, aborted, errors = sde.run_chain(L, sde.VpSchedule(steps=steps), domain, "reverse",
+                                           law, n, seed, data_seed)
+    d = L * L if domain == "chart" else 2 * L * (2 * L - 1)
+    assert draws == {data_seed: [n * L * L], seed: [n * d], seed + 2: [n * d] * steps}
+    assert state.values.shape == (n, d) and aborted == [] and errors is not None
+
+
+def test_forward_exact_keeps_a_blown_up_start_row_and_reports_it():
+    s = sde.VpSchedule(steps=6)
+    a, s2, t = sde.forward_law(s)
+    x = np.ones((3, 4))
+    x[1, 2] = np.nan
+    state = sde.DiffusionState(time=0.0, values=x.copy(), domain="spatial")
+    out, aborted = sde.forward_exact(state, s, 5)
+    assert aborted == [{"path": 1, "step": 5}]
+    assert np.array_equal(out.values[1], x[1], equal_nan=True)  # the start row is kept
+    xi = np.random.default_rng(5).standard_normal((3, 4))
+    assert np.array_equal(out.values[[0, 2]], a * x[[0, 2]] + np.sqrt(s2) * xi[[0, 2]])
+    assert out.time == t and np.array_equal(state.values, x, equal_nan=True)
+
+    dead = dataclasses.replace(state, values=np.full((3, 4), np.nan))
+    with pytest.raises(sde.BlowUpError):
+        sde.forward_exact(dead, s, 5)
+    empty, aborted = sde.forward_exact(dataclasses.replace(state, values=np.zeros((0, 4))),
+                                       s, 5)  # no rows is not all rows dead
+    assert empty.values.shape == (0, 4) and aborted == []
