@@ -191,11 +191,18 @@ def chart_labels(L: int):
 def sigma_to_csv(mat: np.ndarray, L: int) -> str:
     """Chart-indexed matrix as annotated CSV."""
     labels = chart_labels(L)
-    mat = np.asarray(mat, dtype=float)
+    mat = np.ascontiguousarray(mat, dtype=float)
     row_fmt = ",".join([FMT] * mat.shape[1])  # one % call formats a whole row
     lines = ["index," + ",".join(f'"{c}"' for c in labels)]
     for lab, row in zip(labels, mat):
-        lines.append(f'"{lab}",' + row_fmt % tuple(row.tolist()))
+        nz = np.flatnonzero(row.view(np.uint64))  # cells whose bits are not +0.0
+        if len(nz) < len(row):  # FMT writes +0.0 as "0": format only the other cells
+            cells = ["0"] * len(row)
+            for i, v in zip(nz.tolist(), row[nz].tolist()):
+                cells[i] = FMT % v
+            lines.append(f'"{lab}",' + ",".join(cells))
+        else:
+            lines.append(f'"{lab}",' + row_fmt % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

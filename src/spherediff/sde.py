@@ -9,8 +9,8 @@ noise covariance is v(t) Sigma instead of v(t) I.
 Chart-domain paths stay on the real chart, so lifted coefficients satisfy
 conjugate symmetry exactly.  All four steppers are one Euler-Maruyama update;
 reverse steppers take dt < 0 and use the score-corrected drift
-f - g^2 * (Sigma) * score.  K forward steps map x to a x + s F zeta, a Gaussian
-law that `run_chain` draws in one step (`forward_law`, `forward_exact`).
+f - g^2 * (Sigma) * score.  `run_chain` draws each leg in one step from the
+Gaussian law of its K steps (`forward_law`/`reverse_law`, `*_exact`).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def forward_step_spatial(state, schedule, dt, noise_draw):
 
 def forward_step_frequency(state, schedule, dt, Lambda, noise_draw):
     """z <- z + f(z,t) dt + g(t) sqrt(dt) Lambda xi in chart coordinates, with the
-    spatial VP drift: U f(Y a, t) = -beta(t)/2 * a (UY = I; vp_drift_identity_error)."""
+    spatial VP drift: U f(Y a, t) = -beta(t)/2 * a (UY = I)."""
     return _em_update(state, schedule, dt, noise_draw, noise_factor=Lambda)
 
 
@@ -210,30 +210,66 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
     return state, aborted, trajectory
 
 
-def forward_law(schedule, t=0.0):
-    """(a, s^2, end time) of the forward steps from t: x -> a x + s F zeta, zeta ~ N(0, I).
-    Step k scales by 1 - beta(t_k) dt / 2 and adds variance g(t_k)^2 dt."""
-    a, s2, dt = 1.0, 0.0, schedule.dt
+def _em_law(schedule, t, dt, scale=1.0, data_var=None, nu=0.0):
+    """(A, b, s^2, end time) of K Euler-Maruyama steps of size dt from t (t as in `integrate`)
+    per decoupled coordinate y <- c y - dt h m nu + g sqrt(|dt| scale) zeta, c = 1 + dt (h -
+    beta/2), with the Gaussian score's gain h = g^2 scale / (m^2 data_var + v scale) or 0."""
+    A, b, s2 = 1.0, 0.0, 0.0
     for _ in range(schedule.steps):
-        c = 1.0 - 0.5 * schedule.beta(t) * dt
-        a, s2, t = c * a, c * c * s2 + schedule.g(t) ** 2 * dt, t + dt  # t as in integrate
+        g2, m, v = schedule.g(t) ** 2, schedule.mean_coeff(t), schedule.marginal_var(t)
+        h = 0.0 if data_var is None else g2 * scale / (m * m * data_var + v * scale)
+        c = 1.0 + dt * (h - 0.5 * schedule.beta(t))
+        A, b, s2, t = c * A, c * b - dt * h * m * nu, c * c * s2 + g2 * abs(dt) * scale, t + dt
+    return A, b, s2, t
+
+
+def forward_law(schedule, t=0.0):
+    """(a, s^2, end time) of the forward steps from t: x -> a x + s F zeta, zeta ~ N(0, I)."""
+    a, _, s2, t = _em_law(schedule, t, schedule.dt)
     return a, s2, t
 
 
-def forward_exact(state, schedule, seed, *, noise_factor=None):
-    """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I);
-    a row that ends blown up keeps its start value and aborts at step steps - 1."""
-    a, s2, t = forward_law(schedule, state.time)
-    x, k = state.values, schedule.steps - 1
-    xi = np.random.default_rng(seed).standard_normal(x.shape)
-    new = a * x + np.sqrt(s2) * (xi if noise_factor is None
-                                 else _fixed_order_matmul(xi, noise_factor.T))
-    dead = _blown_up(new)
+def reverse_law(schedule, t, domain, mean, basis):
+    """(A, b, s^2, end time) of the Gaussian-score reverse steps from t per coordinate of
+    y = B^T z, or of y = Q^T x and one last entry for Q's complement (`*_basis`)."""
+    lam, nu = basis[0], _fixed_order_matmul(mean, basis[1])
+    if domain == "chart":  # B^T S B = I, B^T Sigma B = diag(kappa)
+        return _em_law(schedule, t, -schedule.dt, lam, 1.0, nu)
+    return _em_law(schedule, t, -schedule.dt, 1.0, np.append(lam, 0.0), np.append(nu, 0.0))
+
+
+def _endpoint(state, new, t, steps):
+    """Blow-up guard of a one-draw leg: a row of `new` that is blown up keeps its start row
+    and is reported at step steps - 1; all rows dead (n >= 1) raises BlowUpError."""
+    x, k, dead = state.values, steps - 1, _blown_up(new)
     if dead.all() and len(x):
         raise BlowUpError(f"all {len(x)} paths diverged by step {k}")
     new[dead] = x[dead]
     return (dataclasses.replace(state, time=t, values=new),
             [{"path": int(i), "step": k} for i in np.flatnonzero(dead)])
+
+
+def forward_exact(state, schedule, seed, *, noise_factor=None):
+    """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I)."""
+    a, s2, t = forward_law(schedule, state.time)
+    xi = np.random.default_rng(seed).standard_normal(state.values.shape)
+    F_xi = xi if noise_factor is None else _fixed_order_matmul(xi, noise_factor.T)
+    return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps)
+
+
+def reverse_exact(state, schedule, seed, mean, basis):
+    """`integrate`'s Gaussian-score reverse endpoint as one draw: S B (A B^T z + b + s zeta),
+    or a x + r zeta + Q((A - a) Q^T x + b + (s - r) Q^T zeta) with a, r Q-perp's entries."""
+    A, b, s2, t = reverse_law(schedule, state.time, state.domain, mean, basis)
+    x, V, s = state.values, basis[1], np.sqrt(s2)
+    zeta = np.random.default_rng(seed).standard_normal(x.shape)
+    if state.domain == "chart":
+        new = _fixed_order_matmul(A * _fixed_order_matmul(x, V) + b + s * zeta, basis[2].T)
+    else:
+        y = ((A[:-1] - A[-1]) * _fixed_order_matmul(x, V) + b[:-1]
+             + (s[:-1] - s[-1]) * _fixed_order_matmul(zeta, V))
+        new = A[-1] * x + s[-1] * zeta + _fixed_order_matmul(y, V.T)
+    return _endpoint(state, new, t, schedule.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +281,9 @@ def forward_exact(state, schedule, seed, *, noise_factor=None):
 # and in a step goes through metrics._fixed_order_matmul, so it gives the
 # same bits under any BLAS thread count.
 
-def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
-    """Score of the time-t chart marginal for data z(0) ~ N(mu, S).
-
-    Marginal: N(m(t) mu, A_t), A_t = m(t)^2 S + v(t) Sigma, and
-    score(z) = -A_t^{-1}(z - m mu).  Whitening S (PD) and diagonalising the
-    whitened Sigma gives B with B^T S B = I and B^T Sigma B = diag(kappa),
-    so A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
-    """
-    mu = np.asarray(mu, dtype=float)
+def _chart_basis(S, Sigma):
+    """(kappa, B, S B = B^-T): whitening S (PD) and diagonalising the whitened Sigma
+    gives B^T S B = I and B^T Sigma B = diag(kappa)."""
     s_eval, s_vec = _fixed_order_eigh(np.asarray(S, dtype=float))
     if not s_eval[0] > 0:
         raise ValueError(f"data covariance S is not positive definite "
@@ -261,7 +291,33 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     W = s_vec / np.sqrt(s_eval)  # W^T S W = I
     K = _fixed_order_matmul(_fixed_order_matmul(W.T, np.asarray(Sigma, dtype=float)), W)
     kappa, P = _fixed_order_eigh(0.5 * (K + K.T))
-    B = _fixed_order_matmul(W, P)
+    return kappa, _fixed_order_matmul(W, P), _fixed_order_matmul(s_vec * np.sqrt(s_eval), P)
+
+
+def _spatial_basis(cov_x, factor=None):
+    """(e, Q) with cov_x = Q diag(e) Q^T, Q orthonormal: from G^T G given a factor
+    G G^T = cov_x, else from `eigh(cov_x)`, keeping the eigenvalues above round-off."""
+    if factor is not None:
+        G = np.asarray(factor, dtype=float)
+        e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
+        if not e[0] > 0:
+            raise ValueError("factor does not have full column rank")
+        return e, _fixed_order_matmul(G, P) / np.sqrt(e)
+    cov_x = np.asarray(cov_x, dtype=float)
+    e, Q = _fixed_order_eigh(cov_x)
+    keep = e > e[-1] * cov_x.shape[0] * np.finfo(float).eps
+    return e[keep], Q[:, keep]
+
+
+def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
+    """Score of the time-t chart marginal for data z(0) ~ N(mu, S).
+
+    Marginal: N(m(t) mu, A_t), A_t = m(t)^2 S + v(t) Sigma, and
+    score(z) = -A_t^{-1}(z - m mu).  With B from `_chart_basis`,
+    A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
+    """
+    mu = np.asarray(mu, dtype=float)
+    kappa, B, _ = _chart_basis(S, Sigma)
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -275,26 +331,12 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
 def gaussian_spatial_score(mu_x, cov_x, schedule, *, factor=None) -> ScoreField:
     """Score of the time-t spatial marginal for data x(0) ~ N(mu_x, cov_x).
 
-    cov_x may be singular (band-limited data).  With cov_x = Q diag(e) Q^T,
-    Q orthonormal (d x r), A_t = m^2 cov_x + v I inverts as
-    A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.  Given `factor` G
-    with G G^T = cov_x (e.g. M S^{1/2}, r = L^2 columns), Q and e come from
-    the r x r eigenproblem of G^T G and cov_x is not used (pass None);
-    otherwise from `eigh(cov_x)`, keeping the eigenvalues above its
-    round-off level.
+    cov_x may be singular (band-limited data), and given `factor` G G^T = cov_x (e.g.
+    M S^{1/2}) it is not used (pass None).  With cov_x = Q diag(e) Q^T (`_spatial_basis`),
+    A_t = m^2 cov_x + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
     """
     mu_x = np.asarray(mu_x, dtype=float)
-    if factor is not None:
-        G = np.asarray(factor, dtype=float)
-        e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
-        if not e[0] > 0:
-            raise ValueError("factor does not have full column rank")
-        Q = _fixed_order_matmul(G, P) / np.sqrt(e)
-    else:
-        cov_x = np.asarray(cov_x, dtype=float)
-        e, Q = _fixed_order_eigh(cov_x)
-        keep = e > e[-1] * cov_x.shape[0] * np.finfo(float).eps
-        e, Q = e[keep], Q[:, keep]
+    e, Q = _spatial_basis(cov_x, factor)
 
     def fn(x, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -337,9 +379,9 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     Without a law (None) the paths start at zero and only run forward.  With
     law = (mu, S), a chart Gaussian, they start at z0 ~ N(mu, S) drawn by
     `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain,
-    whose score uses the factor M S_half of that draw.  The forward leg is one
-    exact draw of its Euler-Maruyama law from seed (`forward_exact`), the
-    reverse leg steps with `integrate` and noise from seed + 2.  Returns
+    whose score uses the factor M S_half of that draw.  Each leg is one exact
+    draw of its Euler-Maruyama law: forward from seed (`forward_exact`), reverse
+    from seed + 2 (`reverse_exact`).  Returns
     (final_state, aborted, errors); errors are the relative mean and covariance
     Frobenius errors against the law in the run's domain after a reverse run
     of n >= 2 paths, else None.
@@ -360,14 +402,10 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
                                    schedule, seed, noise_factor=cov.Lambda if in_chart else None)
     if direction == "forward":
         return state, aborted, None
-    if in_chart:
-        score = gaussian_chart_score(mu, S, cov.Sigma, schedule)
-        rev = frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
-    else:
-        score = gaussian_spatial_score(mean, None, schedule, factor=_fixed_order_matmul(M, S_half))
-        rev = spatial_reverse_stepper(schedule, score)
-    state, more, _ = integrate(state, schedule, "reverse", rev,
-                               None if seed is None else int(seed) + 2)
+    basis = (_chart_basis(S, cov.Sigma) if in_chart
+             else _spatial_basis(None, _fixed_order_matmul(M, S_half)))
+    state, more = reverse_exact(state, schedule, None if seed is None else int(seed) + 2,
+                                mean, basis)
     if n < 2:
         return state, aborted + more, None
     target = S if in_chart else M @ S @ M.T
@@ -376,10 +414,3 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         "cov_rel_frobenius_error": (_frobenius(noise.empirical_covariance(state.values) - target)
                                     / _frobenius(target)),
     }
-
-
-def vp_drift_identity_error(ops, schedule, t: float) -> float:
-    """Max abs deviation of U f(Y ., t) from -beta(t)/2 * identity."""
-    L2 = ops.d_spectral
-    composed = ops.U @ (-0.5 * schedule.beta(t) * ops.Y)
-    return float(np.max(np.abs(composed - (-0.5 * schedule.beta(t)) * np.eye(L2))))

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_reference
 import spherediff
 from spherediff import chart, lossmap, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR
@@ -219,7 +220,7 @@ def test_frequency_forward_marginal_and_drift_identity(ops4, cov4):
 
     vp = sde.VpSchedule()
     drift_err = max(
-        sde.vp_drift_identity_error(ops4, vp, t) for t in (0.0, 0.3, 0.7, 1.0)
+        dense_reference.vp_drift_identity_error(ops4, vp, t) for t in (0.0, 0.3, 0.7, 1.0)
     )
 
     ok = rel < 0.05 and not aborted and drift_err < 1e-12

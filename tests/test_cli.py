@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spherediff import chart, cli, lossmap, noise, transform
+from spherediff import chart, cli, lossmap, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -165,6 +165,19 @@ def _refuse_dense_operators(monkeypatch, *, bound):
 def test_commands_build_no_dense_operator(argv, bound, monkeypatch):
     _refuse_dense_operators(monkeypatch, bound=bound)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_reverse_diffuse_steps_no_euler_maruyama_update(domain, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reverse diffuse stepped its chain")
+
+    monkeypatch.setattr(sde, "integrate", refuse)
+    monkeypatch.setattr(sde, "_em_update", refuse)
+    assert main(["diffuse", "--L", "4", "--n", "20", "--steps", "50", "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain,
+                 "--out", str(tmp_path / "rev.csv")]) == 0
+    assert _read_json(tmp_path / "rev.csv.diagnostics.json")["aborted_paths"] == []
 
 
 def test_bound_check_at_L64_builds_no_dense_operator(tmp_path, monkeypatch):

@@ -251,6 +251,20 @@ def test_sigma_csv_matches_the_per_value_formatter():
     assert noise.sigma_to_csv(X, 2) == "\n".join(ref) + "\n"
 
 
+def test_sigma_csv_with_zero_cells_matches_the_per_value_formatter():
+    X = np.zeros((9, 9))
+    X[0, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]  # -0.0 stays "-0"
+    X[1, 4] = 1.0 / 3.0
+    X[3] = np.random.default_rng(8).standard_normal(9) * 10.0 ** np.arange(-4, 5)  # dense
+    X[4, :3] = [-1e-300, 2.5, 0.0]  # rows 2 and 5 .. 8 are all zeros
+    labels = noise.chart_labels(3)
+    ref = ["index," + ",".join(f'"{c}"' for c in labels)]
+    ref += [f'"{lab}",' + ",".join(transform.FMT % v for v in row) for lab, row in zip(labels, X)]
+    text = noise.sigma_to_csv(X, 3)
+    assert text == "\n".join(ref) + "\n"
+    assert ",0,-0,nan,inf,-inf,4.9406564584124654e-324," in text
+
+
 def test_empty_sample_file_round_trips(tmp_path):
     p = tmp_path / "empty.csv"
     noise.save_samples(p, np.zeros((0, 9)), {"L": 3, "t": 1.0, "seed": 0})

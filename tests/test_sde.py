@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dense_reference
 from spherediff import chart, noise, sde, transform
+from spherediff.metrics import _fixed_order_matmul
 
 
 def test_schedule_validation():
@@ -222,7 +224,7 @@ def test_replay_is_bit_identical():
 
 
 def test_drift_identity(ops_cache):
-    err = sde.vp_drift_identity_error(ops_cache[4], sde.VpSchedule(), 0.3)
+    err = dense_reference.vp_drift_identity_error(ops_cache[4], sde.VpSchedule(), 0.3)
     assert err < 1e-12
 
 
@@ -329,8 +331,7 @@ def test_forward_law_is_the_law_of_the_euler_maruyama_steppers(steps, config):
 
 
 @pytest.mark.parametrize("domain", ["chart", "spatial"])
-def test_reverse_chain_draws_one_forward_block_and_one_block_per_reverse_step(
-        monkeypatch, domain):
+def test_reverse_chain_draws_one_block_per_leg(monkeypatch, domain):
     L, n, steps, seed, data_seed = 4, 30, 7, 20, 99
     law = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
     real, draws = np.random.default_rng, {}
@@ -348,7 +349,7 @@ def test_reverse_chain_draws_one_forward_block_and_one_block_per_reverse_step(
     state, aborted, errors = sde.run_chain(L, sde.VpSchedule(steps=steps), domain, "reverse",
                                            law, n, seed, data_seed)
     d = L * L if domain == "chart" else 2 * L * (2 * L - 1)
-    assert draws == {data_seed: [n * L * L], seed: [n * d], seed + 2: [n * d] * steps}
+    assert draws == {data_seed: [n * L * L], seed: [n * d], seed + 2: [n * d]}
     assert state.values.shape == (n, d) and aborted == [] and errors is not None
 
 
@@ -371,3 +372,91 @@ def test_forward_exact_keeps_a_blown_up_start_row_and_reports_it():
     empty, aborted = sde.forward_exact(dataclasses.replace(state, values=np.zeros((0, 4))),
                                        s, 5)  # no rows is not all rows dead
     assert empty.values.shape == (0, 4) and aborted == []
+
+
+def _stepped_law(step, domain, d, t, steps):
+    """Mean map, offset and noise covariance of `steps` affine steps read off `step`
+    with no draw: row 0 starts at zero, rows 1 .. d at the basis (both with zero
+    noise), rows d + 1 .. 2d at zero with one unit normal each."""
+    A, b, C = np.eye(d), np.zeros(d), np.zeros((d, d))
+    x, xi = np.zeros((1 + 2 * d, d)), np.zeros((1 + 2 * d, d))
+    x[1:d + 1], xi[d + 1:] = np.eye(d), np.eye(d)
+    for _ in range(steps):
+        out = step(sde.DiffusionState(time=t, values=x, domain=domain), xi)
+        b_k = out.values[0]
+        A_k, C_k = (out.values[1:d + 1] - b_k).T, (out.values[d + 1:] - b_k).T
+        A, b, C, t = A_k @ A, A_k @ b + b_k, A_k @ C @ A_k.T + C_k @ C_k.T, out.time
+    return A, b, C, t
+
+
+@pytest.mark.parametrize("config", [{}, {"beta_min": 0.5, "beta_max": 20.0, "T": 2.0}],
+                         ids=["default", "config"])
+@pytest.mark.parametrize("L,steps", [(2, 1), (2, 4), (2, 100), (4, 1), (4, 4), (4, 100),
+                                     (12, 4)])
+@pytest.mark.parametrize("domain", ["chart", "spatial"])
+def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps, config):
+    """The reverse steppers with the Gaussian score are affine in (x, xi), so their
+    K-step law is read off them: mean map, offset and covariance against
+    `reverse_law`'s W diag(A) V^T, W b and W diag(s^2) W^T (plus a and r^2 on the
+    complement of Q on the grid), and the end time bit for bit."""
+    s = sde.VpSchedule(steps=steps, **config)
+    t0 = sde.forward_law(s)[2]  # where run_chain starts the reverse leg
+    mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 5)
+    if domain == "chart":
+        cov = noise.build_covariance(L)
+        basis = sde._chart_basis(S, cov.Sigma)
+        mean, (_, V, W) = mu, basis
+        score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
+        step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, cov.Lambda,
+                                                         score, xi)
+    else:
+        w, E = np.linalg.eigh(S)
+        M = chart.synthesis_matrix(transform.build_operators(L))
+        mean, G = M @ mu, M @ (E * np.sqrt(w))
+        basis = sde._spatial_basis(None, G)
+        V = W = basis[1]
+        score = sde.gaussian_spatial_score(mean, None, s, factor=G)
+        step = lambda st, xi: sde.reverse_step_spatial(st, s, -s.dt, score, xi)
+    A, b, s2, t = sde.reverse_law(s, t0, domain, mean, basis)
+    d, r = len(V), V.shape[1]
+    ref_A, ref_b, ref_C = (W * A[:r]) @ V.T, W @ b[:r], (W * s2[:r]) @ W.T
+    if domain == "spatial":  # the complement of Q: one entry of A and s^2
+        P = np.eye(d) - V @ V.T
+        ref_A, ref_C = ref_A + A[-1] * P, ref_C + s2[-1] * P
+    got_A, got_b, got_C, got_t = _stepped_law(step, domain, d, t0, steps)
+    assert got_t == t  # bit for bit
+    assert _rel(got_A, ref_A) <= 1e-12
+    assert _rel(got_b, ref_b) <= 1e-12
+    assert _rel(got_C, ref_C) <= 1e-12
+
+
+@pytest.mark.parametrize("domain", ["chart", "spatial"])
+def test_reverse_exact_keeps_a_blown_up_start_row_and_reports_it(domain):
+    L, s = 2, sde.VpSchedule(steps=6)
+    mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
+    if domain == "chart":
+        mean, basis = mu, sde._chart_basis(S, noise.build_covariance(L).Sigma)
+    else:
+        M = chart.synthesis_matrix(transform.build_operators(L))
+        mean, basis = M @ mu, sde._spatial_basis(M @ S @ M.T)
+    A, b, s2, t = sde.reverse_law(s, 1.0, domain, mean, basis)
+    d = len(basis[1])
+    x = np.ones((3, d))
+    x[1, 2] = np.nan
+    state = sde.DiffusionState(time=1.0, values=x.copy(), domain=domain)
+    out, aborted = sde.reverse_exact(state, s, 5, mean, basis)
+    assert aborted == [{"path": 1, "step": 5}]
+    assert np.array_equal(out.values[1], x[1], equal_nan=True)  # the start row is kept
+    assert np.all(np.isfinite(out.values[[0, 2]]))
+    if domain == "chart":
+        zeta = np.random.default_rng(5).standard_normal((3, d))
+        y = A * _fixed_order_matmul(x[[0, 2]], basis[1]) + b + np.sqrt(s2) * zeta[[0, 2]]
+        assert np.array_equal(out.values[[0, 2]], _fixed_order_matmul(y, basis[2].T))
+    assert out.time == t and np.array_equal(state.values, x, equal_nan=True)
+
+    dead = dataclasses.replace(state, values=np.full((3, d), np.nan))
+    with pytest.raises(sde.BlowUpError):
+        sde.reverse_exact(dead, s, 5, mean, basis)
+    empty, aborted = sde.reverse_exact(dataclasses.replace(state, values=np.zeros((0, d))),
+                                       s, 5, mean, basis)  # no rows is not all rows dead
+    assert empty.values.shape == (0, d) and aborted == []
