@@ -1,8 +1,9 @@
 """Experiment-runner CLI.
 
 Subcommands: verify-operators, covariance, diffuse, bound-check, sliced-w.
-Exit codes: 0 success / all checks pass, 1 usage error, 2 numerical-check
-failure, 3 runtime abort (non-finite paths).
+Exit codes: 0 success / all checks pass, 1 usage error (or an output path
+that cannot be written), 2 numerical-check failure, 3 runtime abort
+(non-finite paths).
 
 Every run is determined by (config, seed); outputs carry no timestamps and
 JSON keys are sorted, so re-runs are byte-identical.  Option precedence:
@@ -69,6 +70,11 @@ def _require_finite(name: str, value: float) -> None:
         raise UsageError(f"--{name} must be a finite number, got {value!r}")
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # verify-operators
 # ---------------------------------------------------------------------------
@@ -77,21 +83,22 @@ def cmd_verify_operators(args) -> int:
     if args.L < 1:
         raise UsageError("--L must be >= 1")
     _require_finite("tol", args.tol)
+    _require_seed(args.seed)
     config = {"command": "verify-operators", "L": args.L, "tol": args.tol, "seed": args.seed}
     ops = transform.build_operators(args.L)
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
-    blk = lossmap.order_blocks(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
+    bops = lossmap.bound_operators(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
     # per order, UY = N V^T Q V (N = 2L-1, once for each of +-m) and the real
     # projector is P_m = N V V^T Q, so PP - P = N V (UY - I) V^T Q; the ring DFT
     # is unitary, so the Frobenius norms add over the bins (one einsum each)
     leg = ops.legendre
-    D = (2 * args.L - 1) * blk.A - blk.eye
-    E = (2 * args.L - 1) * ((leg @ D) @ (leg * blk.q[:, None]).transpose(0, 2, 1))
+    D = (2 * args.L - 1) * bops.A - bops.eye
+    E = (2 * args.L - 1) * ((leg @ D) @ (leg * bops.q[:, None]).transpose(0, 2, 1))
     checks = {
-        "uy_minus_identity": float(np.sqrt(np.einsum("m,mij,mij->", blk.mult, D, D))),
-        "projector_idempotence": float(np.sqrt(np.einsum("m,mij,mij->", blk.mult, E, E))),
-        **lossmap.order_residuals(blk),  # T T^T - Sigma, T Z and T T^+ - I
+        "uy_minus_identity": float(np.sqrt(np.einsum("m,mij,mij->", bops.mult, D, D))),
+        "projector_idempotence": float(np.sqrt(np.einsum("m,mij,mij->", bops.mult, E, E))),
+        **lossmap.order_residuals(bops),  # T T^T - Sigma, T Z and T T^+ - I
     }
 
     # 100 pairs (z1, z2) drawn as rows 0, 2, 4, ... and 1, 3, 5, ... of one batch
@@ -133,6 +140,7 @@ def cmd_covariance(args) -> int:
     _require_finite("t", args.t)
     if args.t <= 0:
         raise UsageError("--t must be > 0")
+    _require_seed(args.seed)
     config = {
         "command": "covariance", "L": args.L, "samples": args.samples,
         "t": args.t, "seed": args.seed,
@@ -274,11 +282,11 @@ def cmd_bound_check(args) -> int:
         raise UsageError("--L must be >= 1")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    _require_seed(args.seed)
     config = {"command": "bound-check", "L": args.L, "trials": args.trials, "seed": args.seed}
-    ops, Sigma = transform.build_operators(args.L), noise.build_covariance(args.L).Sigma
-    bops = lossmap.build_bound_operators(ops, Sigma)  # one eigh per order; Lambda is never built
-    report = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), args.trials, args.seed,
-                                          bops=bops)
+    ops = transform.build_operators(args.L)
+    bops = lossmap.bound_operators(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
+    report = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), args.trials, args.seed)
     report["identity_residuals"] = lossmap.identity_residuals(bops)
     report["provenance"] = _provenance(config)
     _write_json(_out_path(args.out, f"bound_check_L{args.L}.json"), report)
@@ -299,6 +307,7 @@ def cmd_sliced_w(args) -> int:
     _require_finite("p", args.p)
     if args.p < 1:
         raise UsageError("--p must be >= 1")
+    _require_seed(args.seed)
     config = {
         "command": "sliced-w", "a": str(args.a), "b": str(args.b),
         "n_proj": args.n_proj, "p": args.p, "seed": args.seed,
@@ -390,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"spherediff {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except sde.BlowUpError as exc:

@@ -1,13 +1,13 @@
-"""Associated Legendre functions and complex spherical harmonics.
+"""Fully normalized associated Legendre functions, the table behind the transforms.
 
 Conventions, fixed globally:
 
 * Condon-Shortley phase lives inside P_{ell,m} (so P_{1,1}(x) = -sqrt(1-x^2)).
 * Orthonormal normalization N_{ell,m} = sqrt((2ell+1)/(4pi) (ell-m)!/(ell+m)!),
   giving <Y_{ell,m}, Y_{ell',m'}> = delta delta on the sphere.
-* Negative orders are produced by construction from the conjugate symmetry
-  Y_{ell,-m} = (-1)^m conj(Y_{ell,m}), never evaluated independently, so the
-  symmetry holds bit-for-bit.
+* Only m >= 0 is tabulated.  The transforms produce the negative orders from
+  the conjugate symmetry Y_{ell,-m} = (-1)^m conj(Y_{ell,m}), so the symmetry
+  holds bit-for-bit.
 
 The normalized values are computed with a fully-normalized three-term
 recurrence in ell at fixed m, seeded by the diagonal term in log space; no
@@ -30,38 +30,6 @@ def _check_args(ell: int, m: int, x) -> np.ndarray:
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of domain: |x| must be <= 1")
     return x
-
-
-def legendre(ell: int, m: int, x):
-    """Associated Legendre function P_{ell,m}(x), Condon-Shortley phase.
-
-    Standard upward recurrence; values can be large for high (ell, m) but
-    stay finite in double precision for ell < 64.
-    """
-    x = _check_args(ell, m, x)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    # diagonal: P_{m,m} = (-1)^m (2m-1)!! s^m
-    p_mm = np.ones_like(x)
-    for k in range(1, m + 1):
-        p_mm = p_mm * (-(2 * k - 1)) * s
-    if ell == m:
-        out = p_mm
-    else:
-        p_prev, p_curr = p_mm, x * (2 * m + 1) * p_mm
-        for k in range(m + 2, ell + 1):
-            p_prev, p_curr = p_curr, ((2 * k - 1) * x * p_curr - (k + m - 1) * p_prev) / (k - m)
-        out = p_curr
-    return out if out.ndim else float(out)
-
-
-def norm_constant(ell: int, m: int) -> float:
-    """N_{ell,m} = sqrt((2ell+1)/(4pi) (ell-m)!/(ell+m)!), in log space."""
-    if m < 0 or m > ell:
-        raise ValueError(f"need 0 <= m <= ell, got ell={ell}, m={m}")
-    log_ratio = 0.0
-    for k in range(ell - m + 1, ell + m + 1):
-        log_ratio -= np.log(k)
-    return float(np.exp(0.5 * (np.log(2 * ell + 1) - np.log(FOUR_PI) + log_ratio)))
 
 
 def norm_legendre_table(L: int, x) -> np.ndarray:
@@ -103,26 +71,3 @@ def norm_legendre_table(L: int, x) -> np.ndarray:
             )
             table[ell, m] = a * x * table[ell - 1, m] - b * table[ell - 2, m]
     return table[..., 0] if scalar else table
-
-
-def norm_legendre(ell: int, m: int, x):
-    """Single normalized value N_{ell,m} P_{ell,m}(x)."""
-    _check_args(ell, m, x)
-    out = norm_legendre_table(ell + 1, x)[ell, m]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def sh_eval(ell: int, m: int, theta, phi):
-    """Spherical harmonic Y_{ell,m}(theta, phi).
-
-    m < 0 is returned as (-1)^m conj(Y_{ell,-m}) by construction.
-    """
-    if abs(m) > ell:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree ell={ell}")
-    if m < 0:
-        sign = -1.0 if m % 2 else 1.0
-        return sign * np.conjugate(sh_eval(ell, -m, theta, phi))
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    val = norm_legendre(ell, m, np.cos(theta)) * np.exp(1j * m * phi)
-    return complex(val) if np.ndim(val) == 0 else val

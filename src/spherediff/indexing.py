@@ -1,7 +1,7 @@
 """Canonical index layouts for spectral coefficients and chart coordinates.
 
 Two flat orderings are used everywhere in this package and must agree
-bit-for-bit across modules, so they are defined once here.
+bit-for-bit across modules, so they are defined once here, in closed form.
 
 Spectral ordering (complex coefficient vector, length L^2): degrees ascend,
 and within degree ell the orders run m = 0, +1, -1, +2, -2, ..., +ell, -ell.
@@ -35,59 +35,36 @@ def spectral_index(ell: int, m: int) -> int:
     return ell * ell - 2 * m
 
 
-def spectral_entries(L: int) -> list[tuple[int, int]]:
-    """(ell, m) pairs in flat order, length L^2."""
-    out = []
-    for ell in range(L):
-        out.append((ell, 0))
-        for m in range(1, ell + 1):
-            out.append((ell, m))
-            out.append((ell, -m))
-    return out
-
-
-def chart_index(ell: int, m: int, part: str = RE) -> int:
-    """Flat chart position of the given real degree of freedom (m >= 0)."""
-    if m < 0 or m > ell:
-        raise ValueError(f"chart slots are indexed by 0 <= m <= ell, got m={m}, ell={ell}")
-    if part not in (RE, IM):
-        raise ValueError(f"part must be {RE!r} or {IM!r}, got {part!r}")
-    if m == 0:
-        if part != RE:
-            raise ValueError("a_{ell,0} has no imaginary chart slot")
-        return ell * ell
-    return ell * ell + 2 * m - (1 if part == RE else 0)
-
-
-def chart_entries(L: int) -> list[tuple[int, int, str]]:
-    """(ell, m, part) labels of the chart coordinates in flat order."""
-    out = []
-    for ell in range(L):
-        out.append((ell, 0, RE))
-        for m in range(1, ell + 1):
-            out.append((ell, m, RE))
-            out.append((ell, m, IM))
-    return out
-
-
 def spectral_ells(L: int) -> np.ndarray:
     """Degree of each spectral slot, shape (L^2,)."""
-    return np.array([ell for ell, _ in spectral_entries(L)], dtype=np.int64)
+    return np.repeat(np.arange(L), 2 * np.arange(L) + 1)
 
 
 def spectral_ms(L: int) -> np.ndarray:
-    """Signed order of each spectral slot, shape (L^2,)."""
-    return np.array([m for _, m in spectral_entries(L)], dtype=np.int64)
+    """Signed order of each spectral slot, shape (L^2,), from its offset k = slot - ell^2."""
+    k = np.arange(L * L) - spectral_ells(L) ** 2
+    return np.where(k % 2, (k + 1) // 2, -(k // 2))
+
+
+def spectral_entries(L: int) -> list[tuple[int, int]]:
+    """(ell, m) pairs in flat order, length L^2."""
+    return list(zip(spectral_ells(L).tolist(), spectral_ms(L).tolist()))
 
 
 def chart_ms(L: int) -> np.ndarray:
     """Order m (>= 0) of each chart slot, shape (L^2,)."""
-    return np.array([m for _, m, _ in chart_entries(L)], dtype=np.int64)
+    return np.abs(spectral_ms(L))
 
 
 def chart_is_im(L: int) -> np.ndarray:
-    """Boolean mask of imaginary-part chart slots, shape (L^2,)."""
-    return np.array([part == IM for _, _, part in chart_entries(L)], dtype=bool)
+    """Boolean mask of imaginary-part chart slots, shape (L^2,): those of (ell, -m)."""
+    return spectral_ms(L) < 0
+
+
+def chart_entries(L: int) -> list[tuple[int, int, str]]:
+    """(ell, m, part) labels of the chart coordinates in flat order."""
+    parts = np.where(chart_is_im(L), IM, RE).tolist()
+    return list(zip(spectral_ells(L).tolist(), chart_ms(L).tolist(), parts))
 
 
 def mirror_permutation(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +72,30 @@ def mirror_permutation(L: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (perm, sign) such that a vector a in the canonical spectral
     ordering is conjugate-symmetric iff a[i] == sign[i] * conj(a[perm[i]])
-    for every slot i, where perm swaps (ell, m) with (ell, -m).
+    for every slot i, where perm swaps (ell, m) with (ell, -m), one slot on.
     """
-    entries = spectral_entries(L)
-    perm = np.array([spectral_index(ell, -m) for ell, m in entries], dtype=np.int64)
-    sign = np.array([(-1.0) ** m for _, m in entries])
-    return perm, sign
+    m = spectral_ms(L)
+    return np.arange(L * L) + np.sign(m), np.where(m % 2, -1.0, 1.0)
+
+
+def order_slots(L: int):
+    """(m, ell, +m slot, -m slot, (-1)^m) over the pairs ell >= m >= 0; the
+    chart slots of Re(a_{ell,m}) and (m > 0) Im(a_{ell,m}) are the same two."""
+    ell, m = np.tril_indices(L)
+    plus = ell * ell + np.where(m > 0, 2 * m - 1, 0)
+    return m, ell, plus, ell * ell + 2 * m, np.where(m % 2, -1.0, 1.0)
+
+
+def block_slots(L: int) -> list:
+    """(m, chart rows by degree) of each (m, part) block of Sigma, in (m, part) order."""
+    m, _, re, im, _ = order_slots(L)
+    key = np.concatenate([2 * m, 2 * m[m > 0] + 1])  # 2m + part (Re 0, Im 1)
+    rows = np.concatenate([re, im[m > 0]])[np.argsort(key, kind="stable")]
+    sizes = np.bincount(key)
+    blocks = np.flatnonzero(sizes)  # every key but the Im part of m = 0
+    return list(zip((blocks // 2).tolist(), np.split(rows, np.cumsum(sizes[blocks])[:-1])))
+
+
+def pad8(n: int) -> int:
+    """n rounded up to a multiple of 8: the padded length of a per-order axis."""
+    return n + -n % 8

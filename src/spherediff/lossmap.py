@@ -19,9 +19,7 @@ VP-schedule kernels, so no training is involved.  The test score s_hat
 contains a random linear map G applied at the one point z_t, so each trial
 draws G z_t from its exact law N(0, 0.25 |z_t|^2 / d I), not a d x d
 matrix, and all trials are evaluated together as row-batched products.
-T, M, T+, Z and Sigma are block-diagonal over the order m after the ring
-DFT, so the bound works with their per-order blocks (`OrderBlocks`); the
-dense d_X x L^2 matrices are built only on request.
+The bound works with the per-order blocks of these operators (`BoundOperators`).
 """
 
 from __future__ import annotations
@@ -32,15 +30,16 @@ from functools import cached_property
 import numpy as np
 
 from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
+from .indexing import block_slots, order_slots, pad8
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .noise import _block_slots, _frozen
+from .noise import _frozen
 from .sde import ScoreField, VpSchedule
-from .transform import (ConstraintViolation, OperatorSet, _order_slots, _pad8, analysis,
-                        mirror_residual, q_norm_sq, synthesis)
+from .transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual, q_norm_sq,
+                        synthesis)
 
 
 @dataclass(frozen=True)
-class OrderBlocks:
+class BoundOperators:
     """T, M, Sigma and the bound's products one order at a time, O(L^3) numbers.
 
     With 2L-1 longitudes the ring DFT makes all of them block-diagonal over
@@ -49,12 +48,17 @@ class OrderBlocks:
     cos(m phi_k) (Re) and -sin(m phi_k) (Im), and the columns of M are `mult`
     times the same.  With g = [[cc, cs], [cs, ss]] the Gram matrix of these
     trig rows over a ring, T T^T = B (x) g and T M = mult A (x) g; Sigma has
-    the block Sigma_m in both parts, so T T^+ = H (x) g and T Z = K (x) g.
-    Arrays are (L, pad8(L), pad8(L)), [m, ell, ell'], zero off ell >= m, and
-    every product stays inside the limits of `metrics._fixed_order_matmul`,
-    so no block depends on the BLAS thread count.
+    the block Sigma_m in both parts, so with T+ = T^T Sigma^+ and Z = M - T+,
+    T T^+ = H (x) g and T Z = K (x) g.  Arrays are (L, pad8(L), pad8(L)),
+    [m, ell, ell'], zero off ell >= m, and every product stays inside the
+    limits of `metrics._fixed_order_matmul`, so no block depends on the BLAS
+    thread count.  The dense d_X x L^2 `T`, `M`, `Tplus` and `Z` are built
+    on first access: the tests use them, no command does.
     """
 
+    L: int
+    ops: OperatorSet = field(repr=False)
+    sigma_cond: float       # condition number of Sigma
     q: np.ndarray           # ring weights, zero-padded like the Legendre rings
     mult: np.ndarray        # (L,): 1 for m = 0, else 2
     A: np.ndarray           # V^T Q V
@@ -62,15 +66,33 @@ class OrderBlocks:
     sigma: np.ndarray       # Sigma_m
     sigma_root: np.ndarray  # its symmetric square root Sigma_m^{1/2}
     sigma_pinv: np.ndarray  # its eigen pseudoinverse Sigma_m^+
-    sigma_eig: np.ndarray   # its eigenvalues, every order's in one array
     H: np.ndarray           # B Sigma_m^+
     K: np.ndarray           # mult A - H
     eye: np.ndarray         # the identity on the slots ell >= m
     gram: tuple             # (cc, cs, ss), each (L, 1, 1)
 
+    @cached_property
+    def T(self) -> np.ndarray:
+        return _frozen(chart_linear_map(self.ops))
 
-def order_blocks(ops: OperatorSet, sigma_blocks) -> OrderBlocks:
-    """The blocks, given Sigma_m for m = 0 .. L-1 (the m = 0 one doubled)."""
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _frozen(synthesis_matrix(self.ops))
+
+    @cached_property
+    def Tplus(self) -> np.ndarray:
+        Tplus = np.empty_like(self.T.T)
+        for m, i in block_slots(self.L):  # T^T Sigma^+, one (m, part) block of Sigma at a time
+            Tplus[:, i] = self.T.T[:, i] @ self.sigma_pinv[m, m:self.L, m:self.L]
+        return _frozen(Tplus)
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return _frozen(self.M - self.Tplus)
+
+
+def bound_operators(ops: OperatorSet, sigma_blocks) -> BoundOperators:
+    """The kit, given Sigma_m for m = 0 .. L-1 (the m = 0 one doubled); one eigh per order."""
     L, leg = ops.L, ops.legendre
     q = np.zeros(leg.shape[1])
     q[:2 * L] = ops.grid.weights
@@ -86,85 +108,51 @@ def order_blocks(ops: OperatorSet, sigma_blocks) -> OrderBlocks:
         root[m, m:L, m:L] = _fixed_order_matmul(V * np.sqrt(np.clip(ev, 0.0, None)), V.T)
         pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
         eig.append(ev)
+    w = np.concatenate(eig)
+    keep = w > 1e-10
+    if not np.any(keep):
+        raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
+    cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)
     cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
     gram = tuple(np.einsum("mk,mk->m", u, v)[:, None, None]
                  for u, v in ((cos, cos), (cos, sin), (sin, sin)))
     eye = np.eye(leg.shape[2]) * ((ells >= ms[:, None]) & (ells < L))[:, None]
-    return OrderBlocks(q=q, mult=mult, A=A, B=B, sigma=sigma, sigma_root=root,
-                       sigma_pinv=pinv, sigma_eig=np.concatenate(eig), H=H,
-                       K=mult[:, None, None] * A - H, eye=eye, gram=gram)
+    return BoundOperators(L=L, ops=ops, sigma_cond=cond, q=q, mult=mult, A=A, B=B, sigma=sigma,
+                          sigma_root=root, sigma_pinv=pinv, H=H, K=mult[:, None, None] * A - H,
+                          eye=eye, gram=gram)
 
 
-def order_residuals(blk: OrderBlocks) -> dict:
+def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
+    """The kit of a dense Sigma, with Sigma_m read from its (m, Re) block."""
+    m, _, re, _, _ = order_slots(ops.L)
+    return bound_operators(ops, [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)])
+
+
+def order_residuals(bops: BoundOperators) -> dict:
     """Max |T T^T - Sigma|, |T Z| and |T T^+ - I| over the orders."""
-    cc, cs, ss = blk.gram
-    im = (blk.mult > 1)[:, None, None]  # m = 0 has no Im chart rows
+    cc, cs, ss = bops.gram
+    im = (bops.mult > 1)[:, None, None]  # m = 0 has no Im chart rows
 
     def max_abs(*mats):
         return float(max(np.max(np.abs(x)) for x in mats))
 
     return {
-        "tt_transpose_minus_sigma": max_abs(cc * blk.B - blk.sigma, cs * blk.B,
-                                            ss * blk.B - blk.sigma * im),
-        "t_z": max_abs(cc * blk.K, cs * blk.K, ss * blk.K),
-        "t_tplus_minus_identity": max_abs(cc * blk.H - blk.eye, cs * blk.H,
-                                          ss * blk.H - blk.eye * im),
+        "tt_transpose_minus_sigma": max_abs(cc * bops.B - bops.sigma, cs * bops.B,
+                                            ss * bops.B - bops.sigma * im),
+        "t_z": max_abs(cc * bops.K, cs * bops.K, ss * bops.K),
+        "t_tplus_minus_identity": max_abs(cc * bops.H - bops.eye, cs * bops.H,
+                                          ss * bops.H - bops.eye * im),
     }
-
-
-@dataclass(frozen=True)
-class BoundOperators:
-    """The per-order blocks of T, of Sigma, of its right pseudoinverse
-    T+ = T^T Sigma^+ and of the kernel part Z = M - T+.  The dense
-    d_X x L^2 `T`, `M`, `Tplus` and `Z` are built on first access: the
-    tests use them, no command does."""
-
-    L: int
-    ops: OperatorSet = field(repr=False)
-    sigma_cond: float                    # condition number of Sigma
-    blocks: OrderBlocks = field(repr=False)
-
-    @cached_property
-    def T(self) -> np.ndarray:
-        return _frozen(chart_linear_map(self.ops))
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        return _frozen(synthesis_matrix(self.ops))
-
-    @cached_property
-    def Tplus(self) -> np.ndarray:
-        Tplus = np.empty_like(self.T.T)
-        for m, i in _block_slots(self.L):  # T^T Sigma^+, one (m, part) block of Sigma at a time
-            Tplus[:, i] = self.T.T[:, i] @ self.blocks.sigma_pinv[m, m:self.L, m:self.L]
-        return _frozen(Tplus)
-
-    @cached_property
-    def Z(self) -> np.ndarray:
-        return _frozen(self.M - self.Tplus)
-
-
-def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
-    """The per-order blocks, with Sigma_m read from Sigma's (m, Re) block;
-    one eigh per order."""
-    m, _, re, _, _ = _order_slots(ops.L)
-    blk = order_blocks(ops, [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)])
-    w = blk.sigma_eig
-    keep = w > 1e-10
-    if not np.any(keep):
-        raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
-    cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    return BoundOperators(L=ops.L, ops=ops, sigma_cond=cond, blocks=blk)
 
 
 def identity_residuals(bops: BoundOperators) -> dict:
     """bound-check's |T T^+ - I|, |T Z|, |M - (T+ + Z)| per order, and cond(Sigma)."""
-    blk, leg = bops.blocks, bops.ops.legendre
-    res = order_residuals(blk)
-    M = blk.mult[:, None, None] * leg  # M and T+ per order, up to the trig rows
-    Tplus = (leg * blk.q[:, None]) @ blk.sigma_pinv
+    leg = bops.ops.legendre
+    res = order_residuals(bops)
+    M = bops.mult[:, None, None] * leg  # M and T+ per order, up to the trig rows
+    Tplus = (leg * bops.q[:, None]) @ bops.sigma_pinv
     return {"t_tplus_minus_identity": res["t_tplus_minus_identity"], "t_z": res["t_z"],
             "m_minus_tplus_plus_z": float(np.max(np.abs(M - (Tplus + (M - Tplus))))),
             "sigma_condition_number": bops.sigma_cond}
@@ -250,21 +238,20 @@ def _draw_trials(rng, n_trials: int, d: int, schedule: VpSchedule, t_floor: floa
 
 def _by_order(x: np.ndarray, L: int) -> np.ndarray:
     """Chart rows (n, L^2) as [part (Re, Im), m, row, ell], ell zero-padded to pad8(L)."""
-    ms, ell, re, im, _ = _order_slots(L)
-    y = np.zeros((2, L, len(x), _pad8(L)))
+    ms, ell, re, im, _ = order_slots(L)
+    y = np.zeros((2, L, len(x), pad8(L)))
     y[0, ms, :, ell] = x[:, re].T
     y[1, ms[ms > 0], :, ell[ms > 0]] = x[:, im[ms > 0]].T
     return y
 
 
-def _gram(blk: OrderBlocks, v: np.ndarray) -> np.ndarray:
+def _gram(bops: BoundOperators, v: np.ndarray) -> np.ndarray:
     """g (x) I applied to per-order values [part (Re, Im), m, ...]."""
-    cc, cs, ss = blk.gram
+    cc, cs, ss = bops.gram
     return np.stack([cc * v[0] + cs * v[1], cs * v[0] + ss * v[1]])
 
 
-def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
-                 draws: dict):
+def _trial_terms(bops: BoundOperators, schedule: VpSchedule, draws: dict):
     """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
 
     The chart vectors are held per order ([part, m, trial, ell], `_by_order`),
@@ -274,16 +261,16 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     have the same bits under any BLAS thread count.  No d_X x L^2 or
     L^2 x L^2 matrix is used.
     """
-    t, L, d, blk = draws["t"], ops.L, draws["z0"].shape[1], bops.blocks
+    t, L, d = draws["t"], bops.L, draws["z0"].shape[1]
     m = np.array([schedule.mean_coeff(s) for s in t])[:, None]
     v = np.array([schedule.marginal_var(s) for s in t])[:, None]
     z0 = _by_order(draws["z0"], L)
-    z_t = m * z0 + np.sqrt(v) * (_by_order(draws["xi"], L) @ blk.sigma_root.transpose(0, 2, 1))
+    z_t = m * z0 + np.sqrt(v) * (_by_order(draws["xi"], L) @ bops.sigma_root.transpose(0, 2, 1))
 
     # kernel score of N(m z0, v Sigma): Sigma s_ref = -(z_t - m z0)/v needs no
     # inverse; s_ref = Sigma^+ (Sigma s_ref) through the blocks Sigma_m^+
     sigma_s_ref = -(z_t - m * z0) / v
-    s_ref = sigma_s_ref @ blk.sigma_pinv.transpose(0, 2, 1)
+    s_ref = sigma_s_ref @ bops.sigma_pinv.transpose(0, 2, 1)
 
     # test score s_hat = G z_t + offset + alpha Sigma s_ref with G_ij ~ N(0, 0.25/d)
     # i.i.d.; given z_t, G z_t ~ N(0, 0.25 |z_t|^2 / d I), drawn as such
@@ -291,7 +278,7 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     g_z = sd * _by_order(draws["g"], L)
     s_hat = g_z + _by_order(draws["offset"], L) + draws["alpha"][:, None] * sigma_s_ref
     e = s_hat - sigma_s_ref  # zero in the m = 0 Im slots, so both parts weigh `mult`
-    lhs = np.einsum("m,pmij,pmij->i", blk.mult, e, e)
+    lhs = np.einsum("m,pmij,pmij->i", bops.mult, e, e)
 
     # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t, so
     # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref =
@@ -299,18 +286,18 @@ def _trial_terms(ops: OperatorSet, bops: BoundOperators, schedule: VpSchedule,
     # M are mult Pbar_{ell,m}(theta_j) (those of M W^{-1} Pbar_{ell,m}) times
     # the trig rows, and the trig rows of different orders are orthogonal
     # over a ring, so ||r||_Q^2 sums the ring-weighted g-forms of the orders
-    leg = ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
-    r = (s_hat * blk.mult[:, None, None]) @ leg - s_ref @ (leg * blk.q)
-    term_q = np.einsum("j,pmij,pmij->i", blk.q, _gram(blk, r), r)
+    leg = bops.ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
+    r = (s_hat * bops.mult[:, None, None]) @ leg - s_ref @ (leg * bops.q)
+    term_q = np.einsum("j,pmij,pmij->i", bops.q, _gram(bops, r), r)
 
     # U x is conjugate-symmetric for real x = Z Sigma s_ref, so its squared
     # norm is the chart-weighted one of T x = to_chart(U x); T Z is K (x) g
-    gap = _gram(blk, sigma_s_ref @ blk.K.transpose(0, 2, 1))
-    return lhs, term_q, np.einsum("m,pmij,pmij->i", blk.mult, gap, gap)
+    gap = _gram(bops, sigma_s_ref @ bops.K.transpose(0, 2, 1))
+    return lhs, term_q, np.einsum("m,pmij,pmij->i", bops.mult, gap, gap)
 
 
-def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedule,
-                         n_trials: int, seed, *, bops: BoundOperators | None = None) -> dict:
+def check_theorem2_bound(bops: BoundOperators, schedule: VpSchedule, n_trials: int,
+                         seed) -> dict:
     """Monte Carlo check of the frequency-vs-spatial loss inequality.
 
     Each trial draws t ~ U(1e-3, T), z0 ~ N(0, I), z_t from the VP kernel
@@ -321,15 +308,12 @@ def check_theorem2_bound(ops: OperatorSet, Sigma: np.ndarray, schedule: VpSchedu
     enters, so it is drawn from its exact law N(0, 0.25 |z_t|^2/d I) with d
     normals instead of a d x d matrix.  All trials are drawn as arrays and
     evaluated as one batch (memory O(n_trials * d_X)); a trial is a
-    violation when slack = RHS - LHS < -1e-8 * max(1, RHS).  `bops` are
-    the bound operators of (ops, Sigma), built here when not given; they
-    hold each order's Sigma_m^{1/2} and Sigma_m^+, so no eigendecomposition
+    violation when slack = RHS - LHS < -1e-8 * max(1, RHS).  The kit `bops`
+    holds each order's Sigma_m^{1/2} and Sigma_m^+, so no eigendecomposition
     runs here.
     """
-    if bops is None:
-        bops = build_bound_operators(ops, Sigma)
-    draws = _draw_trials(np.random.default_rng(seed), n_trials, ops.L * ops.L, schedule, 1e-3)
-    lhs, term_q, gap_sq = _trial_terms(ops, bops, schedule, draws)
+    draws = _draw_trials(np.random.default_rng(seed), n_trials, bops.L * bops.L, schedule, 1e-3)
+    lhs, term_q, gap_sq = _trial_terms(bops, schedule, draws)
     rhs = 2.0 * (term_q + gap_sq)
     slack = rhs - lhs
     violations = int(np.sum(slack < -1e-8 * np.maximum(1.0, rhs)))

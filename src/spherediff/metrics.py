@@ -22,7 +22,6 @@ class SlicedWassersteinResult:
     se: float             # standard error of that mean
     n_proj: int
     p: float
-    per_projection: np.ndarray | None = None
 
     @property
     def ci2se(self) -> tuple:
@@ -132,8 +131,8 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:
     return float((np.diff(edges) @ np.abs(a[ia] - b[ib]) ** p) ** (1.0 / p))
 
 
-def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000, seed=None,
-                       *, keep_per_projection: bool = False) -> SlicedWassersteinResult:
+def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
+                       seed=None) -> SlicedWassersteinResult:
     """Monte Carlo sliced Wasserstein distance between sample sets A and B."""
     A = _as_samples("A", A)
     B = _as_samples("B", B)
@@ -162,10 +161,4 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000, seed=None,
         )
 
     se = float(per.std(ddof=1) / np.sqrt(n_proj)) if n_proj > 1 else 0.0
-    return SlicedWassersteinResult(
-        value=float(per.mean()),
-        se=se,
-        n_proj=n_proj,
-        p=p,
-        per_projection=per if keep_per_projection else None,
-    )
+    return SlicedWassersteinResult(value=float(per.mean()), se=se, n_proj=n_proj, p=p)

@@ -29,7 +29,7 @@ from .chart import from_chart
 from .grid import build_grid
 from .harmonics import norm_legendre_table
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .transform import FMT, OperatorSet, _order_slots, analysis
+from .transform import FMT, OperatorSet, analysis
 
 
 class IndefiniteCovariance(ValueError):
@@ -92,16 +92,10 @@ def sigma_blocks(blocks: tuple) -> tuple:
     return tuple(2.0 * B if m == 0 else B for m, B in enumerate(blocks))
 
 
-def _block_slots(L: int):
-    """(m, chart rows) of each (m, part) block of Sigma, in (m, part) order."""
-    ms, _, re, im, _ = _order_slots(L)
-    return [(m, part[ms == m]) for m in range(L) for part in ((re, im) if m else (re,))]
-
-
 def build_sigma(blocks: tuple, L: int) -> np.ndarray:
     """Chart-coordinate covariance; entries off the (m, part) blocks exactly zero."""
     Sigma, S = np.zeros((L * L, L * L)), sigma_blocks(blocks)
-    for m, rows in _block_slots(L):
+    for m, rows in indexing.block_slots(L):
         Sigma[np.ix_(rows, rows)] = S[m]
     return Sigma
 
@@ -116,7 +110,7 @@ def factor_sigma(eig):
     clipped to zero, and each eigenvector's largest-magnitude entry is made
     positive.  Returns (Lambda, min_eigenvalue).
     """
-    slots = _block_slots(len(eig))
+    slots = indexing.block_slots(len(eig))
     w = np.concatenate([eig[m][0] for m, _ in slots])
     min_eig = float(w.min())
     if min_eig < -1e-8:

@@ -12,8 +12,8 @@ j*N_phi + k); spectral vectors are complex in the canonical ordering of
 the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
 conjugate-symmetric to the last bit.
 
-The dense Y (harmonics on the grid, d_X x L^2), U = Y^H Q and the projector
-P = YU are built only on first access: the tests use them, no command does.
+The dense Y (harmonics on the grid, d_X x L^2) and U = Y^H Q are built only
+on first access: the tests use them, no command does.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ def _check_length(name: str, vec: np.ndarray, expected: int) -> np.ndarray:
     if vec.shape[-1] != expected:
         raise ValueError(f"{name} has length {vec.shape[-1]}, expected {expected}")
     return vec
-
-
-def _pad8(n: int) -> int:
-    return n + -n % 8
 
 
 @dataclass(frozen=True)
@@ -76,16 +72,14 @@ class OperatorSet:
     @cached_property
     def Y(self) -> np.ndarray:
         """Harmonics evaluated on the grid, complex d_X x L^2."""
-        L, n_theta = self.L, 2 * self.L
+        L = self.L
+        m, ell, plus, minus, sign = indexing.order_slots(L)
         phase = np.exp(1j * np.outer(np.arange(L), self.grid.phi))  # (L, n_phi), row m
+        cols = (self.legendre[m, :2 * L, ell][:, :, None] * phase[m, None, :]).reshape(len(m), -1)
         Y = np.empty((self.d_spatial, self.d_spectral), dtype=complex)
-        for ell in range(L):
-            for m in range(ell + 1):
-                col = np.outer(self.legendre[m, :n_theta, ell], phase[m]).reshape(-1)
-                Y[:, indexing.spectral_index(ell, m)] = col
-                if m > 0:
-                    sign = -1.0 if m % 2 else 1.0
-                    Y[:, indexing.spectral_index(ell, -m)] = sign * np.conj(col)
+        Y[:, plus] = cols.T
+        neg = m > 0  # column (ell, -m) is (-1)^m times the conjugate of (ell, m)
+        Y[:, minus[neg]] = (sign[neg, None] * np.conj(cols[neg])).T
         Y.setflags(write=False)
         return Y
 
@@ -96,25 +90,14 @@ class OperatorSet:
         U.setflags(write=False)
         return U
 
-    def projector(self) -> np.ndarray:
-        """P = YU, materialized on demand (d_X x d_X)."""
-        return self.Y @ self.U
-
 
 def build_operators(L: int) -> OperatorSet:
     """Grid, ring weights and the padded per-order Legendre table."""
     grid = build_grid(L)
     plm = norm_legendre_table(L, np.cos(grid.theta))  # (L, L, n_theta): [ell, m, ring]
-    legendre = np.zeros((L, _pad8(2 * L), _pad8(L)))
+    legendre = np.zeros((L, indexing.pad8(2 * L), indexing.pad8(L)))
     legendre[:, :2 * L, :L] = plm.transpose(1, 2, 0)
     return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
-
-
-def _order_slots(L: int):
-    """(m, ell, +m slot, -m slot, (-1)^m) over the pairs ell >= m >= 0."""
-    ell, m = np.tril_indices(L)
-    plus = ell * ell + np.where(m > 0, 2 * m - 1, 0)
-    return m, ell, plus, ell * ell + 2 * m, np.where(m % 2, -1.0, 1.0)
 
 
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
@@ -131,7 +114,7 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     R[:, :n, :n_theta] = F.real.transpose(2, 0, 1)
     R[:, n:, :n_theta] = F.imag.transpose(2, 0, 1)
     C = R @ ops.legendre  # (L, 2n, pad8(L)): [m, Re/Im x n, ell]
-    m, ell, plus, minus, sign = _order_slots(L)
+    m, ell, plus, minus, sign = indexing.order_slots(L)
     re, im = C[m, :n, ell].T, C[m, n:, ell].T  # (n, pairs)
     a = np.empty((n, L * L), dtype=complex)
     a.real[:, plus], a.imag[:, plus] = re, im
@@ -155,7 +138,7 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     n = A.shape[0]
     # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell
     S = np.zeros((L, 4 * n, ops.legendre.shape[2]))
-    m, ell, plus, minus, sign = _order_slots(L)
+    m, ell, plus, minus, sign = indexing.order_slots(L)
     S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
     neg = m > 0
     S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T

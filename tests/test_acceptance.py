@@ -17,11 +17,11 @@ import pytest
 
 import dense_reference
 import spherediff
+from dense_reference import chart_index
 from spherediff import chart, lossmap, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR
 from spherediff.indexing import (
     chart_entries,
-    chart_index,
     mirror_permutation,
     spectral_index,
 )
@@ -70,7 +70,7 @@ def test_operator_identities_across_band_limits():
     for L in (1, 2, 4, 8, 16):
         ops = transform.build_operators(L)
         eye = np.eye(L * L)
-        P = ops.projector()
+        P = dense_reference.projector(ops)
         worst = max(worst, float(np.linalg.norm(ops.U @ ops.Y - eye)))
         worst = max(worst, float(np.linalg.norm(P @ P - P)))
         rng = np.random.default_rng(100 + L)
@@ -297,7 +297,8 @@ def test_gaussian_roundtrip_recovery_both_domains(ops4, cov4):
 # ---------------------------------------------------------------------------
 
 def test_loss_bound_trials_and_supporting_identities(ops4, cov4):
-    rep = lossmap.check_theorem2_bound(ops4, cov4.Sigma, sde.VpSchedule(), 1000, seed=77)
+    rep = lossmap.check_theorem2_bound(lossmap.build_bound_operators(ops4, cov4.Sigma),
+                                       sde.VpSchedule(), 1000, seed=77)
 
     bops = lossmap.build_bound_operators(ops4, cov4.Sigma)
     eye = np.eye(16)

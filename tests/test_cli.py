@@ -135,7 +135,8 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
 
 def _refuse_dense_operators(monkeypatch, *, bound):
     """Make the dense Y and U raise, and with `bound` also the dense T, T^+, Z
-    and M of the bound operators and the chart matrices, wherever bound."""
+    and M of the bound operators, the dense Sigma and the chart matrices,
+    wherever bound."""
     def refuse(*args, **kwargs):
         raise AssertionError("a dense operator was built")
 
@@ -145,9 +146,10 @@ def _refuse_dense_operators(monkeypatch, *, bound):
         return
     for name in ("T", "Tplus", "Z", "M"):
         monkeypatch.setattr(lossmap.BoundOperators, name, property(refuse))
+    monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "spherediff"]
     for module in modules:
-        for name in ("chart_linear_map", "synthesis_matrix"):
+        for name in ("chart_linear_map", "synthesis_matrix", "build_sigma"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
 
@@ -495,8 +497,8 @@ def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):
     from spherediff import lossmap
 
     calls = []
-    build = lossmap.build_bound_operators
-    monkeypatch.setattr(lossmap, "build_bound_operators",
+    build = lossmap.bound_operators
+    monkeypatch.setattr(lossmap, "bound_operators",
                         lambda *a, **k: calls.append(1) or build(*a, **k))
     out = tmp_path / "bound.json"
     assert main(["bound-check", "--L", "2", "--trials", "20", "--seed", "3",
@@ -515,3 +517,53 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert main(["bound-check", "--L", "2", "--trials", "20",
                      "--seed", "7", "--out", str(o)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+def _sample_pair(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    rng = np.random.default_rng(4)
+    for path in (a, b):
+        noise.save_samples(path, rng.standard_normal((6, 4)), {"L": 2, "t": 1.0, "seed": 0})
+    return ["--a", str(a), "--b", str(b), "--n-proj", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-operators", "--L", "2"],
+    ["covariance", "--L", "2", "--samples", "10"],
+    ["bound-check", "--L", "2", "--trials", "5"],
+    ["sliced-w"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "sliced-w":
+        argv = argv + _sample_pair(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"spherediff {argv[0]}: error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-operators", "--L", "2"],
+    ["bound-check", "--L", "2", "--trials", "5"],
+    ["diffuse", "--L", "2", "--n", "3", "--steps", "2"],
+    ["sliced-w"],
+], ids=lambda argv: argv[0])
+def test_output_path_that_is_a_directory_is_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "sliced-w":
+        argv = argv + _sample_pair(tmp_path)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    capsys.readouterr()
+    assert main(argv + ["--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"spherediff {argv[0]}: error: ")
+    assert "Is a directory" in err
+
+
+def test_covariance_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["covariance", "--L", "2", "--samples", "10", "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("spherediff covariance: error: ")
+    assert "File exists" in err

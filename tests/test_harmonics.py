@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import lpmv, sph_harm_y
 
+from dense_reference import legendre, norm_constant, norm_legendre, sh_eval
 from spherediff.grid import build_grid, ring_weights_flat
-from spherediff.harmonics import legendre, norm_constant, norm_legendre, norm_legendre_table, sh_eval
+from spherediff.harmonics import norm_legendre_table
 
 
 def test_raw_legendre_matches_scipy():

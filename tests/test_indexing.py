@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from spherediff import indexing
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 17, 64])
 def test_spectral_entries_match_index(L):
     entries = indexing.spectral_entries(L)
     assert len(entries) == L * L
@@ -12,12 +13,12 @@ def test_spectral_entries_match_index(L):
         assert indexing.spectral_index(ell, m) == slot
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 17, 64])
 def test_chart_entries_match_index(L):
     entries = indexing.chart_entries(L)
     assert len(entries) == L * L
     for slot, (ell, m, part) in enumerate(entries):
-        assert indexing.chart_index(ell, m, part) == slot
+        assert dense_reference.chart_index(ell, m, part) == slot
 
 
 def test_spectral_ordering_per_degree():
@@ -31,24 +32,24 @@ def test_spectral_ordering_per_degree():
 
 def test_chart_slot_coincidence():
     # chart Re(a_{ell,m}) shares its slot with spectral (ell, m); Im with (ell, -m)
-    for L in (2, 4, 6):
+    for L in (2, 4, 6, 17, 64):
         for ell in range(L):
-            assert indexing.chart_index(ell, 0, "re") == indexing.spectral_index(ell, 0)
+            assert dense_reference.chart_index(ell, 0, "re") == indexing.spectral_index(ell, 0)
             for m in range(1, ell + 1):
-                assert indexing.chart_index(ell, m, "re") == indexing.spectral_index(ell, m)
-                assert indexing.chart_index(ell, m, "im") == indexing.spectral_index(ell, -m)
+                assert dense_reference.chart_index(ell, m, "re") == indexing.spectral_index(ell, m)
+                assert dense_reference.chart_index(ell, m, "im") == indexing.spectral_index(ell, -m)
 
 
 def test_index_validation():
     with pytest.raises(ValueError):
         indexing.spectral_index(1, 2)
     with pytest.raises(ValueError):
-        indexing.chart_index(1, 0, "im")  # m = 0 has no imaginary slot
+        dense_reference.chart_index(1, 0, "im")  # m = 0 has no imaginary slot
     with pytest.raises(ValueError):
-        indexing.chart_index(2, 1, "abs")
+        dense_reference.chart_index(2, 1, "abs")
 
 
-@pytest.mark.parametrize("L", [1, 2, 4, 8])
+@pytest.mark.parametrize("L", [1, 2, 4, 8, 17, 64])
 def test_mirror_permutation_involution(L):
     perm, sign = indexing.mirror_permutation(L)
     assert np.array_equal(perm[perm], np.arange(L * L))
@@ -62,13 +63,29 @@ def test_mirror_permutation_involution(L):
 
 
 def test_helper_arrays_consistent():
-    L = 4
-    ells = indexing.spectral_ells(L)
-    ms = indexing.spectral_ms(L)
-    for slot, (ell, m) in enumerate(indexing.spectral_entries(L)):
-        assert ells[slot] == ell and ms[slot] == m
-    cms = indexing.chart_ms(L)
-    cim = indexing.chart_is_im(L)
-    for slot, (ell, m, part) in enumerate(indexing.chart_entries(L)):
-        assert cms[slot] == m
-        assert cim[slot] == (part == "im")
+    for L in (4, 17, 64):
+        ells = indexing.spectral_ells(L)
+        ms = indexing.spectral_ms(L)
+        for slot, (ell, m) in enumerate(indexing.spectral_entries(L)):
+            assert ells[slot] == ell and ms[slot] == m
+        cms = indexing.chart_ms(L)
+        cim = indexing.chart_is_im(L)
+        for slot, (ell, m, part) in enumerate(indexing.chart_entries(L)):
+            assert cms[slot] == m
+            assert cim[slot] == (part == "im")
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 17, 64])
+def test_order_and_block_slots_match_the_chart_layout(L):
+    m, ell, plus, minus, sign = indexing.order_slots(L)
+    assert np.array_equal(plus, [indexing.spectral_index(e, k) for e, k in zip(ell, m)])
+    assert np.array_equal(minus, [indexing.spectral_index(e, -k) for e, k in zip(ell, m)])
+    assert np.array_equal(sign, (-1.0) ** m)
+    blocks = indexing.block_slots(L)
+    assert [k for k, _ in blocks] == [k for k in range(L) for _ in range(2 if k else 1)]
+    cms, cim = indexing.chart_ms(L), indexing.chart_is_im(L)
+    for i, (k, rows) in enumerate(blocks):
+        part = i > 0 and k == blocks[i - 1][0]  # the second block of an order is Im
+        assert np.all(cms[rows] == k) and np.all(cim[rows] == part)
+        assert np.array_equal(indexing.spectral_ells(L)[rows], np.arange(k, L))
+    assert np.array_equal(np.sort(np.concatenate([r for _, r in blocks])), np.arange(L * L))

@@ -137,7 +137,8 @@ def test_auxiliary_score_real_on_bandlimited_inputs(ops_cache):
 
 def test_bound_holds_over_trials(ops_cache, cov_cache):
     rep = lossmap.check_theorem2_bound(
-        ops_cache[2], cov_cache[2].Sigma, sde.VpSchedule(), 500, seed=123
+        lossmap.build_bound_operators(ops_cache[2], cov_cache[2].Sigma), sde.VpSchedule(), 500,
+        seed=123
     )
     assert rep["violations"] == 0
     assert rep["min_slack"] > 0
@@ -152,14 +153,6 @@ def test_uz_vanishes_identically(ops_cache, cov_cache):
     for L in (2, 4):
         b = lossmap.build_bound_operators(ops_cache[L], cov_cache[L].Sigma)
         assert np.max(np.abs(ops_cache[L].U @ b.Z)) < 1e-13
-
-
-def test_bound_check_reuses_given_bound_operators(ops_cache, cov_cache):
-    ops, Sigma = ops_cache[4], cov_cache[4].Sigma
-    bops = lossmap.build_bound_operators(ops, Sigma)
-    built = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9)
-    given = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9, bops=bops)
-    assert given == built
 
 
 def _loop_terms(ops, bops, schedule, draws):
@@ -195,7 +188,7 @@ def test_batched_bound_terms_match_a_per_trial_loop(L, ops_cache, cov_cache):
     bops = lossmap.build_bound_operators(ops, Sigma)
     schedule, n, seed = sde.VpSchedule(), 60, 31 + L
     draws = lossmap._draw_trials(np.random.default_rng(seed), n, L * L, schedule, 1e-3)
-    lhs, term_q, gap = lossmap._trial_terms(ops, bops, schedule, draws)
+    lhs, term_q, gap = lossmap._trial_terms(bops, schedule, draws)
     ref_lhs, ref_q, ref_gap = _loop_terms(ops, bops, schedule, draws)
     rhs, ref_rhs = 2.0 * (term_q + gap), 2.0 * (ref_q + ref_gap)
 
@@ -209,7 +202,7 @@ def test_batched_bound_terms_match_a_per_trial_loop(L, ops_cache, cov_cache):
     assert close(gap, ref_gap) <= 1e-12
     assert close(rhs - lhs, ref_rhs - ref_lhs) <= 1e-12
     # the check reads exactly these draws from its seed
-    rep = lossmap.check_theorem2_bound(ops, Sigma, schedule, n, seed, bops=bops)
+    rep = lossmap.check_theorem2_bound(bops, schedule, n, seed)
     ref_slack = ref_rhs - ref_lhs
     assert rep["n_trials"] == n and rep["violations"] == 0
     assert abs(rep["min_slack"] - ref_slack.min()) <= 1e-12 * max(1.0, abs(ref_slack.min()))
@@ -226,5 +219,5 @@ def test_bound_check_runs_no_eigendecomposition_given_the_operators(
         raise AssertionError("eigendecomposition called")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    rep = lossmap.check_theorem2_bound(ops, Sigma, sde.VpSchedule(), 30, seed=9, bops=bops)
+    rep = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), 30, seed=9)
     assert rep["n_trials"] == 30 and rep["violations"] == 0

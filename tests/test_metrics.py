@@ -11,12 +11,9 @@ from spherediff import metrics
 def test_identical_samples_give_zero():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((200, 6))
-    res = metrics.sliced_wasserstein(
-        a, a.copy(), n_proj=64, seed=1, keep_per_projection=True
-    )
+    res = metrics.sliced_wasserstein(a, a.copy(), n_proj=64, seed=1)
     assert res.value == 0.0
     assert res.se == 0.0
-    assert res.per_projection.shape == (64,)
 
 
 def test_argument_order_symmetry():
@@ -91,7 +88,6 @@ def test_result_confidence_interval_field():
     np.testing.assert_allclose(hi - lo, 4.0 * res.se)
     np.testing.assert_allclose(0.5 * (hi + lo), res.value)
     assert res.n_proj == 50 and res.p == 2.0
-    assert res.per_projection is None
 
 
 def test_validation_errors():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import BAND_LIMITS
+from dense_reference import chart_index
 from spherediff import chart, noise, transform
-from spherediff.indexing import chart_index, chart_is_im, chart_ms
+from spherediff.indexing import chart_is_im, chart_ms
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS)
