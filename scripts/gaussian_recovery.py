@@ -29,6 +29,10 @@ def run_domain(domain, L, schedule, law, n, seed):
             "aborted_paths": len(aborted)}
 
 
+def _f4(x) -> str:
+    return "n/a (zero reference)" if x is None else f"{x:.4f}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--L", type=int, default=4)
@@ -54,8 +58,8 @@ def main() -> int:
         res = run_domain(d, args.L, schedule, law, args.n, args.seed)
         report[d] = res
         print(
-            f"{d}: mean rel {res['mean_rel_error']:.4f}, "
-            f"cov rel Frobenius {res['cov_rel_frobenius_error']:.4f}, "
+            f"{d}: mean rel {_f4(res['mean_rel_error'])}, "
+            f"cov rel Frobenius {_f4(res['cov_rel_frobenius_error'])}, "
             f"SW vs fresh data {res['sliced_w_vs_fresh_data']:.4f} "
             f"± {res['sliced_w_2se']:.4f}"
         )

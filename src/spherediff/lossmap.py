@@ -1,9 +1,7 @@
 """Score-matching losses in both domains and the frequency/spatial bound.
 
-The frequency loss ||s_hat - Sigma s_ref||^2 uses the complex 2-norm over
-coefficient space; for chart-represented scores (lifted via the chart
-bijection) this equals a weighted quadratic form with weight 1 on m = 0 slots
-and 2 elsewhere.  The spatial loss is the Q-weighted squared norm.
+`loss_frequency` and `loss_spatial` take chart vectors held one order at a
+time (`_by_order`) and give one value per row.
 
 The bound machinery decomposes the chart-to-grid synthesis map M into the
 pseudoinverse part T+ = T^T Sigma^{-1} (a right inverse of T, since
@@ -13,29 +11,23 @@ checked by `check_theorem2_bound` is, per trial,
     ||s_hat - Sigma s_ref||^2  <=  2 ( ||s' - T^T s_ref||_Q^2
                                        + ||U Z Sigma s_ref||^2 )
 
-with s_ref the Gaussian transition-kernel chart score and s' the auxiliary
-spatial score x -> Y s_hat(U x).  Everything is evaluated on closed-form
-VP-schedule kernels, so no training is involved.  The test score s_hat
-contains a random linear map G applied at the one point z_t, so each trial
-draws G z_t from its exact law N(0, 0.25 |z_t|^2 / d I), not a d x d
-matrix, and all trials are evaluated together as row-batched products.
-The bound works with the per-order blocks of these operators (`BoundOperators`).
+with s' = Y s_hat(U .) the auxiliary spatial score and s_ref the Gaussian
+transition-kernel chart score, on closed-form VP-schedule kernels, so no
+training is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
-from .indexing import block_slots, order_slots, pad8
+# unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
+from .chart import from_chart  # noqa: F401
+from .indexing import order_slots, pad8
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
-from .noise import _frozen
-from .sde import ScoreField, VpSchedule
-from .transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual, q_norm_sq,
-                        synthesis)
+from .sde import VpSchedule
+from .transform import OperatorSet
 
 
 @dataclass(frozen=True)
@@ -52,8 +44,7 @@ class BoundOperators:
     T T^+ = H (x) g and T Z = K (x) g.  Arrays are (L, pad8(L), pad8(L)),
     [m, ell, ell'], zero off ell >= m, and every product stays inside the
     limits of `metrics._fixed_order_matmul`, so no block depends on the BLAS
-    thread count.  The dense d_X x L^2 `T`, `M`, `Tplus` and `Z` are built
-    on first access: the tests use them, no command does.
+    thread count.
     """
 
     L: int
@@ -70,25 +61,6 @@ class BoundOperators:
     K: np.ndarray           # mult A - H
     eye: np.ndarray         # the identity on the slots ell >= m
     gram: tuple             # (cc, cs, ss), each (L, 1, 1)
-
-    @cached_property
-    def T(self) -> np.ndarray:
-        return _frozen(chart_linear_map(self.ops))
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        return _frozen(synthesis_matrix(self.ops))
-
-    @cached_property
-    def Tplus(self) -> np.ndarray:
-        Tplus = np.empty_like(self.T.T)
-        for m, i in block_slots(self.L):  # T^T Sigma^+, one (m, part) block of Sigma at a time
-            Tplus[:, i] = self.T.T[:, i] @ self.sigma_pinv[m, m:self.L, m:self.L]
-        return _frozen(Tplus)
-
-    @cached_property
-    def Z(self) -> np.ndarray:
-        return _frozen(self.M - self.Tplus)
 
 
 def bound_operators(ops: OperatorSet, sigma_blocks) -> BoundOperators:
@@ -131,14 +103,23 @@ def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators
 
 
 def order_residuals(bops: BoundOperators) -> dict:
-    """Max |T T^T - Sigma|, |T Z| and |T T^+ - I| over the orders."""
+    """Max |T T^T - Sigma|, |T Z| and |T T^+ - I| over the orders, and the
+    Frobenius norms of UY - I and of PP - P (P = YU the real projector)."""
     cc, cs, ss = bops.gram
     im = (bops.mult > 1)[:, None, None]  # m = 0 has no Im chart rows
+    # per order, UY = N V^T Q V (N = 2L-1, once for each of +-m) and the real
+    # projector is P_m = N V V^T Q, so PP - P = N V (UY - I) V^T Q; the ring DFT
+    # is unitary, so the Frobenius norms add over the bins (one einsum each)
+    leg, n_phi = bops.ops.legendre, 2 * bops.L - 1
+    D = n_phi * bops.A - bops.eye
+    E = n_phi * ((leg @ D) @ (leg * bops.q[:, None]).transpose(0, 2, 1))
 
     def max_abs(*mats):
         return float(max(np.max(np.abs(x)) for x in mats))
 
     return {
+        "uy_minus_identity": float(np.sqrt(np.einsum("m,mij,mij->", bops.mult, D, D))),
+        "projector_idempotence": float(np.sqrt(np.einsum("m,mij,mij->", bops.mult, E, E))),
         "tt_transpose_minus_sigma": max_abs(cc * bops.B - bops.sigma, cs * bops.B,
                                             ss * bops.B - bops.sigma * im),
         "t_z": max_abs(cc * bops.K, cs * bops.K, ss * bops.K),
@@ -156,72 +137,6 @@ def identity_residuals(bops: BoundOperators) -> dict:
     return {"t_tplus_minus_identity": res["t_tplus_minus_identity"], "t_z": res["t_z"],
             "m_minus_tplus_plus_z": float(np.max(np.abs(M - (Tplus + (M - Tplus))))),
             "sigma_condition_number": bops.sigma_cond}
-
-
-def _eval(score, x, t):
-    return score(x, t) if callable(score) else np.asarray(score)
-
-
-def loss_spatial(s_hat, s_ref, ops: OperatorSet, x=None, t=None) -> float:
-    """||s_hat - s_ref||_Q^2; score arguments may be vectors or callables."""
-    d = np.asarray(_eval(s_hat, x, t), dtype=float) - np.asarray(s_ref, dtype=float)
-    return q_norm_sq(ops, d)
-
-
-def chart_sq_norm(dz: np.ndarray, L: int) -> float:
-    """Complex squared 2-norm of the lifted chart vector (m > 0 counted twice)."""
-    dz = np.asarray(dz, dtype=float)
-    return float(np.sum(chart_weights(L) * dz * dz))
-
-
-def coerce_chart_score(s, L: int, *, tol: float = 1e-8) -> np.ndarray:
-    """Accept a chart vector or a mirror-symmetric complex coefficient vector."""
-    s = np.asarray(s)
-    if np.iscomplexobj(s):
-        resid = mirror_residual(s, L)
-        if resid > tol:
-            raise ConstraintViolation(
-                f"frequency score breaks conjugate symmetry by {resid:.3e}"
-            )
-        return to_chart(s, L, tol=tol)
-    return s.astype(float)
-
-
-def loss_frequency(s_hat, s_ref, Sigma: np.ndarray, L: int, a=None, t=None) -> float:
-    """||s_hat - Sigma s_ref||^2 in the complex norm, via chart coordinates.
-
-    `s_ref` is the transition-kernel chart score (Sigma is applied here);
-    either score may be a complex coefficient vector (symmetry enforced).
-    """
-    sh = coerce_chart_score(_eval(s_hat, a, t), L)
-    sr = coerce_chart_score(_eval(s_ref, a, t), L)
-    return chart_sq_norm(sh - np.asarray(Sigma, dtype=float) @ sr, L)
-
-
-def loss_frequency_complex(s_hat, s_ref, Sigma: np.ndarray, L: int) -> float:
-    """Same loss evaluated through the explicit complex lift (cross-check)."""
-    sh = coerce_chart_score(s_hat, L)
-    sr = coerce_chart_score(s_ref, L)
-    diff = from_chart(sh - Sigma @ sr, L)
-    return float(np.vdot(diff, diff).real)
-
-
-def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet) -> ScoreField:
-    """Spatial score x -> Y s_hat(U x), lifted through the chart.
-
-    Mirror symmetry of the lifted score makes the output real; the imaginary
-    residue is checked against 1e-10 and stripped.
-    """
-    if s_hat_chart.domain != "chart":
-        raise ValueError("auxiliary score requires a chart-domain score field")
-    L = ops.L
-
-    def fn(x, t):
-        z = to_chart(analysis(ops, np.atleast_2d(x)), L)
-        s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
-        return synthesis(ops, s_complex, imag_tol=1e-10).reshape(np.shape(x))
-
-    return ScoreField(fn=fn, domain="spatial")
 
 
 def _draw_trials(rng, n_trials: int, d: int, schedule: VpSchedule, t_floor: float) -> dict:
@@ -251,66 +166,78 @@ def _gram(bops: BoundOperators, v: np.ndarray) -> np.ndarray:
     return np.stack([cc * v[0] + cs * v[1], cs * v[0] + ss * v[1]])
 
 
+def _chart_sq_norm(bops: BoundOperators, x: np.ndarray) -> np.ndarray:
+    """Per row, the complex squared 2-norm of the lifted chart vectors x: the
+    chart form with weight 1 on m = 0 slots and 2 elsewhere (x is zero in the
+    m = 0 Im slots, so both parts weigh `mult`)."""
+    return np.einsum("m,pmij,pmij->i", bops.mult, x, x)
+
+
+def loss_frequency(bops: BoundOperators, s_hat: np.ndarray, sigma_s_ref: np.ndarray):
+    """||s_hat - Sigma s_ref||^2 per row in the complex 2-norm, given Sigma s_ref."""
+    return _chart_sq_norm(bops, s_hat - sigma_s_ref)
+
+
+def loss_spatial(bops: BoundOperators, s_hat: np.ndarray, s_ref: np.ndarray):
+    """||M s_hat - T^T s_ref||_Q^2 per row: at x = M z, U x lifts back to z, so
+    the auxiliary spatial score Y s_hat(U x) is M s_hat.
+
+    T^T = Q M W^{-1} (W = diag(chart_weights)).  Per order, the columns of M
+    are mult Pbar_{ell,m}(theta_j) times the trig rows, and the trig rows of
+    different orders are orthogonal over a ring, so the Q-norm sums the
+    ring-weighted g-forms of the orders.
+    """
+    leg = bops.ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
+    r = (s_hat * bops.mult[:, None, None]) @ leg
+    r -= s_ref @ (leg * bops.q)
+    return np.einsum("j,pmij,pmij->i", bops.q, _gram(bops, r), r)
+
+
 def _trial_terms(bops: BoundOperators, schedule: VpSchedule, draws: dict):
     """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
 
-    The chart vectors are held per order ([part, m, trial, ell], `_by_order`),
-    where Sigma, Sigma^{1/2}, Sigma^+ and T Z act block by block.  The
-    per-order products stay inside the limits of `_fixed_order_matmul`, and
-    every per-trial quadratic form is one einsum row reduction, so the terms
-    have the same bits under any BLAS thread count.  No d_X x L^2 or
-    L^2 x L^2 matrix is used.
+    Each per-order array is dropped after its last use.  Every product stays
+    inside the limits of `_fixed_order_matmul` and every per-trial form is one
+    einsum row reduction, so the terms have the same bits under any BLAS
+    thread count.
     """
     t, L, d = draws["t"], bops.L, draws["z0"].shape[1]
     m = np.array([schedule.mean_coeff(s) for s in t])[:, None]
     v = np.array([schedule.marginal_var(s) for s in t])[:, None]
-    z0 = _by_order(draws["z0"], L)
-    z_t = m * z0 + np.sqrt(v) * (_by_order(draws["xi"], L) @ bops.sigma_root.transpose(0, 2, 1))
+    m_z0 = m * _by_order(draws["z0"], L)
+    z_t = m_z0 + np.sqrt(v) * (_by_order(draws["xi"], L) @ bops.sigma_root.transpose(0, 2, 1))
 
     # kernel score of N(m z0, v Sigma): Sigma s_ref = -(z_t - m z0)/v needs no
     # inverse; s_ref = Sigma^+ (Sigma s_ref) through the blocks Sigma_m^+
-    sigma_s_ref = -(z_t - m * z0) / v
-    s_ref = sigma_s_ref @ bops.sigma_pinv.transpose(0, 2, 1)
+    sigma_s_ref = -(z_t - m_z0) / v
+    del m_z0
 
     # test score s_hat = G z_t + offset + alpha Sigma s_ref with G_ij ~ N(0, 0.25/d)
     # i.i.d.; given z_t, G z_t ~ N(0, 0.25 |z_t|^2 / d I), drawn as such
     sd = np.sqrt(0.25 / d * np.einsum("pmij,pmij->i", z_t, z_t))[:, None]
-    g_z = sd * _by_order(draws["g"], L)
-    s_hat = g_z + _by_order(draws["offset"], L) + draws["alpha"][:, None] * sigma_s_ref
-    e = s_hat - sigma_s_ref  # zero in the m = 0 Im slots, so both parts weigh `mult`
-    lhs = np.einsum("m,pmij,pmij->i", bops.mult, e, e)
-
-    # auxiliary spatial score at x_t = M z_t: U x_t lifts back to z_t, so
-    # s'(x_t) = Y from_chart(s_hat) = M s_hat; it is compared with T^T s_ref =
-    # Q M W^{-1} s_ref (W = diag(chart_weights)).  Per order, the columns of
-    # M are mult Pbar_{ell,m}(theta_j) (those of M W^{-1} Pbar_{ell,m}) times
-    # the trig rows, and the trig rows of different orders are orthogonal
-    # over a ring, so ||r||_Q^2 sums the ring-weighted g-forms of the orders
-    leg = bops.ops.legendre.transpose(0, 2, 1)  # [m, ell, ring]
-    r = (s_hat * bops.mult[:, None, None]) @ leg - s_ref @ (leg * bops.q)
-    term_q = np.einsum("j,pmij,pmij->i", bops.q, _gram(bops, r), r)
+    del z_t
+    s_hat = (sd * _by_order(draws["g"], L) + _by_order(draws["offset"], L)
+             + draws["alpha"][:, None] * sigma_s_ref)
+    lhs = loss_frequency(bops, s_hat, sigma_s_ref)
+    term_q = loss_spatial(bops, s_hat, sigma_s_ref @ bops.sigma_pinv.transpose(0, 2, 1))
+    del s_hat
 
     # U x is conjugate-symmetric for real x = Z Sigma s_ref, so its squared
     # norm is the chart-weighted one of T x = to_chart(U x); T Z is K (x) g
-    gap = _gram(bops, sigma_s_ref @ bops.K.transpose(0, 2, 1))
-    return lhs, term_q, np.einsum("m,pmij,pmij->i", bops.mult, gap, gap)
+    return lhs, term_q, _chart_sq_norm(bops, _gram(bops, sigma_s_ref @ bops.K.transpose(0, 2, 1)))
 
 
 def check_theorem2_bound(bops: BoundOperators, schedule: VpSchedule, n_trials: int,
                          seed) -> dict:
     """Monte Carlo check of the frequency-vs-spatial loss inequality.
 
-    Each trial draws t ~ U(1e-3, T), z0 ~ N(0, I), z_t from the VP kernel
-    N(m(t) z0, v(t) Sigma) as m z0 + sqrt(v) Sigma^{1/2} xi, xi ~ N(0, I),
+    Each trial draws t ~ U(1e-3, T), z0 ~ N(0, I), z_t ~ N(m(t) z0, v(t) Sigma)
     and a test score s_hat = G z_t + offset + alpha Sigma s_ref, with
     G_ij ~ N(0, 0.25/d) i.i.d., offset ~ N(0, 0.25 I) and alpha ~ U(0, 2):
-    near-oracle and far-off scores alike.  Only G z_t
-    enters, so it is drawn from its exact law N(0, 0.25 |z_t|^2/d I) with d
-    normals instead of a d x d matrix.  All trials are drawn as arrays and
-    evaluated as one batch (memory O(n_trials * d_X)); a trial is a
-    violation when slack = RHS - LHS < -1e-8 * max(1, RHS).  The kit `bops`
-    holds each order's Sigma_m^{1/2} and Sigma_m^+, so no eigendecomposition
-    runs here.
+    near-oracle and far-off scores alike.  Only G z_t enters, so it is drawn
+    from its exact law N(0, 0.25 |z_t|^2/d I), not as a d x d matrix.  All
+    trials are evaluated as one batch; a trial is a violation when
+    slack = RHS - LHS < -1e-8 * max(1, RHS).
     """
     draws = _draw_trials(np.random.default_rng(seed), n_trials, bops.L * bops.L, schedule, 1e-3)
     lhs, term_q, gap_sq = _trial_terms(bops, schedule, draws)

@@ -51,17 +51,19 @@ def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[..., :n] if pad else out
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm as one fixed-order reduction, so it does not depend on
-    the BLAS thread count (np.linalg.norm reduces with a threaded BLAS dot).
+def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
+    """|err| / |ref| in the Frobenius norm, None where |ref| is exactly 0.
 
-    einsum's sum of products runs without BLAS and without a temporary the
-    size of x; complex x is read through its real view (re, im interleaved).
+    Each norm is one einsum sum of products, in a fixed order without BLAS, so
+    it does not depend on the BLAS thread count (np.linalg.norm reduces with a
+    threaded BLAS dot), and needs no temporary the size of its argument.
     """
-    v = np.ravel(x)
-    if np.iscomplexobj(v):
-        v = v.view(float)
-    return float(np.sqrt(np.einsum("i,i->", v, v)))
+    def norm(x):
+        v = np.ravel(x)
+        return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+    den = norm(ref)
+    return norm(err) / den if den else None
 
 
 @functools.cache

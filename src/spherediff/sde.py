@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chart, noise, transform
-from .metrics import _fixed_order_eigh, _fixed_order_matmul, _frobenius
+from .metrics import _fixed_order_eigh, _fixed_order_matmul, _rel_frobenius
 
 BLOWUP_LIMIT = 1e6
 
@@ -384,7 +384,7 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     from seed + 2 (`reverse_exact`).  Returns
     (final_state, aborted, errors); errors are the relative mean and covariance
     Frobenius errors against the law in the run's domain after a reverse run
-    of n >= 2 paths, else None.
+    of n >= 2 paths (each None where the law's norm is 0), else None.
     """
     if direction != "forward" and (direction != "reverse" or law is None):
         raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
@@ -410,7 +410,7 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         return state, aborted + more, None
     target = S if in_chart else M @ S @ M.T
     return state, aborted + more, {
-        "mean_rel_error": _frobenius(state.values.mean(axis=0) - mean) / _frobenius(mean),
-        "cov_rel_frobenius_error": (_frobenius(noise.empirical_covariance(state.values) - target)
-                                    / _frobenius(target)),
+        "mean_rel_error": _rel_frobenius(state.values.mean(axis=0) - mean, mean),
+        "cov_rel_frobenius_error": _rel_frobenius(
+            noise.empirical_covariance(state.values) - target, target),
     }

@@ -1,14 +1,21 @@
 """Dense and scalar reference forms that only the tests use.
 
 They check the library's identities through the dense operators `ops.Y` and
-`ops.U`, which no command builds, and through per-entry evaluations of the
-harmonics and the chart slots.
+`ops.U`, and the dense T, M, T+ and Z of a bound kit, which no command
+builds; through per-entry evaluations of the harmonics and the chart slots;
+and through the score-matching losses of one score vector at a time, the
+oracle of the batched per-order `lossmap.loss_frequency` and
+`lossmap.loss_spatial`.
 """
 
 import numpy as np
 
+from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
-from spherediff.indexing import IM, RE
+from spherediff.indexing import IM, RE, block_slots
+from spherediff.sde import ScoreField
+from spherediff.transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual,
+                                  q_norm_sq, synthesis)
 
 
 def vp_drift_identity_error(ops, schedule, t: float) -> float:
@@ -89,3 +96,93 @@ def chart_index(ell: int, m: int, part: str = RE) -> int:
             raise ValueError("a_{ell,0} has no imaginary chart slot")
         return ell * ell
     return ell * ell + 2 * m - (1 if part == RE else 0)
+
+
+def T(bops) -> np.ndarray:
+    """The dense chart map T (L^2 x d_X) of a bound kit."""
+    return chart_linear_map(bops.ops)
+
+
+def M(bops) -> np.ndarray:
+    """The dense chart-to-grid synthesis map M (d_X x L^2) of a bound kit."""
+    return synthesis_matrix(bops.ops)
+
+
+def Tplus(bops) -> np.ndarray:
+    """T+ = T^T Sigma^+, one (m, part) block of Sigma at a time."""
+    Tt = T(bops).T
+    out = np.empty_like(Tt)
+    for m, i in block_slots(bops.L):
+        out[:, i] = Tt[:, i] @ bops.sigma_pinv[m, m:bops.L, m:bops.L]
+    return out
+
+
+def Z(bops) -> np.ndarray:
+    """The kernel part Z = M - T+, with T Z = 0."""
+    return M(bops) - Tplus(bops)
+
+
+def _eval(score, x, t):
+    return score(x, t) if callable(score) else np.asarray(score)
+
+
+def loss_spatial(s_hat, s_ref, ops: OperatorSet, x=None, t=None) -> float:
+    """||s_hat - s_ref||_Q^2; score arguments may be vectors or callables."""
+    d = np.asarray(_eval(s_hat, x, t), dtype=float) - np.asarray(s_ref, dtype=float)
+    return q_norm_sq(ops, d)
+
+
+def chart_sq_norm(dz: np.ndarray, L: int) -> float:
+    """Complex squared 2-norm of the lifted chart vector (m > 0 counted twice)."""
+    dz = np.asarray(dz, dtype=float)
+    return float(np.sum(chart_weights(L) * dz * dz))
+
+
+def coerce_chart_score(s, L: int, *, tol: float = 1e-8) -> np.ndarray:
+    """Accept a chart vector or a mirror-symmetric complex coefficient vector."""
+    s = np.asarray(s)
+    if np.iscomplexobj(s):
+        resid = mirror_residual(s, L)
+        if resid > tol:
+            raise ConstraintViolation(
+                f"frequency score breaks conjugate symmetry by {resid:.3e}"
+            )
+        return to_chart(s, L, tol=tol)
+    return s.astype(float)
+
+
+def loss_frequency(s_hat, s_ref, Sigma: np.ndarray, L: int, a=None, t=None) -> float:
+    """||s_hat - Sigma s_ref||^2 in the complex norm, via chart coordinates.
+
+    `s_ref` is the transition-kernel chart score (Sigma is applied here);
+    either score may be a complex coefficient vector (symmetry enforced).
+    """
+    sh = coerce_chart_score(_eval(s_hat, a, t), L)
+    sr = coerce_chart_score(_eval(s_ref, a, t), L)
+    return chart_sq_norm(sh - np.asarray(Sigma, dtype=float) @ sr, L)
+
+
+def loss_frequency_complex(s_hat, s_ref, Sigma: np.ndarray, L: int) -> float:
+    """Same loss evaluated through the explicit complex lift (cross-check)."""
+    sh = coerce_chart_score(s_hat, L)
+    sr = coerce_chart_score(s_ref, L)
+    diff = from_chart(sh - Sigma @ sr, L)
+    return float(np.vdot(diff, diff).real)
+
+
+def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet) -> ScoreField:
+    """Spatial score x -> Y s_hat(U x), lifted through the chart.
+
+    Mirror symmetry of the lifted score makes the output real; the imaginary
+    residue is checked against 1e-10 and stripped.
+    """
+    if s_hat_chart.domain != "chart":
+        raise ValueError("auxiliary score requires a chart-domain score field")
+    L = ops.L
+
+    def fn(x, t):
+        z = to_chart(analysis(ops, np.atleast_2d(x)), L)
+        s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
+        return synthesis(ops, s_complex, imag_tol=1e-10).reshape(np.shape(x))
+
+    return ScoreField(fn=fn, domain="spatial")

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spherediff import chart, cli, lossmap, noise, sde, transform
+from spherediff import chart, cli, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -134,8 +134,8 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
 
 
 def _refuse_dense_operators(monkeypatch, *, bound):
-    """Make the dense Y and U raise, and with `bound` also the dense T, T^+, Z
-    and M of the bound operators, the dense Sigma and the chart matrices,
+    """Make the dense Y and U raise, and with `bound` also the dense Sigma and
+    the chart matrices (from which any dense T, T^+, Z or M is built),
     wherever bound."""
     def refuse(*args, **kwargs):
         raise AssertionError("a dense operator was built")
@@ -144,8 +144,6 @@ def _refuse_dense_operators(monkeypatch, *, bound):
         monkeypatch.setattr(transform.OperatorSet, name, property(refuse))
     if not bound:
         return
-    for name in ("T", "Tplus", "Z", "M"):
-        monkeypatch.setattr(lossmap.BoundOperators, name, property(refuse))
     monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "spherediff"]
     for module in modules:
@@ -198,6 +196,14 @@ def test_covariance_outputs(tmp_path):
     summary = _read_json(out_dir / "summary.json")
     assert summary["rel_frobenius_error"] < 0.3
     assert summary["samples"] == 2000
+
+
+def test_covariance_at_a_subnormal_time_reports_no_relative_error(tmp_path):
+    # t Sigma is subnormal, so its squares and its Frobenius norm are exactly 0
+    out_dir = tmp_path / "cov"
+    assert main(["covariance", "--L", "2", "--samples", "10", "--t", "1e-320",
+                 "--out-dir", str(out_dir)]) == 0
+    assert _read_json(out_dir / "summary.json")["rel_frobenius_error"] is None
 
 
 def test_covariance_usage_errors():
@@ -323,6 +329,30 @@ def test_diffuse_rejects_bad_config_values(tmp_path, capsys, cfg):
                  "--config", str(path)]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("spherediff diffuse: error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+@pytest.mark.parametrize("law,rc", [
+    ({"data_mean_scale": 0}, 0),       # zero mean: its relative error has no reference
+    ({"data_cov_scale": 1e-200}, 1),   # the covariance's norm underflows to 0
+    ({"data_cov_scale": 1e-310}, 1),   # subnormal: its eigendecomposition fails
+], ids=["zero-mean", "cov-1e-200", "cov-1e-310"])
+def test_reverse_diffuse_on_degenerate_laws(law, rc, domain, tmp_path, capsys):
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps(law))
+    out = tmp_path / "rev.csv"
+    capsys.readouterr()
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain, "--L", "3", "--n", "50",
+                 "--steps", "20", "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == ("spherediff diffuse: error: need data_mean_scale >= 0 and "
+                       "data_cov_scale >= 1.49e-154\n")
+        assert not out.exists()
+        return
+    diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
+    assert diag["mean_rel_error"] is None and np.isfinite(diag["cov_rel_frobenius_error"])
 
 
 def test_diffuse_config_accepts_data_seed(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from conftest import BAND_LIMITS, random_symmetric_coeffs
 from spherediff import chart, lossmap, noise, sde, transform
 from spherediff.grid import ring_weights_flat
@@ -10,10 +13,11 @@ from spherediff.transform import ConstraintViolation
 @pytest.mark.parametrize("L", BAND_LIMITS)
 def test_bound_operator_identities(L, ops_cache, cov_cache):
     b = lossmap.build_bound_operators(ops_cache[L], cov_cache[L].Sigma)
+    T, M, Tplus, Z = dense.T(b), dense.M(b), dense.Tplus(b), dense.Z(b)
     eye = np.eye(L * L)
-    assert np.max(np.abs(b.T @ b.Tplus - eye)) < 1e-10
-    assert np.max(np.abs(b.T @ b.Z)) < 1e-10
-    assert np.max(np.abs(b.M - (b.Tplus + b.Z))) < 1e-10
+    assert np.max(np.abs(T @ Tplus - eye)) < 1e-10
+    assert np.max(np.abs(T @ Z)) < 1e-10
+    assert np.max(np.abs(M - (Tplus + Z))) < 1e-10
     assert np.isfinite(b.sigma_cond) and b.sigma_cond >= 1.0
 
 
@@ -21,10 +25,11 @@ def test_bound_operator_identities(L, ops_cache, cov_cache):
 def test_transpose_pseudoinverse_identity(L, ops_cache, cov_cache):
     # T^T y = T+ Sigma y for random y
     b = lossmap.build_bound_operators(ops_cache[L], cov_cache[L].Sigma)
+    T, Tplus = dense.T(b), dense.Tplus(b)
     rng = np.random.default_rng(L)
     for _ in range(100):
         y = rng.standard_normal(L * L)
-        assert np.max(np.abs(b.T.T @ y - b.Tplus @ (cov_cache[L].Sigma @ y))) < 1e-10
+        assert np.max(np.abs(T.T @ y - Tplus @ (cov_cache[L].Sigma @ y))) < 1e-10
 
 
 @pytest.mark.parametrize("L", [2, 4, 8])
@@ -43,22 +48,22 @@ def test_loss_spatial_basic(ops_cache):
     ops = ops_cache[2]
     rng = np.random.default_rng(1)
     s = rng.standard_normal(ops.d_spatial)
-    assert lossmap.loss_spatial(s, s, ops) == 0.0
+    assert dense.loss_spatial(s, s, ops) == 0.0
     d = rng.standard_normal(ops.d_spatial)
-    base = lossmap.loss_spatial(s + d, s, ops)
-    np.testing.assert_allclose(lossmap.loss_spatial(s + 3 * d, s, ops), 9 * base, rtol=1e-12)
+    base = dense.loss_spatial(s + d, s, ops)
+    np.testing.assert_allclose(dense.loss_spatial(s + 3 * d, s, ops), 9 * base, rtol=1e-12)
     # unit difference at one grid point weighs exactly the ring weight
     e = np.zeros(ops.d_spatial)
     e[5] = 1.0
     q = ring_weights_flat(ops.grid)
-    np.testing.assert_allclose(lossmap.loss_spatial(s + e, s, ops), q[5], rtol=1e-14)
+    np.testing.assert_allclose(dense.loss_spatial(s + e, s, ops), q[5], rtol=1e-14)
 
 
 def test_loss_spatial_accepts_callable(ops_cache):
     ops = ops_cache[2]
     x = np.zeros(ops.d_spatial)
     score = sde.ScoreField(fn=lambda v, t: v + 1.0, domain="spatial")
-    assert lossmap.loss_spatial(score, np.ones(ops.d_spatial), ops, x=x, t=0.1) == 0.0
+    assert dense.loss_spatial(score, np.ones(ops.d_spatial), ops, x=x, t=0.1) == 0.0
 
 
 def test_loss_frequency_zero_at_oracle_and_identity_reduction(cov_cache):
@@ -66,12 +71,12 @@ def test_loss_frequency_zero_at_oracle_and_identity_reduction(cov_cache):
     Sigma = cov_cache[L].Sigma
     rng = np.random.default_rng(2)
     s_ref = rng.standard_normal(L * L)
-    assert lossmap.loss_frequency(Sigma @ s_ref, s_ref, Sigma, L) == 0.0
+    assert dense.loss_frequency(Sigma @ s_ref, s_ref, Sigma, L) == 0.0
     # Sigma = I reduces to the plain weighted score-matching distance
     sh = rng.standard_normal(L * L)
-    direct = lossmap.chart_sq_norm(sh - s_ref, L)
+    direct = dense.chart_sq_norm(sh - s_ref, L)
     np.testing.assert_allclose(
-        lossmap.loss_frequency(sh, s_ref, np.eye(L * L), L), direct, rtol=1e-14
+        dense.loss_frequency(sh, s_ref, np.eye(L * L), L), direct, rtol=1e-14
     )
 
 
@@ -82,8 +87,8 @@ def test_loss_frequency_two_evaluations_agree(cov_cache):
     for _ in range(25):
         sh = rng.standard_normal(L * L)
         sr = rng.standard_normal(L * L)
-        a = lossmap.loss_frequency(sh, sr, Sigma, L)
-        b = lossmap.loss_frequency_complex(sh, sr, Sigma, L)
+        a = dense.loss_frequency(sh, sr, Sigma, L)
+        b = dense.loss_frequency_complex(sh, sr, Sigma, L)
         assert abs(a - b) < 1e-10 * max(1.0, a)
 
 
@@ -95,25 +100,43 @@ def test_loss_frequency_accepts_symmetric_complex_and_rejects_asymmetric(cov_cac
     z = chart.to_chart(a, L)
     s_ref = rng.standard_normal(L * L)
     np.testing.assert_allclose(
-        lossmap.loss_frequency(a, s_ref, Sigma, L),
-        lossmap.loss_frequency(z, s_ref, Sigma, L),
+        dense.loss_frequency(a, s_ref, Sigma, L),
+        dense.loss_frequency(z, s_ref, Sigma, L),
         rtol=1e-14,
     )
     bad = a.copy()
     bad[2] += 1.0  # break the (1,1)/(1,-1) mirror pairing
     with pytest.raises(ConstraintViolation):
-        lossmap.loss_frequency(bad, s_ref, Sigma, L)
+        dense.loss_frequency(bad, s_ref, Sigma, L)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 8])
+def test_batched_losses_match_the_per_vector_oracle(L, ops_cache, cov_cache):
+    ops, Sigma = ops_cache[L], cov_cache[L].Sigma
+    bops = lossmap.build_bound_operators(ops, Sigma)
+    T, M = dense.T(bops), dense.M(bops)
+    rng = np.random.default_rng(L + 60)
+    s_hat, s_ref = rng.standard_normal((2, 12, L * L))
+    freq = lossmap.loss_frequency(bops, lossmap._by_order(s_hat, L),
+                                  lossmap._by_order(s_ref @ Sigma, L))
+    spat = lossmap.loss_spatial(bops, lossmap._by_order(s_hat, L), lossmap._by_order(s_ref, L))
+    assert freq.shape == spat.shape == (12,)
+    for i in range(12):
+        ref_freq = dense.loss_frequency(s_hat[i], s_ref[i], Sigma, L)
+        ref_spat = dense.loss_spatial(M @ s_hat[i], T.T @ s_ref[i], ops)
+        assert abs(freq[i] - ref_freq) <= 1e-12 * max(1.0, ref_freq)
+        assert abs(spat[i] - ref_spat) <= 1e-12 * max(1.0, ref_spat)
 
 
 def test_auxiliary_score_zero_and_projector(ops_cache):
     ops = ops_cache[4]
     zero = sde.ScoreField(fn=lambda z, t: np.zeros_like(z), domain="chart")
-    aux0 = lossmap.auxiliary_spatial_score(zero, ops)
+    aux0 = dense.auxiliary_spatial_score(zero, ops)
     x = np.random.default_rng(5).standard_normal(ops.d_spatial)
     assert np.all(aux0(x, 0.0) == 0.0)
 
     ident = sde.ScoreField(fn=lambda z, t: z, domain="chart")
-    aux = lossmap.auxiliary_spatial_score(ident, ops)
+    aux = dense.auxiliary_spatial_score(ident, ops)
     np.testing.assert_allclose(
         aux(x, 0.0), transform.project_bandlimited(ops, x), atol=1e-12
     )
@@ -124,13 +147,13 @@ def test_auxiliary_score_real_on_bandlimited_inputs(ops_cache):
     rng = np.random.default_rng(6)
     G = rng.standard_normal((16, 16))
     linear = sde.ScoreField(fn=lambda z, t: z @ G.T, domain="chart")
-    aux = lossmap.auxiliary_spatial_score(linear, ops)  # residue checked inside
+    aux = dense.auxiliary_spatial_score(linear, ops)  # residue checked inside
     for _ in range(100):
         x = transform.synthesis(ops, random_symmetric_coeffs(4, rng))
         out = aux(x, 0.0)
         assert out.shape == x.shape and np.all(np.isfinite(out))
     with pytest.raises(ValueError):
-        lossmap.auxiliary_spatial_score(
+        dense.auxiliary_spatial_score(
             sde.ScoreField(fn=lambda z, t: z, domain="spatial"), ops
         )
 
@@ -152,17 +175,18 @@ def test_uz_vanishes_identically(ops_cache, cov_cache):
     # the geometric reason the gap term is zero here
     for L in (2, 4):
         b = lossmap.build_bound_operators(ops_cache[L], cov_cache[L].Sigma)
-        assert np.max(np.abs(ops_cache[L].U @ b.Z)) < 1e-13
+        assert np.max(np.abs(ops_cache[L].U @ dense.Z(b))) < 1e-13
 
 
 def _loop_terms(ops, bops, schedule, draws):
     """Reference: the inequality's terms one trial at a time, with plain
     matrix-vector products and the complex U Z."""
     L, d = ops.L, ops.L * ops.L
-    w, V = np.linalg.eigh(bops.T @ bops.T.T)  # of Sigma = T T^T
+    T, M = dense.T(bops), dense.M(bops)
+    w, V = np.linalg.eigh(T @ T.T)  # of Sigma = T T^T
     keep = w > 1e-10
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T  # the symmetric root of Sigma
-    UZ = ops.U @ bops.Z
+    UZ = ops.U @ dense.Z(bops)
     terms = []
     for i, t in enumerate(draws["t"]):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -172,8 +196,8 @@ def _loop_terms(ops, bops, schedule, draws):
         s_ref = (V[:, keep] / w[keep]) @ (V[:, keep].T @ sigma_s_ref)
         g_z = np.sqrt(0.25 * (z_t @ z_t) / d) * draws["g"][i]  # G z_t, G_ij ~ N(0, 0.25/d)
         s_hat = g_z + draws["offset"][i] + draws["alpha"][i] * sigma_s_ref
-        lhs = lossmap.chart_sq_norm(s_hat - sigma_s_ref, L)
-        term_q = transform.q_norm_sq(ops, bops.M @ s_hat - bops.T.T @ s_ref)
+        lhs = dense.chart_sq_norm(s_hat - sigma_s_ref, L)
+        term_q = transform.q_norm_sq(ops, M @ s_hat - T.T @ s_ref)
         gap = UZ @ sigma_s_ref
         terms.append((lhs, term_q, float(np.vdot(gap, gap).real)))
     return np.array(terms).T
@@ -221,3 +245,19 @@ def test_bound_check_runs_no_eigendecomposition_given_the_operators(
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     rep = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), 30, seed=9)
     assert rep["n_trials"] == 30 and rep["violations"] == 0
+
+
+def test_bound_check_memory_at_L64():
+    # each per-order [part, m, trial, ell] array is dropped after its last use:
+    # 100 trials at L = 64 peak near 70 MiB, against 95 MiB when all stay alive
+    L = 64
+    bops = lossmap.bound_operators(transform.build_operators(L),
+                                   noise.sigma_blocks(noise.covariance_blocks(L)))
+    tracemalloc.start()
+    try:
+        rep = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), 100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["n_trials"] == 100 and rep["violations"] == 0
+    assert peak <= 80 * 2**20
