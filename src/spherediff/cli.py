@@ -133,14 +133,17 @@ def cmd_covariance(args) -> int:
         "t": args.t, "seed": args.seed,
     }
     cov = noise.build_covariance(args.L)
-    Z = noise.sample_mirrored_bm(cov.Lambda, args.t, args.samples, args.seed)
-    emp = noise.empirical_covariance(Z)
-    theo = args.t * cov.Sigma
+    with np.errstate(over="ignore"):  # an overflow is reported below, in one line
+        emp = noise.empirical_covariance(
+            noise.sample_mirrored_bm(cov.Lambda, args.t, args.samples, args.seed))
+        theo = args.t * cov.Sigma
+    if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(theo))):
+        raise UsageError(f"--t {args.t!r} is too large: the covariance overflows")
 
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir() / f"covariance_L{args.L}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "covariance_empirical.csv").write_text(noise.sigma_to_csv(emp, args.L))
-    (out_dir / "covariance_theoretical.csv").write_text(noise.sigma_to_csv(theo, args.L))
+    noise.sigma_to_csv(emp, args.L, out_dir / "covariance_empirical.csv")
+    noise.sigma_to_csv(theo, args.L, out_dir / "covariance_theoretical.csv")
     summary = {
         "L": args.L,
         "samples": args.samples,

@@ -54,16 +54,22 @@ def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
     """|err| / |ref| in the Frobenius norm, None where |ref| is exactly 0.
 
-    Each norm is one einsum sum of products, in a fixed order without BLAS, so
-    it does not depend on the BLAS thread count (np.linalg.norm reduces with a
+    Each sum of squares is one einsum, in a fixed order without BLAS, so it
+    does not depend on the BLAS thread count (np.linalg.norm reduces with a
     threaded BLAS dot), and needs no temporary the size of its argument.
+    Where a sum of finite squares overflows, both sums are taken again over
+    the arguments divided by their largest magnitude.
     """
-    def norm(x):
-        v = np.ravel(x)
-        return float(np.sqrt(np.einsum("i,i->", v, v)))
+    def sumsq(x, scale=None):
+        v = np.ravel(x) if scale is None else np.ravel(x) / scale
+        return np.einsum("i,i->", v, v)
 
-    den = norm(ref)
-    return norm(err) / den if den else None
+    num, den = sumsq(err), sumsq(ref)
+    if not np.isfinite(num + den):
+        scale = max(np.max(np.abs(err), initial=0.0), np.max(np.abs(ref), initial=0.0))
+        if np.isfinite(scale):
+            num, den = sumsq(err, scale), sumsq(ref, scale)
+    return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None
 
 
 @functools.cache

@@ -139,7 +139,9 @@ def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray
         raise ValueError("n must be nonnegative")
     d = Lambda.shape[0]
     g = np.random.default_rng(seed).standard_normal((n, d))
-    return np.sqrt(t) * _fixed_order_matmul(g, Lambda.T)
+    Z = _fixed_order_matmul(g, Lambda.T)
+    Z *= np.sqrt(t)
+    return Z
 
 
 def lift_samples(Z: np.ndarray, L: int) -> np.ndarray:
@@ -182,22 +184,41 @@ def chart_labels(L: int):
     return [f"({ell},{m},{part})" for ell, m, part in indexing.chart_entries(L)]
 
 
-def sigma_to_csv(mat: np.ndarray, L: int) -> str:
-    """Chart-indexed matrix as annotated CSV."""
+def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
+    """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV, row by row.
+
+    Each cell is FMT % value, which writes +0.0 as "0".  The text of every
+    upper-triangle cell is kept, packed in 24-byte slots (the longest FMT
+    text, "-2.2250738585072014e-308", has 24 characters); a cell below the
+    diagonal whose bits equal its mirror's reuses that text, so a symmetric
+    matrix formats each mirror pair once.  Any other cell is formatted alone.
+    """
     labels = chart_labels(L)
     mat = np.ascontiguousarray(mat, dtype=float)
-    row_fmt = ",".join([FMT] * mat.shape[1])  # one % call formats a whole row
-    lines = ["index," + ",".join(f'"{c}"' for c in labels)]
-    for lab, row in zip(labels, mat):
-        nz = np.flatnonzero(row.view(np.uint64))  # cells whose bits are not +0.0
-        if len(nz) < len(row):  # FMT writes +0.0 as "0": format only the other cells
-            cells = ["0"] * len(row)
-            for i, v in zip(nz.tolist(), row[nz].tolist()):
-                cells[i] = FMT % v
-            lines.append(f'"{lab}",' + ",".join(cells))
-        else:
-            lines.append(f'"{lab}",' + row_fmt % tuple(row.tolist()))
-    return "\n".join(lines) + "\n"
+    d = len(labels)
+    if mat.shape != (d, d):
+        raise ValueError(f"need a {d} x {d} matrix at L = {L}, got shape {mat.shape}")
+    bits = mat.view(np.uint64)
+    start = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])  # row i's cells i..d-1
+    mirror = start[:-1] - np.arange(d)  # cell (j, i), j <= i, is upper[mirror[j] + i]
+    upper = np.full(start[-1], b"0", dtype="S24")
+    line = np.zeros((d, 25), dtype=np.uint8)  # each cell nul-padded, then "," (last "\n")
+    line[:, 24] = ord(",")
+    line[-1, 24] = ord("\n")
+    cells = line[:, :24].view("S24")[:, 0]
+    with open(path, "wb") as f:
+        f.write(("index," + ",".join(f'"{c}"' for c in labels) + "\n").encode())
+        for i, lab in enumerate(labels):
+            nz = np.flatnonzero(bits[i, i:])  # cells whose bits are not +0.0
+            if nz.size:  # one % call formats them all
+                text = ",".join([FMT] * nz.size) % tuple(mat[i, i + nz].tolist())
+                upper[start[i] + nz] = text.encode().split(b",")
+            cells[:i] = upper[mirror[:i] + i]
+            cells[i:] = upper[start[i]:start[i + 1]]
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                cells[j] = FMT % mat[i, j]
+            f.write(f'"{lab}",'.encode())
+            f.write(line.tobytes().translate(None, b"\0"))
 
 
 def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:

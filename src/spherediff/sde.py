@@ -162,10 +162,10 @@ def frequency_reverse_stepper(schedule, Sigma, Lambda, score):
     )
 
 
-def _blown_up(x: np.ndarray) -> np.ndarray:
-    """Rows of x holding a NaN, an infinity or a magnitude above BLOWUP_LIMIT, in
+def _blown_up(x: np.ndarray, limit: float = BLOWUP_LIMIT) -> np.ndarray:
+    """Rows of x holding a NaN, an infinity or a magnitude above limit, in
     one pass: a NaN makes the row maximum NaN, and NaN <= limit is False."""
-    return ~(np.abs(x).max(axis=1) <= BLOWUP_LIMIT)
+    return ~(np.abs(x).max(axis=1) <= limit)
 
 
 def integrate(state, schedule, direction, stepper, seed, *, thin=None):
@@ -238,10 +238,10 @@ def reverse_law(schedule, t, domain, mean, basis):
     return _em_law(schedule, t, -schedule.dt, 1.0, np.append(lam, 0.0), np.append(nu, 0.0))
 
 
-def _endpoint(state, new, t, steps):
+def _endpoint(state, new, t, steps, limit):
     """Blow-up guard of a one-draw leg: a row of `new` that is blown up keeps its start row
     and is reported at step steps - 1; all rows dead (n >= 1) raises BlowUpError."""
-    x, k, dead = state.values, steps - 1, _blown_up(new)
+    x, k, dead = state.values, steps - 1, _blown_up(new, limit)
     if dead.all() and len(x):
         raise BlowUpError(f"all {len(x)} paths diverged by step {k}")
     new[dead] = x[dead]
@@ -249,15 +249,15 @@ def _endpoint(state, new, t, steps):
             [{"path": int(i), "step": k} for i in np.flatnonzero(dead)])
 
 
-def forward_exact(state, schedule, seed, *, noise_factor=None):
+def forward_exact(state, schedule, seed, *, noise_factor=None, limit=BLOWUP_LIMIT):
     """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I)."""
     a, s2, t = forward_law(schedule, state.time)
     xi = np.random.default_rng(seed).standard_normal(state.values.shape)
     F_xi = xi if noise_factor is None else _fixed_order_matmul(xi, noise_factor.T)
-    return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps)
+    return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps, limit)
 
 
-def reverse_exact(state, schedule, seed, mean, basis):
+def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
     """`integrate`'s Gaussian-score reverse endpoint as one draw: S B (A B^T z + b + s zeta),
     or a x + r zeta + Q((A - a) Q^T x + b + (s - r) Q^T zeta) with a, r Q-perp's entries."""
     A, b, s2, t = reverse_law(schedule, state.time, state.domain, mean, basis)
@@ -269,7 +269,7 @@ def reverse_exact(state, schedule, seed, mean, basis):
         y = ((A[:-1] - A[-1]) * _fixed_order_matmul(x, V) + b[:-1]
              + (s[:-1] - s[-1]) * _fixed_order_matmul(zeta, V))
         new = A[-1] * x + s[-1] * zeta + _fixed_order_matmul(y, V.T)
-    return _endpoint(state, new, t, schedule.steps)
+    return _endpoint(state, new, t, schedule.steps, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,9 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain,
     whose score uses the factor M S_half of that draw.  Each leg is one exact
     draw of its Euler-Maruyama law: forward from seed (`forward_exact`), reverse
-    from seed + 2 (`reverse_exact`).  Returns
+    from seed + 2 (`reverse_exact`).  A path blows up above BLOWUP_LIMIT times
+    the start's largest magnitude, where that exceeds 1 (data at any scale
+    comes back at its own scale).  Returns
     (final_state, aborted, errors); errors are the relative mean and covariance
     Frobenius errors against the law in the run's domain after a reverse run
     of n >= 2 paths (each None where the law's norm is 0), else None.
@@ -398,14 +400,16 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         z0, S_half = draw_gaussian(mu, S, n, data_seed)
         M = None if in_chart else chart.synthesis_matrix(ops)
         start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
+    limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
     state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
-                                   schedule, seed, noise_factor=cov.Lambda if in_chart else None)
+                                   schedule, seed, noise_factor=cov.Lambda if in_chart else None,
+                                   limit=limit)
     if direction == "forward":
         return state, aborted, None
     basis = (_chart_basis(S, cov.Sigma) if in_chart
              else _spatial_basis(None, _fixed_order_matmul(M, S_half)))
     state, more = reverse_exact(state, schedule, None if seed is None else int(seed) + 2,
-                                mean, basis)
+                                mean, basis, limit=limit)
     if n < 2:
         return state, aborted + more, None
     target = S if in_chart else M @ S @ M.T

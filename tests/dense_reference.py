@@ -5,7 +5,8 @@ They check the library's identities through the dense operators `ops.Y` and
 builds; through per-entry evaluations of the harmonics and the chart slots;
 and through the score-matching losses of one score vector at a time, the
 oracle of the batched per-order `lossmap.loss_frequency` and
-`lossmap.loss_spatial`.
+`lossmap.loss_spatial`; and through a covariance CSV built cell by cell, the
+oracle of the streaming `noise.sigma_to_csv`.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import numpy as np
 from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
 from spherediff.indexing import IM, RE, block_slots
+from spherediff.noise import chart_labels
 from spherediff.sde import ScoreField
-from spherediff.transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual,
-                                  q_norm_sq, synthesis)
+from spherediff.transform import (FMT, ConstraintViolation, OperatorSet, analysis,
+                                  mirror_residual, q_norm_sq, synthesis)
 
 
 def vp_drift_identity_error(ops, schedule, t: float) -> float:
@@ -186,3 +188,11 @@ def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet) -> ScoreF
         return synthesis(ops, s_complex, imag_tol=1e-10).reshape(np.shape(x))
 
     return ScoreField(fn=fn, domain="spatial")
+
+
+def sigma_csv(X, L: int) -> str:
+    """The annotated CSV of X with every cell formatted on its own."""
+    labels = chart_labels(L)
+    lines = ["index," + ",".join(f'"{c}"' for c in labels)]
+    lines += [f'"{lab}",' + ",".join(FMT % v for v in row) for lab, row in zip(labels, X)]
+    return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dense_reference import sigma_csv
 from spherediff import chart, cli, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
@@ -206,6 +207,37 @@ def test_covariance_at_a_subnormal_time_reports_no_relative_error(tmp_path):
     assert _read_json(out_dir / "summary.json")["rel_frobenius_error"] is None
 
 
+def test_covariance_csvs_at_L32_equal_the_per_value_formatter(tmp_path):
+    out_dir = tmp_path / "cov"
+    assert main(["covariance", "--L", "32", "--samples", "100", "--t", "0.7", "--seed", "4",
+                 "--out-dir", str(out_dir)]) == 0
+    cov = noise.build_covariance(32)
+    emp = noise.empirical_covariance(noise.sample_mirrored_bm(cov.Lambda, 0.7, 100, 4))
+    assert np.array_equal(emp.view(np.uint64), emp.T.view(np.uint64))  # mirror cells reused
+    for name, X in (("empirical", emp), ("theoretical", 0.7 * cov.Sigma)):
+        assert (out_dir / f"covariance_{name}.csv").read_text() == sigma_csv(X, 32), name
+
+
+@pytest.mark.parametrize("t", ["1e300", "1e307"])
+def test_covariance_at_a_huge_time_writes_json_numbers(t, tmp_path):
+    # the squares of t Sigma overflow, so the norms are taken over scaled entries
+    out_dir = tmp_path / "cov"
+    assert main(["covariance", "--L", "2", "--samples", "10", "--t", t,
+                 "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"non-JSON token {c}"))
+    assert 0 < summary["rel_frobenius_error"] < 10
+
+
+def test_covariance_that_overflows_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "cov"
+    assert main(["covariance", "--L", "2", "--samples", "10", "--t", "1e308",
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ("spherediff covariance: error: --t 1e+308 is too "
+                                       "large: the covariance overflows\n")
+    assert not out_dir.exists()
+
+
 def test_covariance_usage_errors():
     assert main(["covariance", "--L", "2", "--samples", "1"]) == 1
     assert main(["covariance", "--L", "2", "--t", "0"]) == 1
@@ -353,6 +385,23 @@ def test_reverse_diffuse_on_degenerate_laws(law, rc, domain, tmp_path, capsys):
         return
     diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
     assert diag["mean_rel_error"] is None and np.isfinite(diag["cov_rel_frobenius_error"])
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+@pytest.mark.parametrize("law", [{"data_mean_scale": 1e7}, {"data_cov_scale": 1e14}],
+                         ids=["mean-1e7", "cov-1e14"])
+def test_reverse_diffuse_recovers_data_far_above_the_blow_up_limit(law, domain, tmp_path):
+    # the data lie above BLOWUP_LIMIT, so the limit scales with the start
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps(law))
+    out = tmp_path / "rev.csv"
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain, "--L", "2", "--n", "10",
+                 "--steps", "10", "--out", str(out)]) == 0
+    X, _ = noise.load_samples(out)
+    assert np.abs(X).max() > sde.BLOWUP_LIMIT
+    diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
+    assert diag["aborted_paths"] == [] and diag["cov_rel_frobenius_error"] < 10
 
 
 def test_diffuse_config_accepts_data_seed(tmp_path):

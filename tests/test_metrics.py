@@ -124,3 +124,14 @@ def test_wasserstein_1d_properties(seed, n, m, p):
     assert val >= 0.0
     np.testing.assert_allclose(val, metrics.wasserstein_1d(b, a, p=p), rtol=1e-12)
     assert metrics.wasserstein_1d(a, a, p=p) == 0.0
+
+
+def test_rel_frobenius_scales_sums_of_squares_that_overflow():
+    rng = np.random.default_rng(3)
+    err, ref = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    plain = math.sqrt(np.sum(err * err)) / math.sqrt(np.sum(ref * ref))
+    assert metrics._rel_frobenius(err, ref) == pytest.approx(plain, rel=1e-15)
+    for big in (1e200, 1e306):
+        assert metrics._rel_frobenius(big * err, big * ref) == pytest.approx(plain, rel=1e-15)
+    assert metrics._rel_frobenius(1e300 * err, np.zeros(3)) is None
+    assert metrics._rel_frobenius(np.array([np.inf, 1e300]), np.ones(2)) == math.inf

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import BAND_LIMITS
-from dense_reference import chart_index
+from dense_reference import chart_index, sigma_csv
 from spherediff import chart, noise, transform
 from spherediff.indexing import chart_is_im, chart_ms
 
@@ -199,8 +201,9 @@ def test_sample_sidecar_width_mismatch_detected(tmp_path):
         noise.load_samples(p)
 
 
-def test_sigma_csv_annotations(cov_cache):
-    text = noise.sigma_to_csv(cov_cache[2].Sigma, 2)
+def test_sigma_csv_annotations(cov_cache, tmp_path):
+    noise.sigma_to_csv(cov_cache[2].Sigma, 2, tmp_path / "s.csv")
+    text = (tmp_path / "s.csv").read_text()
     header = text.splitlines()[0]
     assert header.startswith('index,"(0,0,re)","(1,0,re)","(1,1,re)","(1,1,im)"')
 
@@ -242,28 +245,72 @@ def test_sample_csv_matches_the_per_value_formatter(tmp_path):
     assert "-0," in ref and "1e-300" in ref
 
 
-def test_sigma_csv_matches_the_per_value_formatter():
+def test_sigma_csv_matches_the_per_value_formatter(tmp_path):
     X = np.zeros((4, 4))
     X[:, :3] = _awkward_matrix()[:4, :3]
     X[3, 3] = -0.0
-    labels = noise.chart_labels(2)
-    ref = ["index," + ",".join(f'"{c}"' for c in labels)]
-    ref += [f'"{lab}",' + ",".join(transform.FMT % v for v in row) for lab, row in zip(labels, X)]
-    assert noise.sigma_to_csv(X, 2) == "\n".join(ref) + "\n"
+    noise.sigma_to_csv(X, 2, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_text() == sigma_csv(X, 2)
 
 
-def test_sigma_csv_with_zero_cells_matches_the_per_value_formatter():
+def test_sigma_csv_with_zero_cells_matches_the_per_value_formatter(tmp_path):
     X = np.zeros((9, 9))
     X[0, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]  # -0.0 stays "-0"
     X[1, 4] = 1.0 / 3.0
     X[3] = np.random.default_rng(8).standard_normal(9) * 10.0 ** np.arange(-4, 5)  # dense
     X[4, :3] = [-1e-300, 2.5, 0.0]  # rows 2 and 5 .. 8 are all zeros
-    labels = noise.chart_labels(3)
-    ref = ["index," + ",".join(f'"{c}"' for c in labels)]
-    ref += [f'"{lab}",' + ",".join(transform.FMT % v for v in row) for lab, row in zip(labels, X)]
-    text = noise.sigma_to_csv(X, 3)
-    assert text == "\n".join(ref) + "\n"
+    noise.sigma_to_csv(X, 3, tmp_path / "s.csv")
+    text = (tmp_path / "s.csv").read_text()
+    assert text == sigma_csv(X, 3)
     assert ",0,-0,nan,inf,-inf,4.9406564584124654e-324," in text
+
+
+def _nan(sign, payload):
+    return np.array([(sign << 63) | (0x7FF << 52) | payload], dtype=np.uint64).view(float)[0]
+
+
+@pytest.mark.parametrize("upper,lower", [
+    (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)),  # the last bit
+    (-2.5e-300, np.nextafter(-2.5e-300, 0.0)),
+    (0.0, -0.0),
+    (-0.0, 0.0),
+    (_nan(0, 1 << 51), _nan(1, 1 << 51)),  # the sign of a NaN
+    (_nan(0, 1 << 51), _nan(0, 1 << 51 | 5)),  # its payload
+], ids=["last-bit", "last-bit-tiny", "+0/-0", "-0/+0", "nan-sign", "nan-payload"])
+def test_sigma_csv_reuses_a_mirror_cell_only_where_the_bits_agree(upper, lower, tmp_path):
+    A = np.random.default_rng(9).standard_normal((9, 9)) * 10.0 ** np.arange(-4, 5)
+    X = A + A.T
+    X[0, 1:4] = X[1:4, 0] = 0.0  # mirror pairs that do agree
+    X[5, 7] = X[7, 5] = np.nan
+    X[6, 6] = -0.0
+    X[1, 6], X[6, 1] = upper, lower
+    X[8, 4], X[4, 8] = upper, lower  # and the other way round
+    assert np.count_nonzero(X.view(np.uint64) != X.T.view(np.uint64)) == 4
+    noise.sigma_to_csv(X, 3, tmp_path / "s.csv")
+    text = (tmp_path / "s.csv").read_text()
+    assert text == sigma_csv(X, 3)
+    rows = [line.partition('",')[2].split(",") for line in text.splitlines()[1:]]
+    assert (rows[1][6] == rows[6][1]) == (transform.FMT % upper == transform.FMT % lower)
+
+
+def test_sigma_csv_at_L32_streams_within_a_memory_bound(tmp_path):
+    # Measured: a 12.9 MB peak, mostly the packed 24-byte texts of the upper
+    # triangle; the bound is about 1.5 times that.  Building the whole text
+    # first, as a list of lines and then one string, peaked at 73.9 MB.
+    cov = noise.build_covariance(32)
+    E = noise.empirical_covariance(noise.sample_mirrored_bm(cov.Lambda, 1.0, 300, 12))
+    tracemalloc.start()
+    try:
+        noise.sigma_to_csv(E, 32, tmp_path / "e.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19e6, peak
+
+
+def test_sigma_csv_rejects_a_matrix_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError, match="4 x 4"):
+        noise.sigma_to_csv(np.zeros((4, 3)), 2, tmp_path / "s.csv")
 
 
 def test_empty_sample_file_round_trips(tmp_path):

@@ -172,3 +172,17 @@ def test_data_draw_sweep_byte_identical_under_one_and_two_threads(tmp_path):
     assert len(hashes[0]) == 1 + 27 * 3 + 6 + 1
     assert hashes[0].keys() == hashes[1].keys()
     assert sorted(n for n in hashes[0] if hashes[0][n] != hashes[1][n]) == []
+
+
+def test_covariance_panels_byte_identical_under_one_and_two_threads(tmp_path):
+    # at L = 12 a BLAS norm of the spatial panel's error changes its last bits
+    script = Path(__file__).resolve().parents[1] / "scripts" / "covariance_panels.py"
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, str(script), "--L", "12", "--samples", "2000",
+                        "--out-dir", str(tmp_path / threads)],
+                       env=_env(threads), capture_output=True, check=True)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == ["empirical_factor.csv", "empirical_spatial.csv", "report.json",
+                     "theoretical.csv"]
+    assert [n for n in names if (tmp_path / "1" / n).read_bytes()
+            != (tmp_path / "2" / n).read_bytes()] == []
