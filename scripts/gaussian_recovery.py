@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from spherediff import chart, metrics, sde, transform
+from spherediff.metrics import _fixed_order_eigh
 
 
 def run_domain(domain, L, schedule, law, n, seed):
@@ -21,7 +22,8 @@ def run_domain(domain, L, schedule, law, n, seed):
         L, schedule, "chart" if domain == "frequency" else "spatial", "reverse", law, n,
         seed, seed + 1,
     )
-    fresh, _ = sde.draw_gaussian(*law, min(n, 1000), seed + 3)
+    mu, S = law
+    fresh, _ = sde.draw_gaussian(mu, _fixed_order_eigh(S), min(n, 1000), seed + 3)
     if domain == "spatial":
         fresh = fresh @ chart.synthesis_matrix(transform.build_operators(L)).T
     sw = metrics.sliced_wasserstein(state.values[: len(fresh)], fresh, n_proj=1000, seed=seed)

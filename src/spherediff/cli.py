@@ -87,7 +87,7 @@ def cmd_verify_operators(args) -> int:
     ops = transform.build_operators(args.L)
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
-    bops = lossmap.bound_operators(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
+    bops = lossmap.bound_operators(ops, noise.build_covariance(args.L))
     checks = lossmap.order_residuals(bops)  # UY - I, PP - P, T T^T - Sigma, T Z, T T^+ - I
 
     # 100 pairs (z1, z2) drawn as rows 0, 2, 4, ... and 1, 3, 5, ... of one batch
@@ -215,6 +215,9 @@ def _check_diffuse_config(cfg: dict) -> None:
     cov_floor = np.sqrt(sys.float_info.min)  # below it the covariance's squares underflow
     if not (cfg["data_mean_scale"] >= 0 and cfg["data_cov_scale"] >= cov_floor):
         raise UsageError(f"need data_mean_scale >= 0 and data_cov_scale >= {cov_floor:.3g}")
+    cap = np.sqrt(sys.float_info.max)  # above it the data's squares overflow
+    if not (cfg["data_mean_scale"] <= cap and cfg["data_cov_scale"] <= cap):
+        raise UsageError(f"need data_mean_scale and data_cov_scale <= {cap:.3g}")
     if not isinstance(cfg["raw"], bool):
         raise UsageError(f"raw must be true or false, got {cfg['raw']!r}")
     if cfg["direction"] not in ("forward", "reverse"):
@@ -274,7 +277,7 @@ def cmd_bound_check(args) -> int:
     _require_min("seed", args.seed, 0)
     config = {"command": "bound-check", "L": args.L, "trials": args.trials, "seed": args.seed}
     ops = transform.build_operators(args.L)
-    bops = lossmap.bound_operators(ops, noise.sigma_blocks(noise.covariance_blocks(args.L)))
+    bops = lossmap.bound_operators(ops, noise.build_covariance(args.L))
     report = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), args.trials, args.seed)
     report["identity_residuals"] = lossmap.identity_residuals(bops)
     report["provenance"] = _provenance(config)

@@ -25,7 +25,8 @@ import numpy as np
 # unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
 from .chart import from_chart  # noqa: F401
 from .indexing import order_slots, pad8
-from .metrics import _fixed_order_eigh, _fixed_order_matmul
+from .metrics import _fixed_order_matmul
+from .noise import CovarianceSet, sigma_blocks
 from .sde import VpSchedule
 from .transform import OperatorSet
 
@@ -63,8 +64,13 @@ class BoundOperators:
     gram: tuple             # (cc, cs, ss), each (L, 1, 1)
 
 
-def bound_operators(ops: OperatorSet, sigma_blocks) -> BoundOperators:
-    """The kit, given Sigma_m for m = 0 .. L-1 (the m = 0 one doubled); one eigh per order."""
+def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
+    """The kit of one band limit, with each Sigma_m and its eigenpairs read from `cov`."""
+    w = np.concatenate([ev for ev, _ in cov.eig])  # the eigenvalues of Sigma
+    keep = w > 1e-10
+    if not np.any(keep):
+        raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
+    cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
     L, leg = ops.L, ops.legendre
     q = np.zeros(leg.shape[1])
     q[:2 * L] = ops.grid.weights
@@ -72,19 +78,12 @@ def bound_operators(ops: OperatorSet, sigma_blocks) -> BoundOperators:
     mult = np.where(ms > 0, 2.0, 1.0)
     A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
     B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
-    sigma, root, pinv, eig = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A), []
-    for m, C in enumerate(sigma_blocks):
-        ev, V = _fixed_order_eigh(C)
+    sigma, root, pinv = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A)
+    for m, (C, (ev, V)) in enumerate(zip(sigma_blocks(cov.blocks), cov.eig)):
         keep = ev > 1e-10
         sigma[m, m:L, m:L] = C
         root[m, m:L, m:L] = _fixed_order_matmul(V * np.sqrt(np.clip(ev, 0.0, None)), V.T)
         pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
-        eig.append(ev)
-    w = np.concatenate(eig)
-    keep = w > 1e-10
-    if not np.any(keep):
-        raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
-    cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)
     cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
@@ -97,9 +96,12 @@ def bound_operators(ops: OperatorSet, sigma_blocks) -> BoundOperators:
 
 
 def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
-    """The kit of a dense Sigma, with Sigma_m read from its (m, Re) block."""
+    """The kit of a dense Sigma: its (m, Re) blocks Sigma_m, the m = 0 one halved back
+    to C_0, make the covariance set."""
     m, _, re, _, _ = order_slots(ops.L)
-    return bound_operators(ops, [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)])
+    blocks = [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)]
+    blocks[0] = 0.5 * blocks[0]
+    return bound_operators(ops, CovarianceSet(L=ops.L, blocks=tuple(blocks)))
 
 
 def order_residuals(bops: BoundOperators) -> dict:

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import indexing
-from .chart import from_chart
+# unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
+from .chart import from_chart  # noqa: F401
 from .grid import build_grid
 from .harmonics import norm_legendre_table
 from .metrics import _fixed_order_eigh, _fixed_order_matmul
@@ -65,12 +66,6 @@ class CovarianceSet:
     @cached_property
     def Lambda(self) -> np.ndarray:  # Lambda @ Lambda.T == Sigma
         return _frozen(factor_sigma(self.eig)[0])
-
-    def C(self, ell: int, m: int, ellp: int) -> float:
-        """Covariance coefficient C[(ell,m),(ellp,m)]; m must not exceed ell, ellp."""
-        if not (0 <= m <= min(ell, ellp) and max(ell, ellp) < self.L):
-            raise ValueError(f"invalid C index (ell={ell}, m={m}, ell'={ellp})")
-        return float(self.blocks[m][ell - m, ellp - m])
 
 
 def covariance_blocks(L: int) -> tuple:
@@ -142,11 +137,6 @@ def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray
     Z = _fixed_order_matmul(g, Lambda.T)
     Z *= np.sqrt(t)
     return Z
-
-
-def lift_samples(Z: np.ndarray, L: int) -> np.ndarray:
-    """Chart samples (n, L^2) -> constrained coefficient samples (n, L^2) complex."""
-    return from_chart(np.atleast_2d(np.asarray(Z, dtype=float)), L)
 
 
 def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndarray:

@@ -168,7 +168,7 @@ def _blown_up(x: np.ndarray, limit: float = BLOWUP_LIMIT) -> np.ndarray:
     return ~(np.abs(x).max(axis=1) <= limit)
 
 
-def integrate(state, schedule, direction, stepper, seed, *, thin=None):
+def integrate(state, schedule, direction, stepper, seed):
     """Run `schedule.steps` uniform Euler-Maruyama steps.
 
     direction "forward" runs time up from state.time; "reverse" runs it down.
@@ -178,8 +178,7 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
     The noise of every step is drawn into one reused (n, d) buffer, so a
     stepper must not return or keep a view of it.
 
-    Returns (final_state, aborted, trajectory); trajectory is a list of
-    (time, values) captured every `thin` steps (None -> only endpoints absent).
+    Returns (final_state, aborted).
     """
     if direction not in ("forward", "reverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -189,7 +188,6 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
     xi = np.empty((n, d))
     dead = np.zeros(n, dtype=bool)
     aborted = []
-    trajectory = [(state.time, state.values.copy())] if thin else None
 
     for k in range(schedule.steps):
         rng.standard_normal(out=xi)
@@ -205,9 +203,7 @@ def integrate(state, schedule, direction, stepper, seed, *, thin=None):
             vals = state.values.copy()
             vals[dead] = prev[dead]  # freeze at the last good value
             state = dataclasses.replace(state, values=vals)
-        if thin and ((k + 1) % thin == 0 or k == schedule.steps - 1):
-            trajectory.append((state.time, state.values.copy()))
-    return state, aborted, trajectory
+    return state, aborted
 
 
 def _em_law(schedule, t, dt, scale=1.0, data_var=None, nu=0.0):
@@ -281,10 +277,10 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
 # and in a step goes through metrics._fixed_order_matmul, so it gives the
 # same bits under any BLAS thread count.
 
-def _chart_basis(S, Sigma):
-    """(kappa, B, S B = B^-T): whitening S (PD) and diagonalising the whitened Sigma
-    gives B^T S B = I and B^T Sigma B = diag(kappa)."""
-    s_eval, s_vec = _fixed_order_eigh(np.asarray(S, dtype=float))
+def _chart_basis(S_eig, Sigma):
+    """(kappa, B, S B = B^-T) from the eigenpairs (w, V) of S (PD): whitening S and
+    diagonalising the whitened Sigma gives B^T S B = I and B^T Sigma B = diag(kappa)."""
+    s_eval, s_vec = S_eig
     if not s_eval[0] > 0:
         raise ValueError(f"data covariance S is not positive definite "
                          f"(min eigenvalue {s_eval[0]:.3e})")
@@ -294,19 +290,14 @@ def _chart_basis(S, Sigma):
     return kappa, _fixed_order_matmul(W, P), _fixed_order_matmul(s_vec * np.sqrt(s_eval), P)
 
 
-def _spatial_basis(cov_x, factor=None):
-    """(e, Q) with cov_x = Q diag(e) Q^T, Q orthonormal: from G^T G given a factor
-    G G^T = cov_x, else from `eigh(cov_x)`, keeping the eigenvalues above round-off."""
-    if factor is not None:
-        G = np.asarray(factor, dtype=float)
-        e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
-        if not e[0] > 0:
-            raise ValueError("factor does not have full column rank")
-        return e, _fixed_order_matmul(G, P) / np.sqrt(e)
-    cov_x = np.asarray(cov_x, dtype=float)
-    e, Q = _fixed_order_eigh(cov_x)
-    keep = e > e[-1] * cov_x.shape[0] * np.finfo(float).eps
-    return e[keep], Q[:, keep]
+def _spatial_basis(factor):
+    """(e, Q) with G G^T = Q diag(e) Q^T, Q orthonormal, for a factor G of full
+    column rank, from the eigenpairs (e, P) of G^T G: Q = G P diag(e)^-1/2."""
+    G = np.asarray(factor, dtype=float)
+    e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
+    if not e[0] > 0:
+        raise ValueError("factor does not have full column rank")
+    return e, _fixed_order_matmul(G, P) / np.sqrt(e)
 
 
 def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
@@ -317,7 +308,7 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
     """
     mu = np.asarray(mu, dtype=float)
-    kappa, B, _ = _chart_basis(S, Sigma)
+    kappa, B, _ = _chart_basis(_fixed_order_eigh(np.asarray(S, dtype=float)), Sigma)
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -328,15 +319,15 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     return ScoreField(fn=fn, domain="chart")
 
 
-def gaussian_spatial_score(mu_x, cov_x, schedule, *, factor=None) -> ScoreField:
-    """Score of the time-t spatial marginal for data x(0) ~ N(mu_x, cov_x).
+def gaussian_spatial_score(mu_x, factor, schedule) -> ScoreField:
+    """Score of the time-t spatial marginal for data x(0) ~ N(mu_x, G G^T).
 
-    cov_x may be singular (band-limited data), and given `factor` G G^T = cov_x (e.g.
-    M S^{1/2}) it is not used (pass None).  With cov_x = Q diag(e) Q^T (`_spatial_basis`),
-    A_t = m^2 cov_x + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
+    G = `factor` (e.g. M S^{1/2}) has full column rank, and G G^T may be singular
+    (band-limited data).  With G G^T = Q diag(e) Q^T (`_spatial_basis`),
+    A_t = m^2 G G^T + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
     """
     mu_x = np.asarray(mu_x, dtype=float)
-    e, Q = _spatial_basis(cov_x, factor)
+    e, Q = _spatial_basis(factor)
 
     def fn(x, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -362,11 +353,11 @@ def surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
     return mu, S
 
 
-def draw_gaussian(mu, S, n: int, seed):
-    """n draws of N(mu, S), S PD, and the factor S_half (S = S_half S_half^T)
-    they were drawn with: the normals and eigenfactor that
-    Generator.multivariate_normal(mu, S, n, method="eigh") uses."""
-    w, V = _fixed_order_eigh(S)
+def draw_gaussian(mu, S_eig, n: int, seed):
+    """n draws of N(mu, S), S PD, given its eigenpairs (w, V), and the factor
+    S_half = V sqrt(w) (S = S_half S_half^T) they were drawn with: the normals and
+    eigenfactor that Generator.multivariate_normal(mu, S, n, method="eigh") uses."""
+    w, V = S_eig
     S_half = V * np.sqrt(w)
     g = np.random.default_rng(seed).standard_normal((n, len(mu)))
     return mu + _fixed_order_matmul(g, S_half.T), S_half
@@ -378,12 +369,13 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
 
     Without a law (None) the paths start at zero and only run forward.  With
     law = (mu, S), a chart Gaussian, they start at z0 ~ N(mu, S) drawn by
-    `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain,
-    whose score uses the factor M S_half of that draw.  Each leg is one exact
-    draw of its Euler-Maruyama law: forward from seed (`forward_exact`), reverse
-    from seed + 2 (`reverse_exact`).  A path blows up above BLOWUP_LIMIT times
-    the start's largest magnitude, where that exceeds 1 (data at any scale
-    comes back at its own scale).  Returns
+    `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain.
+    S is eigendecomposed once: the draw and the chart score's basis use those
+    eigenpairs, and the spatial score's basis the factor M S_half of the draw.
+    Each leg is one exact draw of its Euler-Maruyama law: forward from seed
+    (`forward_exact`), reverse from seed + 2 (`reverse_exact`).  A path blows up
+    above BLOWUP_LIMIT times the start's largest magnitude, where that exceeds 1
+    (data at any scale comes back at its own scale).  Returns
     (final_state, aborted, errors); errors are the relative mean and covariance
     Frobenius errors against the law in the run's domain after a reverse run
     of n >= 2 paths (each None where the law's norm is 0), else None.
@@ -397,7 +389,8 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         start = np.zeros((n, L * L if in_chart else ops.d_spatial))
     else:
         mu, S = law
-        z0, S_half = draw_gaussian(mu, S, n, data_seed)
+        S_eig = _fixed_order_eigh(S)
+        z0, S_half = draw_gaussian(mu, S_eig, n, data_seed)
         M = None if in_chart else chart.synthesis_matrix(ops)
         start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
     limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
@@ -406,8 +399,8 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
                                    limit=limit)
     if direction == "forward":
         return state, aborted, None
-    basis = (_chart_basis(S, cov.Sigma) if in_chart
-             else _spatial_basis(None, _fixed_order_matmul(M, S_half)))
+    basis = (_chart_basis(S_eig, cov.Sigma) if in_chart
+             else _spatial_basis(_fixed_order_matmul(M, S_half)))
     state, more = reverse_exact(state, schedule, None if seed is None else int(seed) + 2,
                                 mean, basis, limit=limit)
     if n < 2:

@@ -159,14 +159,14 @@ def test_mirrored_noise_component_structure(cov4):
     var_ok = True
     worst_sigmas = 0.0
     for i, (ell, m, part) in enumerate(chart_entries(L)):
-        theo = (2.0 if m == 0 else 1.0) * t * cov4.C(ell, m, ell)
+        theo = (2.0 if m == 0 else 1.0) * t * cov4.blocks[m][ell - m, ell - m]
         emp = float(np.var(Z[:, i], ddof=1))
         se = theo * np.sqrt(2.0 / (n - 1))
         pull = abs(emp - theo) / se
         worst_sigmas = max(worst_sigmas, pull)
         var_ok &= pull < 3.0
 
-    A = noise.lift_samples(Z, L)
+    A = chart.from_chart(Z, L)
     perm, signs = mirror_permutation(L)
     sym = float(np.max(np.abs(A - signs * np.conj(A[:, perm]))))
 
@@ -213,7 +213,7 @@ def test_frequency_forward_marginal_and_drift_identity(ops4, cov4):
     sch = _DriftlessUnitSchedule()
     start = sde.DiffusionState(time=0.0, values=np.zeros((n, L * L)), domain="chart")
     stepper = sde.frequency_forward_stepper(sch, cov4.Lambda)
-    final, aborted, _ = sde.integrate(start, sch, "forward", stepper, seed=55)
+    final, aborted = sde.integrate(start, sch, "forward", stepper, seed=55)
     emp = noise.empirical_covariance(final.values)
     theo = sch.T * cov4.Sigma
     rel = float(np.linalg.norm(emp - theo) / np.linalg.norm(theo))
@@ -241,10 +241,10 @@ def _roundtrip_chart(ops, cov, schedule, mu, S, n, seed):
     z0 = np.random.default_rng(seed).multivariate_normal(mu, S, size=n, method="eigh")
     state = sde.DiffusionState(time=0.0, values=z0, domain="chart")
     fwd = sde.frequency_forward_stepper(schedule, cov.Lambda)
-    state, ab1, _ = sde.integrate(state, schedule, "forward", fwd, seed + 1)
+    state, ab1 = sde.integrate(state, schedule, "forward", fwd, seed + 1)
     score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
     rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
-    state, ab2, _ = sde.integrate(state, schedule, "reverse", rev, seed + 2)
+    state, ab2 = sde.integrate(state, schedule, "reverse", rev, seed + 2)
     return state.values, ab1 + ab2
 
 
@@ -253,10 +253,11 @@ def _roundtrip_spatial(ops, cov, schedule, mu, S, n, seed):
     z0 = np.random.default_rng(seed).multivariate_normal(mu, S, size=n, method="eigh")
     state = sde.DiffusionState(time=0.0, values=z0 @ M.T, domain="spatial")
     fwd = sde.spatial_forward_stepper(schedule)
-    state, ab1, _ = sde.integrate(state, schedule, "forward", fwd, seed + 1)
-    score = sde.gaussian_spatial_score(M @ mu, M @ S @ M.T, schedule)
+    state, ab1 = sde.integrate(state, schedule, "forward", fwd, seed + 1)
+    w, V = np.linalg.eigh(S)
+    score = sde.gaussian_spatial_score(M @ mu, M @ (V * np.sqrt(w)), schedule)
     rev = sde.spatial_reverse_stepper(schedule, score)
-    state, ab2, _ = sde.integrate(state, schedule, "reverse", rev, seed + 2)
+    state, ab2 = sde.integrate(state, schedule, "reverse", rev, seed + 2)
     return state.values, ab1 + ab2
 
 

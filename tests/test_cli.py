@@ -404,6 +404,45 @@ def test_reverse_diffuse_recovers_data_far_above_the_blow_up_limit(law, domain, 
     assert diag["aborted_paths"] == [] and diag["cov_rel_frobenius_error"] < 10
 
 
+@pytest.mark.parametrize("law,domain", [
+    ({"data_cov_scale": 1e308}, "spatial"),
+    ({"data_cov_scale": 1e308}, "frequency"),
+    ({"data_mean_scale": 1e308}, "spatial"),
+    ({"data_mean_scale": 1e308}, "frequency"),
+    ({"data_mean_scale": 1e300}, "spatial"),
+    ({"data_mean_scale": 1e300}, "frequency"),
+], ids=["cov-1e308-spatial", "cov-1e308-frequency", "mean-1e308-spatial",
+        "mean-1e308-frequency", "mean-1e300-spatial", "mean-1e300-frequency"])
+def test_reverse_diffuse_on_huge_data_scales_is_usage_error(law, domain, tmp_path, capsys):
+    # the data's squares (or the draws themselves) would overflow
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps(law))
+    out = tmp_path / "rev.csv"
+    capsys.readouterr()
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain, "--L", "2", "--n", "10",
+                 "--steps", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("spherediff diffuse: error: need data_mean_scale and "
+                                       "data_cov_scale <= 1.34e+154\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_reverse_diffuse_at_the_data_scale_bound_writes_finite_numbers(domain, tmp_path):
+    cap = float(np.sqrt(sys.float_info.max))
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps({"data_mean_scale": cap, "data_cov_scale": cap}))
+    out = tmp_path / "rev.csv"
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain, "--L", "2", "--n", "10",
+                 "--steps", "10", "--out", str(out)]) == 0
+    X, _ = noise.load_samples(out)  # rejects non-finite entries
+    diag = json.loads((tmp_path / "rev.csv.diagnostics.json").read_text(),
+                      parse_constant=lambda c: pytest.fail(f"non-finite JSON token {c}"))
+    assert diag["aborted_paths"] == []
+    assert np.isfinite(diag["mean_rel_error"]) and np.isfinite(diag["cov_rel_frobenius_error"])
+
+
 def test_diffuse_config_accepts_data_seed(tmp_path):
     cfg = tmp_path / "law.json"
     cfg.write_text(json.dumps({"data_seed": 5}))
@@ -566,10 +605,37 @@ def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, m
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(noise, "factor_sigma", refuse)
+    monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     out = tmp_path / "bound.json"
     assert main(["bound-check", "--L", "8", "--trials", "50", "--out", str(out)]) == 0
     assert _read_json(out)["violations"] == 0
     assert sorted(calls) == [(n, n) for n in range(1, 9)]  # Sigma_m is (8 - m) x (8 - m)
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["diffuse", "--domain", "frequency"], 8 + 2),  # one per Sigma_m, S and the whitened Sigma
+    (["diffuse", "--domain", "spatial"], 2),        # S and G^T G, G = M S_half
+    (["verify-operators"], 8),                      # one per Sigma_m
+], ids=["diffuse-frequency", "diffuse-spatial", "verify-operators"])
+def test_commands_eigendecompose_each_matrix_once(argv, count, tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense Sigma was built")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    if argv[0] == "diffuse":
+        argv = argv + ["--direction", "reverse", "--score", "gaussian-analytic",
+                       "--n", "20", "--steps", "20"]
+    else:
+        monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
+    assert main(argv + ["--L", "8", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == count, calls
 
 
 def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):

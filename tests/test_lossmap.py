@@ -251,8 +251,7 @@ def test_bound_check_memory_at_L64():
     # each per-order [part, m, trial, ell] array is dropped after its last use:
     # 100 trials at L = 64 peak near 70 MiB, against 95 MiB when all stay alive
     L = 64
-    bops = lossmap.bound_operators(transform.build_operators(L),
-                                   noise.sigma_blocks(noise.covariance_blocks(L)))
+    bops = lossmap.bound_operators(transform.build_operators(L), noise.build_covariance(L))
     tracemalloc.start()
     try:
         rep = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), 100, seed=0)

@@ -61,7 +61,7 @@ def test_forward_marginal_matches_closed_form():
     n, d = 10_000, 2
     x0 = np.array([0.4, -0.25])  # small enough that m(1) x0 clears the 0.05 gate
     st = sde.DiffusionState(time=0.0, values=np.tile(x0, (n, 1)), domain="spatial")
-    final, aborted, _ = sde.integrate(st, s, "forward", sde.spatial_forward_stepper(s), seed=5)
+    final, aborted = sde.integrate(st, s, "forward", sde.spatial_forward_stepper(s), seed=5)
     assert not aborted
     m, v = s.mean_coeff(1.0), s.marginal_var(1.0)
     se_mean = np.sqrt(v / n)
@@ -134,8 +134,10 @@ def test_gaussian_spatial_score_matches_direct_inverse():
     rng = np.random.default_rng(17)
     mu = rng.standard_normal(L * L)
     S = np.eye(L * L) * 0.5
+    w, V = np.linalg.eigh(S)
+    S_half = V * np.sqrt(w)
     cov_x = M @ S @ M.T  # singular spatial covariance
-    score = sde.gaussian_spatial_score(M @ mu, cov_x, s)
+    score = sde.gaussian_spatial_score(M @ mu, M @ S_half, s)
     t = 0.6
     x = rng.standard_normal(ops.d_spatial)
     m, v = s.mean_coeff(t), s.marginal_var(t)
@@ -157,9 +159,9 @@ def test_gaussian_recovery_chart_domain_reduced():
     S = A @ A.T + 0.1 * np.eye(d)
     z0 = rng.multivariate_normal(mu, S, size=4000, method="eigh")
     st = sde.DiffusionState(time=0.0, values=z0, domain="chart")
-    st, ab1, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, cov.Lambda), seed=1)
+    st, ab1 = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, cov.Lambda), seed=1)
     score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
-    st, ab2, _ = sde.integrate(
+    st, ab2 = sde.integrate(
         st, s, "reverse", sde.frequency_reverse_stepper(s, cov.Sigma, cov.Lambda, score), seed=2
     )
     assert not ab1 and not ab2
@@ -172,7 +174,7 @@ def test_gaussian_recovery_chart_domain_reduced():
 def test_integrate_empty_and_direction_validation():
     s = sde.VpSchedule(steps=3)
     st = sde.DiffusionState(time=0.0, values=np.zeros((0, 4)), domain="chart")
-    final, aborted, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, np.eye(4)), seed=0)
+    final, aborted = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, np.eye(4)), seed=0)
     assert final.values.shape == (0, 4)
     assert aborted == []
     with pytest.raises(ValueError):
@@ -189,7 +191,7 @@ def test_integrate_blowup_detection_and_freezing():
 
     score = sde.ScoreField(fn=bad_fn, domain="spatial")
     st = sde.DiffusionState(time=1.0, values=np.ones((3, 2)), domain="spatial")
-    final, aborted, _ = sde.integrate(
+    final, aborted = sde.integrate(
         st, s, "reverse", sde.spatial_reverse_stepper(s, score), seed=0
     )
     assert [a["path"] for a in aborted] == [0]
@@ -206,20 +208,12 @@ def test_integrate_all_paths_diverged_raises():
         sde.integrate(st, s, "reverse", sde.spatial_reverse_stepper(s, score), seed=0)
 
 
-def test_trajectory_thinning():
-    s = sde.VpSchedule(steps=10)
-    st = sde.DiffusionState(time=0.0, values=np.zeros((2, 3)), domain="spatial")
-    _, _, traj = sde.integrate(st, s, "forward", sde.spatial_forward_stepper(s), seed=4, thin=5)
-    times = [t for t, _ in traj]
-    np.testing.assert_allclose(times, [0.0, 0.5, 1.0], atol=1e-12)
-
-
 def test_replay_is_bit_identical():
     s = sde.VpSchedule(steps=50)
     st = sde.DiffusionState(time=0.0, values=np.zeros((8, 4)), domain="chart")
     Lam = noise.build_covariance(2).Lambda
-    a, _, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
-    b, _, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
+    a, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
+    b, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
     assert np.array_equal(a.values, b.values)
 
 
@@ -265,15 +259,13 @@ def test_factor_built_spatial_score_matches_direct_inverse(L):
     mu, S = _surrogate_gaussian(L, 0.25, 0.04, seed=41)
     w, V = np.linalg.eigh(S)
     cov_x = M @ S @ M.T
-    by_factor = sde.gaussian_spatial_score(M @ mu, None, s, factor=M @ (V * np.sqrt(w)))
-    dense = sde.gaussian_spatial_score(M @ mu, cov_x, s)
+    by_factor = sde.gaussian_spatial_score(M @ mu, M @ (V * np.sqrt(w)), s)
     x = np.random.default_rng(42).standard_normal((9, ops.d_spatial))
     for t in SCORE_TIMES:
         m, v = s.mean_coeff(t), s.marginal_var(t)
         At = m * m * cov_x + v * np.eye(ops.d_spatial)
         ref = -np.linalg.solve(At, (x - m * (M @ mu)).T).T
         assert _rel(by_factor(x, t), ref) <= 1e-10, t
-        assert _rel(dense(x, t), ref) <= 1e-10, t
 
 
 def test_blow_up_check_flags_exactly_the_bad_rows():
@@ -291,7 +283,7 @@ def test_integrate_draws_the_same_noise_as_fresh_draws():
     s = sde.VpSchedule(steps=20)
     Lam = noise.build_covariance(2).Lambda
     st = sde.DiffusionState(time=0.0, values=np.ones((6, 4)), domain="chart")
-    got, _, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=9)
+    got, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=9)
     rng = np.random.default_rng(9)
     ref = st
     for _ in range(s.steps):
@@ -404,7 +396,7 @@ def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps,
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 5)
     if domain == "chart":
         cov = noise.build_covariance(L)
-        basis = sde._chart_basis(S, cov.Sigma)
+        basis = sde._chart_basis(np.linalg.eigh(S), cov.Sigma)
         mean, (_, V, W) = mu, basis
         score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
         step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, cov.Lambda,
@@ -413,9 +405,9 @@ def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps,
         w, E = np.linalg.eigh(S)
         M = chart.synthesis_matrix(transform.build_operators(L))
         mean, G = M @ mu, M @ (E * np.sqrt(w))
-        basis = sde._spatial_basis(None, G)
+        basis = sde._spatial_basis(G)
         V = W = basis[1]
-        score = sde.gaussian_spatial_score(mean, None, s, factor=G)
+        score = sde.gaussian_spatial_score(mean, G, s)
         step = lambda st, xi: sde.reverse_step_spatial(st, s, -s.dt, score, xi)
     A, b, s2, t = sde.reverse_law(s, t0, domain, mean, basis)
     d, r = len(V), V.shape[1]
@@ -435,10 +427,11 @@ def test_reverse_exact_keeps_a_blown_up_start_row_and_reports_it(domain):
     L, s = 2, sde.VpSchedule(steps=6)
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
     if domain == "chart":
-        mean, basis = mu, sde._chart_basis(S, noise.build_covariance(L).Sigma)
+        mean, basis = mu, sde._chart_basis(np.linalg.eigh(S), noise.build_covariance(L).Sigma)
     else:
         M = chart.synthesis_matrix(transform.build_operators(L))
-        mean, basis = M @ mu, sde._spatial_basis(M @ S @ M.T)
+        w, V = np.linalg.eigh(S)
+        mean, basis = M @ mu, sde._spatial_basis(M @ (V * np.sqrt(w)))
     A, b, s2, t = sde.reverse_law(s, 1.0, domain, mean, basis)
     d = len(basis[1])
     x = np.ones((3, d))
