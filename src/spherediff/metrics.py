@@ -57,8 +57,9 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
     Each sum of squares is one einsum, in a fixed order without BLAS, so it
     does not depend on the BLAS thread count (np.linalg.norm reduces with a
     threaded BLAS dot), and needs no temporary the size of its argument.
-    Where a sum of finite squares overflows, both sums are taken again over
-    the arguments divided by their largest magnitude.
+    Where a sum of finite squares overflows, each sum is taken again over its
+    argument divided by that argument's own largest magnitude, and the scales
+    multiply the ratio back; a ratio that itself overflows is None too.
     """
     def sumsq(x, scale=None):
         v = np.ravel(x) if scale is None else np.ravel(x) / scale
@@ -66,9 +67,11 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
 
     num, den = sumsq(err), sumsq(ref)
     if not np.isfinite(num + den):
-        scale = max(np.max(np.abs(err), initial=0.0), np.max(np.abs(ref), initial=0.0))
-        if np.isfinite(scale):
-            num, den = sumsq(err, scale), sumsq(ref, scale)
+        s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
+        if np.isfinite(s_err + s_ref) and s_err and s_ref:
+            with np.errstate(over="ignore"):
+                ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
+            return float(ratio) if np.isfinite(ratio) else None
     return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -174,14 +174,135 @@ def chart_labels(L: int):
     return [f"({ell},{m},{part})" for ell, m, part in indexing.chart_entries(L)]
 
 
+# FMT % v, exactly, for a whole array at once.  With X the decimal exponent of
+# |v| and p = 16 - X, |v| 10^p = hi + r, where hi = fl(|v| 10^p) and r is the
+# rest: Dekker's two-product with 10^p a double-double (Dekker 1971) gives r
+# to about 1e-14, so N = hi + round(r) holds the 17 significant digits,
+# correctly rounded.  FMT itself formats the values where that is in doubt
+# (Grisu's rule; Loitsch 2010): r within 1e-6 of a rounding tie, hi not
+# strictly between 1e16 and 1e17, non-finite values and |v| outside
+# [1e-280, 1e280], where 10^p or the split could leave the normal range.
+_X0 = -281  # least decimal exponent on the fast path; 281 is the greatest
+_BLOCK = 8192  # cells formatted per call, which bounds the formatter's temporaries
+
+
+def _words(cell: bytes) -> np.ndarray:
+    """A 24-byte cell, nul-padded, as its 3 little-endian uint64 words."""
+    return np.frombuffer(cell.ljust(24, b"\0"), dtype="<u8")
+
+
+@cache
+def _pow10():
+    """10^(16 - X) for X = -281 ... 281 as hi + lo, built exactly from integers
+    (int / int is correctly rounded), with hi also split into two 26-bit
+    halves (Veltkamp)."""
+    hi, lo = [], []
+    for p in range(16 + _X0, 17 - _X0)[::-1]:
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(hi), np.array(lo)
+    c = 134217729.0 * hi
+    return hi, c - (c - hi), hi - (c - (c - hi)), lo
+
+
+@cache
+def _layouts():
+    """The cell layout of each X, built on first use.  A cell starts as the
+    sign (byte 0) and the 17 digits (bytes 1-17).  The bytes from `cut` on
+    move up by the length of a gap, which is filled with the point (left
+    out when no digit follows it) or with the "0." and zeros of the fixed
+    form below 1; the scientific form ends in "e+XX" or "e+XXX" at byte 23.
+    Returns, per X, the mask of the bytes that stay, the shift in bits and
+    the fill without and with the point; and the masks that keep the sign
+    and the first k digits, k = 0 ... 17."""
+    n = 1 - 2 * _X0
+    stay, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
+    fill = np.zeros((2, n, 3), np.uint64)
+    for i, X in enumerate(range(_X0, 1 - _X0)):
+        if -4 <= X < 0:
+            cut, gap, tail = 1, b"0." + b"0" * (-X - 1), b""
+            bare = gap  # digits always follow
+        else:
+            fixed = 0 <= X <= 16
+            cut, gap, bare = X + 2 if fixed else 2, b".", b""
+            tail = b"" if fixed else b"e%+03d" % X
+        stay[i], shift[i] = _words(b"\xff" * cut), 8 * len(gap)
+        end = _words(tail.rjust(24, b"\0"))
+        fill[0, i] = _words(b"\0" * cut + bare) | end
+        fill[1, i] = _words(b"\0" * cut + gap) | end
+    return stay, shift, fill, np.stack([_words(b"\xff" * (1 + k)) for k in range(18)])
+
+
+def _scaled(a: np.ndarray, X: np.ndarray):
+    """(hi, r): a 10^(16 - X) = hi + r to about 1e-14, with hi = fl(a 10^(16 - X))."""
+    p_hi, p_hh, p_hl, p_lo = (t[X - _X0] for t in _pow10())
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    hi = a * p_hi
+    return hi, (((ah * p_hh - hi) + ah * p_hl + al * p_hh) + al * p_hl) + a * p_lo
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """(n, 24) uint8 cells of the n float64 values x: cell i with its nul
+    bytes dropped is the text FMT % x[i]."""
+    x = np.ravel(x)
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp)
+    hi, r = _scaled(a, X)
+    off = np.flatnonzero((hi < 1e16) | (hi >= 1e17))  # log10 rounded across a power of 10
+    X[off] += np.where(hi[off] < 1e16, -1, 1)
+    hi[off], r[off] = _scaled(a[off], X[off])
+    fast &= (hi > 1e16) & (hi < 1e17) & (np.abs(r - np.floor(r) - 0.5) > 1e-6)
+    N = hi.astype(np.int64) + np.rint(r).astype(np.int64)
+
+    D = np.empty((18, x.size), np.uint8)  # D[1:] the digits of N, most significant first
+    top = N // 10**9
+    V = np.stack([top, N - top * 10**9]).astype(np.uint32)
+    for j in range(9):  # digit 8 - j of the top 8 and 17 - j of the low 9 (D[0] gets 0)
+        q = V // 10
+        D[8 - j::9] = V - q * 10
+        V = q
+    nsig = ((D[1:] != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    whole = np.where((X >= 0) & (X <= 16), X + 1, 1)  # digits before the point
+    keep = np.maximum(nsig, whole)  # %g drops the trailing zeros after the point
+    D[1:] += ord("0")
+    D[0] = np.where(np.signbit(x), ord("-"), 0)
+
+    stay, shift, fill, kept = _layouts()
+    cells = np.zeros((x.size, 24), np.uint8)
+    cells[:, :18] = D.T
+    W, i = cells.view("<u8"), X - _X0
+    W &= kept[keep]
+    up = W & ~stay[i]
+    W &= stay[i]
+    W |= fill[(keep > whole).astype(np.intp), i]
+    b = shift[i][:, None]
+    W |= up << b
+    W[:, 1:] |= up[:, :-1] >> (64 - b)
+
+    text = cells.view("S24")[:, 0]
+    zero = x == 0
+    text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
+    slow = np.flatnonzero(~fast & ~zero)
+    text[slow] = [(FMT % v).encode() for v in x[slow].tolist()]
+    return cells
+
+
 def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
-    """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV, row by row.
+    """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV, in blocks of rows.
 
     Each cell is FMT % value, which writes +0.0 as "0".  The text of every
     upper-triangle cell is kept, packed in 24-byte slots (the longest FMT
     text, "-2.2250738585072014e-308", has 24 characters); a cell below the
     diagonal whose bits equal its mirror's reuses that text, so a symmetric
     matrix formats each mirror pair once.  Any other cell is formatted alone.
+    The cells of a block of rows are formatted by one `_format_cells` call.
     """
     labels = chart_labels(L)
     mat = np.ascontiguousarray(mat, dtype=float)
@@ -190,42 +311,60 @@ def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
         raise ValueError(f"need a {d} x {d} matrix at L = {L}, got shape {mat.shape}")
     bits = mat.view(np.uint64)
     start = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])  # row i's cells i..d-1
-    mirror = start[:-1] - np.arange(d)  # cell (j, i), j <= i, is upper[mirror[j] + i]
     upper = np.full(start[-1], b"0", dtype="S24")
-    line = np.zeros((d, 25), dtype=np.uint8)  # each cell nul-padded, then "," (last "\n")
-    line[:, 24] = ord(",")
-    line[-1, 24] = ord("\n")
-    cells = line[:, :24].view("S24")[:, 0]
+    heads = np.array([f'"{c}",'.encode() for c in labels])
+    w = heads.itemsize
+    rows = max(1, _BLOCK // d)
+    line = np.zeros((rows, w + 25 * d), dtype=np.uint8)  # head, then each cell nul-padded and ","
+    line[:, w + 24::25] = ord(",")
+    line[:, -1] = ord("\n")
+    j = np.arange(d)
     with open(path, "wb") as f:
         f.write(("index," + ",".join(f'"{c}"' for c in labels) + "\n").encode())
-        for i, lab in enumerate(labels):
-            nz = np.flatnonzero(bits[i, i:])  # cells whose bits are not +0.0
-            if nz.size:  # one % call formats them all
-                text = ",".join([FMT] * nz.size) % tuple(mat[i, i + nz].tolist())
-                upper[start[i] + nz] = text.encode().split(b",")
-            cells[:i] = upper[mirror[:i] + i]
-            cells[i:] = upper[start[i]:start[i + 1]]
-            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
-                cells[j] = FMT % mat[i, j]
-            f.write(f'"{lab}",'.encode())
-            f.write(line.tobytes().translate(None, b"\0"))
+        for i0 in range(0, d, rows):
+            block, b = mat[i0:i0 + rows], bits[i0:i0 + rows]
+            i = np.arange(i0, i0 + len(block))[:, None]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            slot = start[lo] - lo + hi  # cells (i, j) and (j, i) share a slot
+            new = (j >= i) & (b != 0)  # upper cells whose bits are not +0.0
+            own = (j < i) & (b != bits[:, i0:i0 + rows].T)  # lower cells unlike their mirror
+            text = _format_cells(np.concatenate([block[new], block[own]])).view("S24")[:, 0]
+            k = np.count_nonzero(new)
+            upper[slot[new]] = text[:k]
+            out = line[:len(block)]
+            out[:, :w] = heads[i0:i0 + rows, None].view(np.uint8)
+            cells = out[:, w:].reshape(len(block), d, 25)[:, :, :24].view("S24")[:, :, 0]
+            cells[:] = upper[slot]
+            cells[own] = text[k:]
+            f.write(out.tobytes().translate(None, b"\0"))
 
 
 def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:
     """Write an n x d sample matrix (CSV rows or raw little-endian float64)
-    plus a JSON sidecar `<path>.json` with at least {"L", "t", "n", "seed"}."""
+    plus a JSON sidecar `<path>.json` with at least {"L", "t", "n", "seed"}.
+    CSV cells are FMT % value, formatted in blocks of whole rows holding at
+    most 8192 cells (one row, if a row is longer)."""
     path = Path(path)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, d = X.shape
     if raw:
         path.write_bytes(np.ascontiguousarray(X, dtype="<f8").tobytes())
+    elif X.size == 0:
+        path.write_bytes(b"\n" * max(n, 1))  # n empty rows, or one empty line
     else:
-        row_fmt = ",".join([FMT] * X.shape[1])  # one % call formats a whole row
-        lines = [row_fmt % tuple(row.tolist()) for row in X]
-        path.write_text("\n".join(lines) + "\n")
+        rows = max(1, _BLOCK // d)
+        with open(path, "wb") as f:
+            for i0 in range(0, n, rows):
+                block = X[i0:i0 + rows]
+                line = np.empty((len(block), d, 25), dtype=np.uint8)
+                line[:, :, :24] = _format_cells(block).reshape(len(block), d, 24)
+                line[:, :, 24] = ord(",")
+                line[:, -1, 24] = ord("\n")
+                f.write(line.tobytes().translate(None, b"\0"))
     sidecar = dict(meta)
-    sidecar.setdefault("n", int(X.shape[0]))
+    sidecar.setdefault("n", int(n))
     sidecar["raw"] = bool(raw)
-    sidecar["d"] = int(X.shape[1])
+    sidecar["d"] = int(d)
     Path(str(path) + ".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
     )

@@ -5,8 +5,10 @@ They check the library's identities through the dense operators `ops.Y` and
 builds; through per-entry evaluations of the harmonics and the chart slots;
 and through the score-matching losses of one score vector at a time, the
 oracle of the batched per-order `lossmap.loss_frequency` and
-`lossmap.loss_spatial`; and through a covariance CSV built cell by cell, the
-oracle of the streaming `noise.sigma_to_csv`.
+`lossmap.loss_spatial`; through a covariance CSV built cell by cell, the
+oracle of the streaming `noise.sigma_to_csv`; and through a sample CSV built
+with one % call per row, the oracle of the block-formatting
+`noise.save_samples`.
 """
 
 import numpy as np
@@ -196,3 +198,9 @@ def sigma_csv(X, L: int) -> str:
     lines = ["index," + ",".join(f'"{c}"' for c in labels)]
     lines += [f'"{lab}",' + ",".join(FMT % v for v in row) for lab, row in zip(labels, X)]
     return "\n".join(lines) + "\n"
+
+
+def sample_csv(X) -> bytes:
+    """The sample CSV of X with one % call per row."""
+    row_fmt = ",".join([FMT] * X.shape[1])
+    return ("\n".join(row_fmt % tuple(row.tolist()) for row in X) + "\n").encode()

@@ -443,6 +443,23 @@ def test_reverse_diffuse_at_the_data_scale_bound_writes_finite_numbers(domain, t
     assert np.isfinite(diag["mean_rel_error"]) and np.isfinite(diag["cov_rel_frobenius_error"])
 
 
+@pytest.mark.parametrize("domain,expected", [("frequency", 1.27e278), ("spatial", 1.22e278)])
+def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, expected, tmp_path):
+    # the error's squares overflow and the reference's underflow under one
+    # shared scale; each sum scaled by its own argument's largest magnitude
+    # gives the ratio, while a ratio beyond the float range stays null
+    for law, want in (({"data_mean_scale": 1.34e154}, expected),
+                      ({"data_mean_scale": 1.34e154, "data_cov_scale": 1.5e-154}, None)):
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps(law))
+        out = tmp_path / "rev.csv"
+        assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                     "--score", "gaussian-analytic", "--domain", domain, "--L", "2",
+                     "--n", "10", "--steps", "10", "--out", str(out)]) == 0
+        got = _read_json(tmp_path / "rev.csv.diagnostics.json")["cov_rel_frobenius_error"]
+        assert got == (None if want is None else pytest.approx(want, rel=0.01))
+
+
 def test_diffuse_config_accepts_data_seed(tmp_path):
     cfg = tmp_path / "law.json"
     cfg.write_text(json.dumps({"data_seed": 5}))

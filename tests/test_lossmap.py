@@ -234,6 +234,37 @@ def test_batched_bound_terms_match_a_per_trial_loop(L, ops_cache, cov_cache):
     assert abs(rep["mean_rhs"] - ref_rhs.mean()) <= 1e-12 * ref_rhs.mean()
 
 
+@pytest.mark.parametrize("L,n", [(1, 200), (2, 200), (3, 200), (4, 200), (5, 200), (6, 200),
+                                 (7, 200), (8, 200), (16, 50), (64, 10)])
+def test_spatial_loss_is_frequency_loss_plus_an_out_of_band_term(L, n, ops_cache, cov_cache,
+                                                                 monkeypatch):
+    # ||M s_hat - T^T s_ref||_Q^2 = ||s_hat - Sigma s_ref||^2 + ||(I - P) T^T s_ref||_Q^2
+    # for every trial: P = M T is the Q-orthogonal projector onto band-limited
+    # fields, M s_hat lies in its range and T T^T = Sigma.  The last term is
+    # loss_spatial(Sigma s_ref, s_ref), whatever s_hat is.
+    seen = {}
+    frequency, spatial = lossmap.loss_frequency, lossmap.loss_spatial
+
+    def seen_frequency(bops, s_hat, sigma_s_ref):
+        seen["sigma_s_ref"] = sigma_s_ref
+        return frequency(bops, s_hat, sigma_s_ref)
+
+    def seen_spatial(bops, s_hat, s_ref):
+        seen["s_ref"] = s_ref
+        return spatial(bops, s_hat, s_ref)
+
+    monkeypatch.setattr(lossmap, "loss_frequency", seen_frequency)
+    monkeypatch.setattr(lossmap, "loss_spatial", seen_spatial)
+    ops = ops_cache[L] if L in ops_cache else transform.build_operators(L)
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
+    bops, schedule = lossmap.bound_operators(ops, cov), sde.VpSchedule()
+    draws = lossmap._draw_trials(np.random.default_rng(L), n, L * L, schedule, 1e-3)
+    lhs, term_q, _ = lossmap._trial_terms(bops, schedule, draws)
+    out_of_band = spatial(bops, seen["sigma_s_ref"], seen["s_ref"])
+    assert np.all(out_of_band >= 0.0)
+    assert np.all(np.abs(term_q - lhs - out_of_band) <= 1e-12 * term_q)
+
+
 def test_bound_check_runs_no_eigendecomposition_given_the_operators(
         ops_cache, cov_cache, monkeypatch):
     ops, Sigma = ops_cache[4], cov_cache[4].Sigma

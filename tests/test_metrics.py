@@ -134,4 +134,9 @@ def test_rel_frobenius_scales_sums_of_squares_that_overflow():
     for big in (1e200, 1e306):
         assert metrics._rel_frobenius(big * err, big * ref) == pytest.approx(plain, rel=1e-15)
     assert metrics._rel_frobenius(1e300 * err, np.zeros(3)) is None
+    # each sum has its own scale: a tiny reference's squares do not vanish
+    # beside an error whose squares overflow, and an overflowing ratio is None
+    got = metrics._rel_frobenius(1e276 * err, 1e-2 * ref)
+    assert got == pytest.approx(1e278 * plain, rel=1e-14)
+    assert metrics._rel_frobenius(1e300 * err, 1e-10 * ref) is None
     assert metrics._rel_frobenius(np.array([np.inf, 1e300]), np.ones(2)) == math.inf

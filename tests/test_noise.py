@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BAND_LIMITS
-from dense_reference import chart_index, sigma_csv
+from dense_reference import chart_index, sample_csv, sigma_csv
 from spherediff import chart, noise, transform
 from spherediff.indexing import chart_is_im, chart_ms
 
@@ -234,6 +236,79 @@ def test_sample_csv_matches_the_per_value_formatter(tmp_path):
     ref = "\n".join(",".join(transform.FMT % v for v in row) for row in X) + "\n"
     assert p.read_text() == ref
     assert "-0," in ref and "1e-300" in ref
+
+
+def _texts(x):
+    """The texts of `noise._format_cells`, nul bytes dropped."""
+    return [c.tobytes().replace(b"\0", b"") for c in noise._format_cells(np.asarray(x))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda b: np.array([b], dtype=np.uint64).view(float)[0]),
+), min_size=1, max_size=50))
+def test_cells_match_fmt_on_any_float64(values):
+    x = np.array(values, dtype=float)
+    assert _texts(x) == [(transform.FMT % v).encode() for v in x.tolist()]
+
+
+def test_cells_match_fmt_over_a_sweep_of_a_million_values():
+    rng = np.random.default_rng(18)
+    # powers of ten, with 1e-5, 1e-4, 1e16 and 1e17, where %g changes form
+    edges = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    # 18 significant digits ending in 5: within an ulp of a tie at the 17th
+    ties = [float(f"{d}.{m:016d}5e{k}") for d, m, k in zip(
+        rng.integers(1, 10, 100_000), rng.integers(0, 10**16, 100_000),
+        rng.integers(-300, 301, 100_000))]
+    x = np.concatenate([
+        rng.integers(0, 2**64, 600_000, dtype=np.uint64).view(float),  # any bit pattern
+        rng.standard_normal(200_000) * np.exp(rng.uniform(-700, 700, 200_000)),
+        np.round(rng.standard_normal(100_000) * 10.0 ** rng.integers(-6, 18, 100_000)),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), ties,
+    ])
+    x = np.concatenate([x, -x[-len(ties) - 3 * len(edges):]])
+    assert x.size >= 1_000_000
+    lines = np.full((x.size, 25), ord("\n"), dtype=np.uint8)
+    lines[:, :24] = noise._format_cells(x)
+    got = lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    ref = [transform.FMT % v for v in x.tolist()]
+    bad = [(v, g, r) for v, g, r in zip(x.tolist(), got, ref) if g != r]
+    assert not bad, bad[:5]
+
+
+def test_cells_fall_back_to_fmt_only_where_in_doubt(monkeypatch):
+    calls = []
+
+    class CountingFormat(str):
+        def __mod__(self, value):
+            calls.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(noise, "FMT", CountingFormat(transform.FMT))
+    ordinary = [1.5, -0.0, 0.0, 3e-5, 123456789.125, -2.5e-200, 7e279]
+    assert _texts(ordinary) == [(transform.FMT % v).encode() for v in ordinary]
+    assert calls == []
+    huge = [1.0000000000000001e281, -3.3e300, 1.7976931348623157e308, np.inf]
+    assert _texts(huge) == [(transform.FMT % v).encode() for v in huge]
+    assert calls == huge
+
+
+@pytest.mark.parametrize("shape", [(250, 552), (1000, 56)])
+def test_sample_csv_at_diffuse_size_matches_the_per_row_oracle(shape, tmp_path):
+    X = np.random.default_rng(shape[1]).standard_normal(shape)
+    noise.save_samples(tmp_path / "s.csv", X, {"L": 2, "t": 1.0, "seed": 0})
+    assert (tmp_path / "s.csv").read_bytes() == sample_csv(X)
+
+
+@pytest.mark.parametrize("X,text", [
+    (np.zeros((0, 4)), b"\n"),
+    (np.zeros((3, 0)), b"\n\n\n"),
+    (np.array([[-0.0]]), b"-0\n"),
+], ids=["no-rows", "no-columns", "minus-zero"])
+def test_sample_csv_of_edge_shapes(X, text, tmp_path):
+    noise.save_samples(tmp_path / "s.csv", X, {"L": 2, "t": 1.0, "seed": 0})
+    assert (tmp_path / "s.csv").read_bytes() == text
 
 
 def test_sigma_csv_matches_the_per_value_formatter(tmp_path):
