@@ -124,6 +124,29 @@ def _as_samples(name: str, X) -> np.ndarray:
     return X
 
 
+def _power_mean_root(D: np.ndarray, p: float, w=None) -> np.ndarray:
+    """(sum_i w_i |D_i|^p)^(1/p) down each column of D (w_i = 1/n unless
+    given), as a 1-D array with one entry per column (one for a 1-D D).
+
+    Where that sum leaves the normal float range (|D_i|^p overflows, or the
+    sum falls among the subnormals or to 0), the column is summed again over
+    |D| / M, M its largest |D_i|, and M scales the root back.  Sums inside
+    the range keep the bits of the plain form.
+    """
+    D = np.abs(D)
+    with np.errstate(over="ignore"):
+        s = np.mean(D ** p, axis=0) if w is None else w @ D ** p
+    root = np.atleast_1d(s ** (1.0 / p))
+    cols = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
+    D = D.reshape(len(D), -1)[:, cols]
+    M = D.max(axis=0)
+    cols, D, M = cols[M > 0], D[:, M > 0], M[M > 0]  # an all-zero column's root is 0
+    if cols.size:
+        D = (D / M) ** p
+        root[cols] = M * (np.mean(D, axis=0) if w is None else w @ D) ** (1.0 / p)
+    return root
+
+
 def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:
     """Exact order-p Wasserstein distance between 1-D empirical measures."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -132,14 +155,14 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:
     if n == 0 or m == 0:
         raise ValueError("empty sample set")
     if n == m:
-        return float(np.mean(np.abs(a - b) ** p) ** (1.0 / p))
+        return float(_power_mean_root(a - b, p)[0])
     edges = np.concatenate(
         [[0.0], np.union1d(np.arange(1, n) / n, np.arange(1, m) / m), [1.0]]
     )
     mids = 0.5 * (edges[:-1] + edges[1:])
     ia = np.minimum((mids * n).astype(np.intp), n - 1)
     ib = np.minimum((mids * m).astype(np.intp), m - 1)
-    return float((np.diff(edges) @ np.abs(a[ia] - b[ib]) ** p) ** (1.0 / p))
+    return float(_power_mean_root(a[ia] - b[ib], p, np.diff(edges))[0])
 
 
 def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
@@ -165,7 +188,7 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
     if A.shape[0] == B.shape[0]:
         PA.sort(axis=0)
         PB.sort(axis=0)
-        per = np.mean(np.abs(PA - PB) ** p, axis=0) ** (1.0 / p)
+        per = _power_mean_root(PA - PB, p)
     else:
         per = np.array(
             [wasserstein_1d(PA[:, i], PB[:, i], p) for i in range(n_proj)]

@@ -294,56 +294,52 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
-    """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV, in blocks of rows.
+def _write_rows(f, X: np.ndarray, heads=None) -> None:
+    """Write the rows of X to the binary file f as CSV lines: the row's head
+    (bytes, from `heads` when given), then each cell as FMT % value.
 
-    Each cell is FMT % value, which writes +0.0 as "0".  The text of every
-    upper-triangle cell is kept, packed in 24-byte slots (the longest FMT
-    text, "-2.2250738585072014e-308", has 24 characters); a cell below the
-    diagonal whose bits equal its mirror's reuses that text, so a symmetric
-    matrix formats each mirror pair once.  Any other cell is formatted alone.
-    The cells of a block of rows are formatted by one `_format_cells` call.
+    The cells of a block of whole rows, at most 8192 (one row, if a row is
+    longer), whose bits are not +0.0 go through one `_format_cells` call;
+    +0.0 is written as "0", as FMT gives it.  Each cell is nul-padded to 24
+    bytes (the longest FMT text, "-2.2250738585072014e-308", has 24
+    characters) in the block's buffer, which is written without its nuls.
     """
+    n, d = X.shape
+    w = 0 if heads is None else heads.itemsize
+    rows = max(1, _BLOCK // d)
+    line = np.zeros((min(rows, n), w + 25 * d), dtype=np.uint8)
+    line[:, w + 24::25] = ord(",")
+    line[:, -1] = ord("\n")
+    for i0 in range(0, n, rows):
+        block = X[i0:i0 + rows]
+        out = line[:len(block)]
+        if heads is not None:
+            out[:, :w] = heads[i0:i0 + rows, None].view(np.uint8)
+        cells = out[:, w:].reshape(len(block), d, 25)[:, :, :24].view("S24")[:, :, 0]
+        cells[:] = b"0"
+        nonzero = block.view(np.uint64) != 0
+        cells[nonzero] = _format_cells(block[nonzero]).view("S24")[:, 0]
+        f.write(out.tobytes().translate(None, b"\0"))
+
+
+def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
+    """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV:
+    a header of the '(ell,m,part)' labels, then each row after its label,
+    each cell FMT % value, streamed in blocks of rows."""
     labels = chart_labels(L)
-    mat = np.ascontiguousarray(mat, dtype=float)
+    mat = np.asarray(mat, dtype=float)
     d = len(labels)
     if mat.shape != (d, d):
         raise ValueError(f"need a {d} x {d} matrix at L = {L}, got shape {mat.shape}")
-    bits = mat.view(np.uint64)
-    start = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])  # row i's cells i..d-1
-    upper = np.full(start[-1], b"0", dtype="S24")
-    heads = np.array([f'"{c}",'.encode() for c in labels])
-    w = heads.itemsize
-    rows = max(1, _BLOCK // d)
-    line = np.zeros((rows, w + 25 * d), dtype=np.uint8)  # head, then each cell nul-padded and ","
-    line[:, w + 24::25] = ord(",")
-    line[:, -1] = ord("\n")
-    j = np.arange(d)
     with open(path, "wb") as f:
         f.write(("index," + ",".join(f'"{c}"' for c in labels) + "\n").encode())
-        for i0 in range(0, d, rows):
-            block, b = mat[i0:i0 + rows], bits[i0:i0 + rows]
-            i = np.arange(i0, i0 + len(block))[:, None]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            slot = start[lo] - lo + hi  # cells (i, j) and (j, i) share a slot
-            new = (j >= i) & (b != 0)  # upper cells whose bits are not +0.0
-            own = (j < i) & (b != bits[:, i0:i0 + rows].T)  # lower cells unlike their mirror
-            text = _format_cells(np.concatenate([block[new], block[own]])).view("S24")[:, 0]
-            k = np.count_nonzero(new)
-            upper[slot[new]] = text[:k]
-            out = line[:len(block)]
-            out[:, :w] = heads[i0:i0 + rows, None].view(np.uint8)
-            cells = out[:, w:].reshape(len(block), d, 25)[:, :, :24].view("S24")[:, :, 0]
-            cells[:] = upper[slot]
-            cells[own] = text[k:]
-            f.write(out.tobytes().translate(None, b"\0"))
+        _write_rows(f, mat, np.array([f'"{c}",'.encode() for c in labels]))
 
 
 def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:
     """Write an n x d sample matrix (CSV rows or raw little-endian float64)
     plus a JSON sidecar `<path>.json` with at least {"L", "t", "n", "seed"}.
-    CSV cells are FMT % value, formatted in blocks of whole rows holding at
-    most 8192 cells (one row, if a row is longer)."""
+    CSV cells are FMT % value, streamed in blocks of rows."""
     path = Path(path)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -352,15 +348,8 @@ def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:
     elif X.size == 0:
         path.write_bytes(b"\n" * max(n, 1))  # n empty rows, or one empty line
     else:
-        rows = max(1, _BLOCK // d)
         with open(path, "wb") as f:
-            for i0 in range(0, n, rows):
-                block = X[i0:i0 + rows]
-                line = np.empty((len(block), d, 25), dtype=np.uint8)
-                line[:, :, :24] = _format_cells(block).reshape(len(block), d, 24)
-                line[:, :, 24] = ord(",")
-                line[:, -1, 24] = ord("\n")
-                f.write(line.tobytes().translate(None, b"\0"))
+            _write_rows(f, X)
     sidecar = dict(meta)
     sidecar.setdefault("n", int(n))
     sidecar["raw"] = bool(raw)

@@ -6,10 +6,14 @@ builds; through per-entry evaluations of the harmonics and the chart slots;
 and through the score-matching losses of one score vector at a time, the
 oracle of the batched per-order `lossmap.loss_frequency` and
 `lossmap.loss_spatial`; through a covariance CSV built cell by cell, the
-oracle of the streaming `noise.sigma_to_csv`; and through a sample CSV built
+oracle of the streaming `noise.sigma_to_csv`; through a sample CSV built
 with one % call per row, the oracle of the block-formatting
-`noise.save_samples`.
+`noise.save_samples`; and through order-p Wasserstein distances summed in
+logs, the oracle of `metrics.wasserstein_1d` and
+`metrics.sliced_wasserstein` at orders where |x|^p leaves the float range.
 """
+
+import math
 
 import numpy as np
 
@@ -204,3 +208,24 @@ def sample_csv(X) -> bytes:
     """The sample CSV of X with one % call per row."""
     row_fmt = ",".join([FMT] * X.shape[1])
     return ("\n".join(row_fmt % tuple(row.tolist()) for row in X) + "\n").encode()
+
+
+def wasserstein_in_logs(a, b, p: float) -> float:
+    """Order-p Wasserstein distance of two 1-D empirical measures on their
+    common grid of lcm(n, m) quantiles, the p-th powers summed in logs, so
+    that no finite sample overflows or underflows."""
+    k = math.lcm(len(a), len(b))
+    D = np.abs(np.repeat(np.sort(a), k // len(a)) - np.repeat(np.sort(b), k // len(b)))
+    logs = p * np.log(D[D > 0])
+    if not logs.size:
+        return 0.0
+    top = logs.max()
+    return float(np.exp((top + np.log(np.sum(np.exp(logs - top)) / k)) / p))
+
+
+def sliced_wasserstein_in_logs(A, B, p: float, n_proj: int, seed) -> np.ndarray:
+    """`wasserstein_in_logs` of A and B projected on each direction that
+    `metrics.sliced_wasserstein` draws with the same seed."""
+    dirs = np.random.default_rng(seed).standard_normal((n_proj, A.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.array([wasserstein_in_logs(A @ u, B @ u, p) for u in dirs])

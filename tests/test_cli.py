@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dense_reference import sigma_csv
+from dense_reference import sigma_csv, sliced_wasserstein_in_logs
 from spherediff import chart, cli, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
@@ -518,6 +518,26 @@ def test_sliced_w_identical_files(tmp_path):
     assert rc == 0
     rep = _read_json(out)
     assert rep["sw"] == 0.0 and rep["n_proj"] == 10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [50.0, 1e-3])
+@pytest.mark.parametrize("m", [60, 45], ids=["equal-counts", "unequal-counts"])
+def test_sliced_w_at_a_large_order_writes_finite_strict_json(scale, m, tmp_path):
+    # |difference|^300 overflows at scale 50 and underflows to 0 at scale 1e-3
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((60, 4)) * scale
+    B = (rng.standard_normal((m, 4)) + 0.5) * scale
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "sw.json"
+    noise.save_samples(a, A, {"L": 2, "t": 1.0, "seed": 0})
+    noise.save_samples(b, B, {"L": 2, "t": 1.0, "seed": 0})
+    assert main(["sliced-w", "--a", str(a), "--b", str(b), "--n-proj", "8", "--p", "300",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text(),
+                     parse_constant=lambda c: pytest.fail(f"non-finite JSON token {c}"))
+    per = sliced_wasserstein_in_logs(A, B, 300.0, 8, 0)
+    assert rep["sw"] == pytest.approx(per.mean(), rel=1e-12)
+    assert rep["ci2se"][0] < rep["sw"] < rep["ci2se"][1]
 
 
 def test_sliced_w_dimension_mismatch_is_usage_error(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import sliced_wasserstein_in_logs, wasserstein_in_logs
 from spherediff import metrics
 
 
@@ -54,6 +55,28 @@ def test_wasserstein_1d_unequal_counts_matches_order_statistic_grid():
             exact = (np.mean(np.abs(lcm_grid_a - lcm_grid_b) ** p)) ** (1.0 / p)
             got = metrics.wasserstein_1d(a, b, p=p)
             np.testing.assert_allclose(got, exact, rtol=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [50.0, 1e-3])
+@pytest.mark.parametrize("m", [200, 150], ids=["equal-counts", "unequal-counts"])
+def test_wasserstein_at_a_large_order_matches_the_log_scaled_reference(scale, m):
+    # at p = 300, |difference|^p overflows at scale 50 and underflows to 0 at
+    # scale 1e-3; at p = 100 the plain sums stay in range, but for some
+    # projections at scale 1e-3
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((200, 4)) * scale
+    B = (rng.standard_normal((m, 4)) + 0.5) * scale
+    for p in (100.0, 300.0):
+        got = metrics.wasserstein_1d(A[:, 0], B[:, 0], p=p)
+        assert got == pytest.approx(wasserstein_in_logs(A[:, 0], B[:, 0], p), rel=1e-12)
+        per = sliced_wasserstein_in_logs(A, B, p, 16, 3)
+        res = metrics.sliced_wasserstein(A, B, p=p, n_proj=16, seed=3)
+        assert res.value == pytest.approx(per.mean(), rel=1e-12)
+        assert res.se == pytest.approx(per.std(ddof=1) / 4.0, rel=1e-9)
+    # at p = 2 the sums are in range and keep the plain form's bits
+    D = np.sort(A[:100, 0]) - np.sort(B[:100, 0])
+    assert metrics.wasserstein_1d(A[:100, 0], B[:100, 0]) == float(np.mean(D**2.0) ** 0.5)
 
 
 def test_wasserstein_1d_shift_invariance_of_mass():

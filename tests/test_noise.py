@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -359,9 +360,45 @@ def test_sigma_csv_reuses_a_mirror_cell_only_where_the_bits_agree(upper, lower, 
     assert (rows[1][6] == rows[6][1]) == (transform.FMT % upper == transform.FMT % lower)
 
 
+def _first_difference(got: str, want: str):
+    """(line, cell, got, want) at the first CSV cell where two texts differ,
+    or None: a short failure message, where pytest's diff of texts of many
+    megabytes takes minutes."""
+    for i, (g, w) in enumerate(zip_longest(got.split("\n"), want.split("\n"))):
+        if g != w:
+            cells = zip_longest((g or "").split(","), (w or "").split(","))
+            return next((i, j, a, b) for j, (a, b) in enumerate(cells) if a != b)
+    return None
+
+
+@pytest.mark.parametrize("L", [10, 32])  # blocks of 81 rows and a last of 19; of 8 rows
+def test_sigma_csv_across_row_blocks_matches_the_per_value_formatter(L, tmp_path):
+    d = L * L
+    rng = np.random.default_rng(L)
+    X = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-20, 21, (d, d))
+    kind = rng.integers(0, 64, (d, d))
+    X[kind < 32] = 0.0  # half the cells, as in the block-sparse Sigma
+    X[kind == 32] = -0.0
+    X[kind == 33] = np.nan
+    subnormal = rng.integers(1, 2**52, (d, d), dtype=np.uint64).view(float)
+    X[kind == 34] = (subnormal * np.sign(X))[kind == 34]
+    X[d // 2:d // 2 + 8] = 0.0  # at L = 32, a block with no cell to format
+    p = tmp_path / "s.csv"
+    noise.sigma_to_csv(X, L, p)
+    assert _first_difference(p.read_text(), sigma_csv(X, L)) is None
+    wide = np.zeros((d, 2 * d))
+    wide[:, ::2] = X.T
+    text, rows = sigma_csv(X.T, L), sample_csv(X.T).decode()
+    for Y in (X.T, wide[:, ::2]):  # a transposed view, and a strided slice of its values
+        noise.sigma_to_csv(Y, L, p)
+        assert _first_difference(p.read_text(), text) is None
+        noise.save_samples(p, Y, {"L": L, "t": 1.0, "seed": 0})
+        assert _first_difference(p.read_text(), rows) is None
+
+
 def test_sigma_csv_at_L32_streams_within_a_memory_bound(tmp_path):
-    # Measured: a 12.9 MB peak, mostly the packed 24-byte texts of the upper
-    # triangle; the bound is about 1.5 times that.  Building the whole text
+    # Measured: a 2.0 MB peak, the buffer and temporaries of one block of 8
+    # rows; the bound is about 1.5 times that.  Building the whole text
     # first, as a list of lines and then one string, peaked at 73.9 MB.
     cov = noise.build_covariance(32)
     E = noise.empirical_covariance(noise.sample_mirrored_bm(cov.Lambda, 1.0, 300, 12))
@@ -371,7 +408,7 @@ def test_sigma_csv_at_L32_streams_within_a_memory_bound(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 19e6, peak
+    assert peak <= 3e6, peak
 
 
 def test_sigma_csv_rejects_a_matrix_of_the_wrong_shape(tmp_path):
