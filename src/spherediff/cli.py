@@ -15,6 +15,7 @@ not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -53,6 +54,12 @@ def _canonical(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def _settings(args) -> dict:
+    """The command and every parsed option but the output paths: what a run's
+    `config_hash` covers."""
+    return {k: v for k, v in vars(args).items() if k not in ("fn", "out", "out_dir")}
+
+
 def _provenance(config: dict) -> dict:
     return {
         "tool_version": __version__,
@@ -83,7 +90,6 @@ def cmd_verify_operators(args) -> int:
     _require_min("L", args.L, 1)
     _require_finite("tol", args.tol)
     _require_min("seed", args.seed, 0)
-    config = {"command": "verify-operators", "L": args.L, "tol": args.tol, "seed": args.seed}
     ops = transform.build_operators(args.L)
     rng = np.random.default_rng(args.seed)
     L2 = ops.d_spectral
@@ -108,7 +114,7 @@ def cmd_verify_operators(args) -> int:
         "residuals": checks,
         "failures": failures,
         "pass": not failures,
-        "provenance": _provenance(config),
+        "provenance": _provenance(_settings(args)),
     }
     _write_json(_out_path(args.out, f"verify_operators_L{args.L}.json"), report)
     if failures:
@@ -128,10 +134,6 @@ def cmd_covariance(args) -> int:
     if args.t <= 0:
         raise UsageError("--t must be > 0")
     _require_min("seed", args.seed, 0)
-    config = {
-        "command": "covariance", "L": args.L, "samples": args.samples,
-        "t": args.t, "seed": args.seed,
-    }
     cov = noise.build_covariance(args.L)
     with np.errstate(over="ignore"):  # an overflow is reported below, in one line
         emp = noise.empirical_covariance(
@@ -150,7 +152,7 @@ def cmd_covariance(args) -> int:
         "t": args.t,
         "rel_frobenius_error": _rel_frobenius(emp - theo, theo),
         "max_abs_entry_error": float(np.max(np.abs(emp - theo))),
-        "provenance": _provenance(config),
+        "provenance": _provenance(_settings(args)),
     }
     _write_json(out_dir / "summary.json", summary)
     return 0
@@ -161,20 +163,16 @@ def cmd_covariance(args) -> int:
 # ---------------------------------------------------------------------------
 
 _DIFFUSE_DEFAULTS = {
-    "L": 4, "beta_min": 0.1, "beta_max": 10.0, "T": 1.0, "steps": 1000,
-    "n": 1000, "seed": 0, "domain": "frequency", "direction": "forward",
+    "L": 4, "n": 1000, "seed": 0, "domain": "frequency", "direction": "forward",
     "score": "none", "raw": False,
     "data_seed": None, "data_mean_scale": 0.25, "data_cov_scale": 0.04,
+    **{f.name: f.default for f in dataclasses.fields(sde.VpSchedule)},
 }
 
 
 def _resolve_diffuse_config(args) -> dict:
     cfg = dict(_DIFFUSE_DEFAULTS)
-    flags = {k: v for k, v in {
-        "direction": args.direction, "domain": args.domain, "score": args.score,
-        "L": args.L, "n": args.n, "steps": args.steps, "seed": args.seed,
-    }.items() if v is not None}
-    cfg.update(flags)
+    cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -200,18 +198,12 @@ def _check_diffuse_config(cfg: dict) -> None:
 
     for key, low in (("L", 1), ("steps", 1), ("n", 0), ("seed", 0), ("data_seed", 0)):
         v = cfg[key]
-        if v is None and key in ("seed", "data_seed"):
-            continue
-        if not (is_int(v) and v >= low):
+        if not (is_int(v) and v >= low or key == "data_seed" and v is None):
             raise UsageError(f"{key} must be an integer >= {low}, got {v!r}")
     for key in ("beta_min", "beta_max", "T", "data_mean_scale", "data_cov_scale"):
         v = cfg[key]
         if not ((is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max):
             raise UsageError(f"{key} must be a finite number, got {v!r}")
-    if not 0 < cfg["beta_min"] <= cfg["beta_max"]:
-        raise UsageError("need 0 < beta_min <= beta_max")
-    if not cfg["T"] > 0:
-        raise UsageError("T must be > 0")
     cov_floor = np.sqrt(sys.float_info.min)  # below it the covariance's squares underflow
     if not (cfg["data_mean_scale"] >= 0 and cfg["data_cov_scale"] >= cov_floor):
         raise UsageError(f"need data_mean_scale >= 0 and data_cov_scale >= {cov_floor:.3g}")
@@ -233,13 +225,14 @@ def _check_diffuse_config(cfg: dict) -> None:
 def cmd_diffuse(args) -> int:
     cfg = _resolve_diffuse_config(args)
     L, n, seed = cfg["L"], cfg["n"], cfg["seed"]
-    schedule = sde.VpSchedule(
-        beta_min=float(cfg["beta_min"]), beta_max=float(cfg["beta_max"]),
-        T=float(cfg["T"]), steps=cfg["steps"],
-    )
-    data_seed = cfg["data_seed"] if cfg["data_seed"] is not None else (
-        None if seed is None else int(seed) + 1
-    )
+    try:  # VpSchedule owns the beta and T ranges
+        schedule = sde.VpSchedule(
+            beta_min=float(cfg["beta_min"]), beta_max=float(cfg["beta_max"]),
+            T=float(cfg["T"]), steps=cfg["steps"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    data_seed = seed + 1 if cfg["data_seed"] is None else cfg["data_seed"]
     law = None
     if cfg["score"] == "gaussian-analytic":
         law = sde.surrogate_gaussian(
@@ -275,12 +268,11 @@ def cmd_bound_check(args) -> int:
     _require_min("L", args.L, 1)
     _require_min("trials", args.trials, 1)
     _require_min("seed", args.seed, 0)
-    config = {"command": "bound-check", "L": args.L, "trials": args.trials, "seed": args.seed}
     ops = transform.build_operators(args.L)
     bops = lossmap.bound_operators(ops, noise.build_covariance(args.L))
     report = lossmap.check_theorem2_bound(bops, sde.VpSchedule(), args.trials, args.seed)
     report["identity_residuals"] = lossmap.identity_residuals(bops)
-    report["provenance"] = _provenance(config)
+    report["provenance"] = _provenance(_settings(args))
     _write_json(_out_path(args.out, f"bound_check_L{args.L}.json"), report)
     if report["violations"]:
         print(f"bound-check: {report['violations']} violation(s), "
@@ -298,10 +290,6 @@ def cmd_sliced_w(args) -> int:
     _require_finite("p", args.p)
     _require_min("p", args.p, 1)
     _require_min("seed", args.seed, 0)
-    config = {
-        "command": "sliced-w", "a": str(args.a), "b": str(args.b),
-        "n_proj": args.n_proj, "p": args.p, "seed": args.seed,
-    }
     try:
         A, meta_a = noise.load_samples(args.a)
         B, meta_b = noise.load_samples(args.b)
@@ -323,7 +311,7 @@ def cmd_sliced_w(args) -> int:
         "n_proj": res.n_proj,
         "p": res.p,
         "seed": args.seed,
-        "provenance": _provenance(config),
+        "provenance": _provenance(_settings(args)),
     }
     _write_json(_out_path(args.out, "sliced_w.json"), payload)
     return 0

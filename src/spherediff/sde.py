@@ -401,8 +401,7 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         return state, aborted, None
     basis = (_chart_basis(S_eig, cov.Sigma) if in_chart
              else _spatial_basis(_fixed_order_matmul(M, S_half)))
-    state, more = reverse_exact(state, schedule, None if seed is None else int(seed) + 2,
-                                mean, basis, limit=limit)
+    state, more = reverse_exact(state, schedule, seed + 2, mean, basis, limit=limit)
     if n < 2:
         return state, aborted + more, None
     target = S if in_chart else M @ S @ M.T
