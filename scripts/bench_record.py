@@ -13,12 +13,16 @@ against the parent's interquartile range, and the pairs in which the change
 is better.  It also lists `nondeterministic_files` per side, and, where both
 sides have `--trace 1` results, the mean of each per-layer metric.  The
 environment block is the change's, with the parent's commit and source hash
-beside it.
+beside it.  A side's commit is written as null unless the source hash that
+`bench/run.py` records matches `src/spherediff/*.py` at that commit in this
+repository: a run from an uncommitted tree records the commit it sits on.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +57,30 @@ def compare(parent: list, change: list, better: str) -> dict:
     }
 
 
-def fold(parent_runs: dict, change_runs: dict, spec: dict) -> dict:
+def _git(repo: Path, *args) -> bytes:
+    return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True).stdout
+
+
+def src_digest_at(repo: Path, commit: str):
+    """`bench/run.py`'s src_sha256 of `src/spherediff/*.py` as committed at
+    `commit`: sha256 over name, NUL and bytes of each file, in name order.
+    None where git cannot read the commit."""
+    try:
+        paths = _git(repo, "ls-tree", "--name-only", commit, "src/spherediff/").decode()
+        h = hashlib.sha256()
+        for path in sorted(p for p in paths.splitlines() if p.endswith(".py")):
+            h.update(Path(path).name.encode() + b"\0" + _git(repo, "show", f"{commit}:{path}"))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return h.hexdigest()
+
+
+def truthful_commit(repo: Path, commit, digest):
+    """`commit` if its committed sources have the recorded `digest`, else None."""
+    return commit if commit and src_digest_at(repo, commit) == digest else None
+
+
+def fold(parent_runs: dict, change_runs: dict, spec: dict, repo: Path = ROOT) -> dict:
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
     per_layer = [m["name"] for m in spec["per_layer"]]
     paired = sorted(set(parent_runs) & set(change_runs))
@@ -83,8 +110,10 @@ def fold(parent_runs: dict, change_runs: dict, spec: dict) -> dict:
         workloads[name] = entry
     env = dict(change_runs[paired[0]]["environment"])
     env.pop("workload_seed", None)
+    env["git_commit"] = truthful_commit(repo, env.get("git_commit"), env.get("src_sha256"))
     parent_env = parent_runs[paired[0]]["environment"]
-    env["parent_git_commit"] = parent_env.get("git_commit")
+    env["parent_git_commit"] = truthful_commit(repo, parent_env.get("git_commit"),
+                                               parent_env.get("src_sha256"))
     env["parent_src_sha256"] = parent_env.get("src_sha256")
     return {"command": "python3 bench/run.py --workload W --seed S --seconds 15 --trace T",
             "environment": env, "workloads": workloads}

@@ -234,10 +234,9 @@ def cmd_diffuse(args) -> int:
         raise UsageError(str(exc))
     data_seed = seed + 1 if cfg["data_seed"] is None else cfg["data_seed"]
     law = None
-    if cfg["score"] == "gaussian-analytic":
-        law = sde.surrogate_gaussian(
-            L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]), data_seed
-        )
+    if cfg["score"] == "gaussian-analytic":  # run_chain draws the data from data_seed itself
+        law = sde.surrogate_gaussian(L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]),
+                                     np.random.SeedSequence(data_seed).spawn(1)[0])
     domain = "chart" if cfg["domain"] == "frequency" else "spatial"
     state, aborted, errors = sde.run_chain(L, schedule, domain, cfg["direction"], law, n,
                                            seed, data_seed)

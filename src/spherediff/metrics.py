@@ -194,5 +194,10 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
             [wasserstein_1d(PA[:, i], PB[:, i], p) for i in range(n_proj)]
         )
 
-    se = float(per.std(ddof=1) / np.sqrt(n_proj)) if n_proj > 1 else 0.0
-    return SlicedWassersteinResult(value=float(per.mean()), se=se, n_proj=n_proj, p=p)
+    with np.errstate(over="ignore"):  # an overflow is summed again below
+        value, sd = per.mean(), per.std(ddof=1) if n_proj > 1 else 0.0
+    if not (np.isfinite(value) and np.isfinite(sd)):  # over per / max(per), scaled back
+        top, per = per.max(), per / per.max()
+        value, sd = top * per.mean(), top * per.std(ddof=1) if n_proj > 1 else 0.0
+    return SlicedWassersteinResult(value=float(value), se=float(sd / np.sqrt(n_proj)),
+                                   n_proj=n_proj, p=p)

@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
+import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from dense_reference import sigma_csv, sliced_wasserstein_in_logs
-from spherediff import chart, cli, noise, sde, transform
+from spherediff import chart, cli, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -443,13 +446,31 @@ def test_reverse_diffuse_at_the_data_scale_bound_writes_finite_numbers(domain, t
     assert np.isfinite(diag["mean_rel_error"]) and np.isfinite(diag["cov_rel_frobenius_error"])
 
 
-@pytest.mark.parametrize("domain,expected", [("frequency", 1.27e278), ("spatial", 1.22e278)])
-def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, expected, tmp_path):
+def _spy_on_law(monkeypatch):
+    """Record the seed and the result of every sde.surrogate_gaussian call."""
+    calls, real = [], sde.surrogate_gaussian
+
+    def spy(L, mean_scale, cov_scale, seed):
+        calls.append((seed, real(L, mean_scale, cov_scale, seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sde, "surrogate_gaussian", spy)
+    return calls
+
+
+def _hypot_ratio(err, ref):
+    """|err|_F / |ref|_F from math.hypot, whose scaled sums cannot overflow."""
+    return math.hypot(*np.ravel(err)) / math.hypot(*np.ravel(ref))
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, tmp_path, monkeypatch):
     # the error's squares overflow and the reference's underflow under one
     # shared scale; each sum scaled by its own argument's largest magnitude
     # gives the ratio, while a ratio beyond the float range stays null
-    for law, want in (({"data_mean_scale": 1.34e154}, expected),
-                      ({"data_mean_scale": 1.34e154, "data_cov_scale": 1.5e-154}, None)):
+    laws = _spy_on_law(monkeypatch)
+    for law, finite in (({"data_mean_scale": 1.34e154}, True),
+                        ({"data_mean_scale": 1.34e154, "data_cov_scale": 1.5e-154}, False)):
         cfg = tmp_path / "law.json"
         cfg.write_text(json.dumps(law))
         out = tmp_path / "rev.csv"
@@ -457,7 +478,36 @@ def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, expect
                      "--score", "gaussian-analytic", "--domain", domain, "--L", "2",
                      "--n", "10", "--steps", "10", "--out", str(out)]) == 0
         got = _read_json(tmp_path / "rev.csv.diagnostics.json")["cov_rel_frobenius_error"]
-        assert got == (None if want is None else pytest.approx(want, rel=0.01))
+        if not finite:
+            assert got is None
+            continue
+        X, _ = noise.load_samples(out)
+        S = laws[-1][1][1]
+        if domain == "spatial":
+            M = chart.synthesis_matrix(transform.build_operators(2))
+            S = M @ S @ M.T
+        err = noise.empirical_covariance(X) - S
+        assert np.abs(err).max() > 1e155  # the error's squares overflow
+        assert got == pytest.approx(_hypot_ratio(err, S), rel=0.01)
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_diffuse_draws_its_data_from_another_stream_than_its_law(domain, tmp_path,
+                                                                 monkeypatch):
+    laws, data_seeds, draw = _spy_on_law(monkeypatch), [], sde.draw_gaussian
+
+    def spy_draw(mu, S_eig, n, seed):
+        data_seeds.append(seed)
+        return draw(mu, S_eig, n, seed)
+
+    monkeypatch.setattr(sde, "draw_gaussian", spy_draw)
+    assert main(["diffuse", "--direction", "reverse", "--score", "gaussian-analytic",
+                 "--domain", domain, "--L", "3", "--n", "20", "--steps", "5", "--seed", "4",
+                 "--out", str(tmp_path / "rev.csv")]) == 0
+    assert data_seeds == [5]  # the data stream starts at default_rng(seed + 1)
+    law_normals = np.random.default_rng(laws[0][0]).standard_normal(4000)
+    data_normals = np.random.default_rng(data_seeds[0]).standard_normal(4000)
+    assert not np.isin(law_normals, data_normals).any()
 
 
 def test_diffuse_config_accepts_data_seed(tmp_path):
@@ -537,6 +587,25 @@ def test_sliced_w_at_a_large_order_writes_finite_strict_json(scale, m, tmp_path)
                      parse_constant=lambda c: pytest.fail(f"non-finite JSON token {c}"))
     per = sliced_wasserstein_in_logs(A, B, 300.0, 8, 0)
     assert rep["sw"] == pytest.approx(per.mean(), rel=1e-12)
+    assert rep["ci2se"][0] < rep["sw"] < rep["ci2se"][1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sliced_w_summary_of_huge_distances_writes_finite_strict_json(tmp_path):
+    # the squares in the standard deviation of distances near 1e307 overflow;
+    # scaling by a power of two is exact, so the result is the scaled one
+    rng = np.random.default_rng(46)
+    A, B = rng.standard_normal((50, 4)), rng.standard_normal((50, 4))
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "sw.json"
+    noise.save_samples(a, A * 2.0 ** 1020, {"L": 2, "t": 1.0, "seed": 0})
+    noise.save_samples(b, B * 2.0 ** 1020, {"L": 2, "t": 1.0, "seed": 0})
+    assert main(["sliced-w", "--a", str(a), "--b", str(b), "--n-proj", "20",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text(),
+                     parse_constant=lambda c: pytest.fail(f"non-finite JSON token {c}"))
+    want = metrics.sliced_wasserstein(A, B, n_proj=20, seed=0)
+    assert rep["sw"] == pytest.approx(want.value * 2.0 ** 1020, rel=1e-12)
+    assert rep["se"] == pytest.approx(want.se * 2.0 ** 1020, rel=1e-12)
     assert rep["ci2se"][0] < rep["sw"] < rep["ci2se"][1]
 
 
@@ -699,6 +768,114 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert main(["bound-check", "--L", "2", "--trials", "20",
                      "--seed", "7", "--out", str(o)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+
+
+def _option_dests(command):
+    """The dest of every option of one subcommand's parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _sha256_of(settings):
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# per command: the base options, one other value per option, the output flag,
+# and the settings dict whose canonical JSON the base run's config_hash hashes
+_PROVENANCE_RUNS = {
+    "verify-operators": (
+        {"--L": "2", "--tol": "1e-10", "--seed": "0"},
+        {"--L": "3", "--tol": "1e-9", "--seed": "1"},
+        "--out", {"command": "verify-operators", "L": 2, "tol": 1e-10, "seed": 0},
+    ),
+    "covariance": (
+        {"--L": "2", "--samples": "10", "--t": "1", "--seed": "0"},
+        {"--L": "3", "--samples": "11", "--t": "0.5", "--seed": "1"},
+        "--out-dir", {"command": "covariance", "L": 2, "samples": 10, "t": 1.0, "seed": 0},
+    ),
+    "bound-check": (
+        {"--L": "2", "--trials": "5", "--seed": "0"},
+        {"--L": "3", "--trials": "6", "--seed": "1"},
+        "--out", {"command": "bound-check", "L": 2, "trials": 5, "seed": 0},
+    ),
+    "sliced-w": (
+        {"--a": "a.csv", "--b": "b.csv", "--n-proj": "4", "--p": "2", "--seed": "0"},
+        {"--a": "c.csv", "--b": "c.csv", "--n-proj": "5", "--p": "3", "--seed": "1"},
+        "--out", {"command": "sliced-w", "a": "a.csv", "b": "b.csv", "n_proj": 4, "p": 2.0,
+                  "seed": 0},
+    ),
+    # diffuse hashes its resolved configuration, without the command
+    "diffuse": (
+        {"--direction": "forward", "--domain": "frequency", "--score": "gaussian-analytic",
+         "--L": "2", "--n": "3", "--steps": "2", "--seed": "0"},
+        {"--direction": "reverse", "--domain": "spatial", "--score": "none",
+         "--L": "3", "--n": "4", "--steps": "3", "--seed": "1"},
+        "--out", {"direction": "forward", "domain": "frequency", "score": "gaussian-analytic",
+                  "L": 2, "n": 3, "steps": 2, "seed": 0, "beta_min": 0.1, "beta_max": 10.0,
+                  "T": 1.0, "raw": False, "data_seed": None, "data_mean_scale": 0.25,
+                  "data_cov_scale": 0.04},
+    ),
+}
+# diffuse's settings that only a config file sets, each with another value
+_DIFFUSE_CONFIG_ONLY = {"beta_min": 0.2, "beta_max": 9.0, "T": 0.9, "raw": True,
+                        "data_seed": 3, "data_mean_scale": 0.3, "data_cov_scale": 0.05}
+
+
+def _config_hash(command, out):
+    if command == "covariance":
+        out = out / "summary.json"
+    elif command == "diffuse":
+        out = out.with_name(out.name + ".json")
+    return _read_json(out)["provenance"]["config_hash"]
+
+
+@pytest.mark.parametrize("command", list(_PROVENANCE_RUNS))
+def test_config_hash_covers_every_setting_but_the_output_path(command, tmp_path,
+                                                              monkeypatch):
+    base, other, out_flag, settings = _PROVENANCE_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    for name in ("a.csv", "b.csv", "c.csv"):
+        noise.save_samples(tmp_path / name, rng.standard_normal((6, 4)),
+                           {"L": 2, "t": 1.0, "seed": 0})
+    dests = _option_dests(command) - {out_flag.lstrip("-").replace("-", "_"), "config"}
+    assert {flag.lstrip("-").replace("-", "_") for flag in other} == dests
+
+    def run(options, out, *extra):
+        argv = [command, *(x for item in options.items() for x in item), *extra]
+        assert main(argv + [out_flag, str(tmp_path / out)]) == 0
+        return _config_hash(command, tmp_path / out)
+
+    want = run(base, "out_base")
+    assert want == _sha256_of(settings)
+    assert run(base, "out_moved") == want
+    for flag, value in other.items():
+        assert run({**base, flag: value}, f"out_{flag.strip('-')}") != want, flag
+    if command == "diffuse":
+        assert set(_DIFFUSE_CONFIG_ONLY) | {k for k in settings if f"--{k}" in base} == set(
+            cli._DIFFUSE_DEFAULTS)
+        for key, value in _DIFFUSE_CONFIG_ONLY.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps({key: value}))
+            got = run(base, f"out_cfg_{key}", "--config", f"{key}.json")
+            assert got != want, key
+        # a config that restates the resolved values hashes like the flags alone
+        (tmp_path / "same.json").write_text(json.dumps({"beta_max": 10.0, "T": 1.0}))
+        assert run(base, "out_same", "--config", "same.json") == want
+
+
+@pytest.mark.parametrize("seed", [None, "0", 1.0, True], ids=repr)
+def test_diffuse_config_seed_must_be_an_integer(seed, tmp_path, capsys):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["diffuse", "--config", str(cfg), "--L", "2", "--n", "3", "--steps", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"spherediff diffuse: error: seed must be an integer >= 0, got {seed!r}\n"
+    assert not out.exists()
 
 
 def _sample_pair(tmp_path):

@@ -1,5 +1,7 @@
 """Smoke runs of the scripts under scripts/ at a tiny size."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -44,3 +46,58 @@ def test_script_runs_and_reports_finite_values(tmp_path, script, args, report):
     _run(script, *(a.format(out=tmp_path) for a in args))
     values = list(_numbers(json.loads((tmp_path / report).read_text())))
     assert values and all(math.isfinite(v) for v in values)
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_names_a_commit_only_where_its_sources_match(tmp_path):
+    record = _load_script("bench_record.py")
+    repo, src = tmp_path / "repo", tmp_path / "repo" / "src" / "spherediff"
+    src.mkdir(parents=True)
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+    def tree_digest():  # bench/run.py's src_sha256 of the working tree
+        h = hashlib.sha256()
+        for path in sorted(src.glob("*.py")):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        return h.hexdigest()
+
+    git("init", "-q")
+    (src / "b.py").write_text("B = 1\n")
+    (src / "a.py").write_text("A = 1\n")
+    (src / "notes.txt").write_text("not a source\n")
+    git("add", "-A")
+    git("commit", "-qm", "one")
+    first, first_digest = git("rev-parse", "HEAD"), tree_digest()
+    (src / "a.py").write_text("A = 2\n")  # a run from this tree still records `first`
+    dirty_digest = tree_digest()
+    git("commit", "-qam", "two")
+    second = git("rev-parse", "HEAD")
+
+    assert record.src_digest_at(repo, first) == first_digest
+    assert record.src_digest_at(repo, second) == dirty_digest != first_digest
+    assert record.src_digest_at(repo, "0" * 40) is None
+
+    def runs(commit, digest):  # two timed runs of one workload, as bench/run.py records them
+        env = {"git_commit": commit, "src_sha256": digest}
+        return {("w", seed, 0): {"metrics": {"run_s": 1.0 + seed}, "environment": env,
+                                 "report": {"nondeterministic_files": 0}} for seed in (1, 2)}
+
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
+    env = record.fold(runs(first, first_digest), runs(first, dirty_digest), spec, repo)
+    assert (env["environment"]["parent_git_commit"], env["environment"]["git_commit"]) == (
+        first, None)
+    env = record.fold(runs(first, first_digest), runs(second, dirty_digest), spec, repo)
+    assert (env["environment"]["parent_git_commit"], env["environment"]["git_commit"]) == (
+        first, second)
+    env = record.fold(runs(None, first_digest), runs(second, first_digest), spec, repo)
+    assert (env["environment"]["parent_git_commit"], env["environment"]["git_commit"]) == (
+        None, None)
