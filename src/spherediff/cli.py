@@ -55,8 +55,7 @@ def _canonical(config: dict) -> str:
 
 
 def _settings(args) -> dict:
-    """The command and every parsed option but the output paths: what a run's
-    `config_hash` covers."""
+    """The command and its parsed options but the output paths: what `config_hash` covers."""
     return {k: v for k, v in vars(args).items() if k not in ("fn", "out", "out_dir")}
 
 
@@ -235,8 +234,10 @@ def cmd_diffuse(args) -> int:
     data_seed = seed + 1 if cfg["data_seed"] is None else cfg["data_seed"]
     law = None
     if cfg["score"] == "gaussian-analytic":  # run_chain draws the data from data_seed itself
-        law = sde.surrogate_gaussian(L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]),
-                                     np.random.SeedSequence(data_seed).spawn(1)[0])
+        law = sde.surrogate_gaussian(
+            L, float(cfg["data_mean_scale"]), float(cfg["data_cov_scale"]),
+            np.random.SeedSequence(data_seed).spawn(1)[0],
+        )
     domain = "chart" if cfg["domain"] == "frequency" else "spatial"
     state, aborted, errors = sde.run_chain(L, schedule, domain, cfg["direction"], law, n,
                                            seed, data_seed)

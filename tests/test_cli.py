@@ -458,11 +458,6 @@ def _spy_on_law(monkeypatch):
     return calls
 
 
-def _hypot_ratio(err, ref):
-    """|err|_F / |ref|_F from math.hypot, whose scaled sums cannot overflow."""
-    return math.hypot(*np.ravel(err)) / math.hypot(*np.ravel(ref))
-
-
 @pytest.mark.parametrize("domain", ["frequency", "spatial"])
 def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, tmp_path, monkeypatch):
     # the error's squares overflow and the reference's underflow under one
@@ -488,7 +483,9 @@ def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, tmp_pa
             S = M @ S @ M.T
         err = noise.empirical_covariance(X) - S
         assert np.abs(err).max() > 1e155  # the error's squares overflow
-        assert got == pytest.approx(_hypot_ratio(err, S), rel=0.01)
+        # math.hypot scales its sum, so this reference cannot overflow
+        want = math.hypot(*err.ravel()) / math.hypot(*S.ravel())
+        assert got == pytest.approx(want, rel=0.01)
 
 
 @pytest.mark.parametrize("domain", ["frequency", "spatial"])
