@@ -66,7 +66,7 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
         return np.einsum("i,i->", v, v)
 
     num, den = sumsq(err), sumsq(ref)
-    if not np.isfinite(num + den):
+    if not (np.isfinite(num) and np.isfinite(den)):  # num + den could overflow itself
         s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
         if np.isfinite(s_err + s_ref) and s_err and s_ref:
             with np.errstate(over="ignore"):

@@ -372,8 +372,8 @@ def load_samples(path):
             raise ValueError(f"sidecar of {path}: {key} must be an integer >= 0")
     if meta.get("raw"):
         X = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, meta["d"]).copy()
-    elif meta.get("n") == 0 and not path.read_text().strip():
-        X = np.empty((0, meta.get("d", 0)))  # loadtxt would warn and guess d = 1
+    elif not path.read_bytes().strip():  # no data: loadtxt would warn and guess d = 1
+        X = np.empty((0, meta.get("d", 0)))
     else:
         X = np.loadtxt(path, delimiter=",", ndmin=2)
     if "n" in meta and X.shape[0] != meta["n"]:

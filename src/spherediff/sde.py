@@ -16,11 +16,12 @@ Gaussian law of its K steps (`forward_law`/`reverse_law`, `*_exact`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import chart, noise, transform
+from . import chart, indexing, noise, transform
 from .metrics import _fixed_order_eigh, _fixed_order_matmul, _rel_frobenius
 
 BLOWUP_LIMIT = 1e6
@@ -227,7 +228,7 @@ def forward_law(schedule, t=0.0):
 
 def reverse_law(schedule, t, domain, mean, basis):
     """(A, b, s^2, end time) of the Gaussian-score reverse steps from t per coordinate of
-    y = B^T z, or of y = Q^T x and one last entry for Q's complement (`*_basis`)."""
+    y = B^T z, or of y = Q^T x and one last entry for Q's complement (`_gaussian_basis`)."""
     lam, nu = basis[0], _fixed_order_matmul(mean, basis[1])
     if domain == "chart":  # B^T S B = I, B^T Sigma B = diag(kappa)
         return _em_law(schedule, t, -schedule.dt, lam, 1.0, nu)
@@ -269,46 +270,55 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
 
 
 # ---------------------------------------------------------------------------
-# analytic Gaussian scores (closed-form test harness, no training)
+# analytic Gaussian scores (closed-form, no training): a fixed basis, no LAPACK per call
 # ---------------------------------------------------------------------------
-#
-# Both scores are built in a basis fixed once per score, so a call costs a
-# few products plus elementwise work and no LAPACK call.  Every product here
-# and in a step goes through metrics._fixed_order_matmul, so it gives the
-# same bits under any BLAS thread count.
 
-def _chart_basis(S_eig, Sigma):
-    """(kappa, B, S B = B^-T) from the eigenpairs (w, V) of S (PD): whitening S and
-    diagonalising the whitened Sigma gives B^T S B = I and B^T Sigma B = diag(kappa)."""
-    s_eval, s_vec = S_eig
-    if not s_eval[0] > 0:
-        raise ValueError(f"data covariance S is not positive definite "
-                         f"(min eigenvalue {s_eval[0]:.3e})")
-    W = s_vec / np.sqrt(s_eval)  # W^T S W = I
-    K = _fixed_order_matmul(_fixed_order_matmul(W.T, np.asarray(Sigma, dtype=float)), W)
-    kappa, P = _fixed_order_eigh(0.5 * (K + K.T))
-    return kappa, _fixed_order_matmul(W, P), _fixed_order_matmul(s_vec * np.sqrt(s_eval), P)
+def _block_matmul(K, X):
+    """K X for a block-diagonal K held as (chart rows, block) pairs that cover X's rows."""
+    out = np.empty(X.shape)
+    for rows, block in K:
+        out[rows] = _fixed_order_matmul(block, X[rows])
+    return out
 
 
-def _spatial_basis(factor):
-    """(e, Q) with G G^T = Q diag(e) Q^T, Q orthonormal, for a factor G of full
-    column rank, from the eigenpairs (e, P) of G^T G: Q = G P diag(e)^-1/2."""
-    G = np.asarray(factor, dtype=float)
-    e, P = _fixed_order_eigh(_fixed_order_matmul(G.T, G))
-    if not e[0] > 0:
-        raise ValueError("factor does not have full column rank")
-    return e, _fixed_order_matmul(G, P) / np.sqrt(e)
+def _whitened_eig(S, block_eig, p):
+    """(lam, P, K, K^-1) from one eigh K S K = P diag(lam) P^T (of K (K S)^T's lower triangle),
+    K = N^p, N PD and zero off the (m, part) blocks of `indexing.block_slots`; block_eig(m, rows)
+    gives the eigenpairs of N[rows, rows], K and K^-1 are (rows, block) lists, and S is PD."""
+    eig = [(rows, block_eig(m, rows)) for m, rows in indexing.block_slots(math.isqrt(len(S)))]
+    if not min(w[0] for _, (w, _) in eig) > 0:
+        raise ValueError("the whitening matrix is not positive definite")
+    K, K_inv = ([(r, _fixed_order_matmul(V * w ** q, V.T)) for r, (w, V) in eig] for q in (p, -p))
+    lam, P = _fixed_order_eigh(_block_matmul(K, _block_matmul(K, np.asarray(S, dtype=float)).T))
+    if not lam[0] > 0:
+        raise ValueError(f"data covariance S is not positive definite ({lam[0]:.3e})")
+    return lam, P, K, K_inv
+
+
+def _gaussian_basis(S, block_eig=None, M=None):
+    """(basis, F F^T = S) for N(mu, S) from one `_whitened_eig`.  Chart (`block_eig` of Sigma),
+    K = Sigma^-1/2: (kappa, B, S B = F) = (1/lam, K P lam^-1/2, K^-1 P lam^1/2), B^T S B = I,
+    B^T Sigma B = diag(kappa).  Grid (M), K = (M^T M)^1/2 (block-diagonal: orders are orthogonal
+    over the longitudes): (e, C) = (lam, K^-1 P), F = C lam^1/2; Q = M C, Q e Q^T = M S M^T."""
+    if M is not None:  # one gather per block; a copied G^T keeps G^T G a gemm, not a syrk
+        block_eig = lambda m, r: _fixed_order_eigh(_fixed_order_matmul((G := M[:, r]).T.copy(), G))
+    lam, P, K, K_inv = _whitened_eig(S, block_eig, -0.5 if M is None else 0.5)
+    F = _block_matmul(K_inv, P)
+    if M is None:
+        F *= np.sqrt(lam)
+        return (1.0 / lam, _block_matmul(K, P) / np.sqrt(lam), F), F
+    return (lam, F), F * np.sqrt(lam)
 
 
 def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     """Score of the time-t chart marginal for data z(0) ~ N(mu, S).
 
     Marginal: N(m(t) mu, A_t), A_t = m(t)^2 S + v(t) Sigma, and
-    score(z) = -A_t^{-1}(z - m mu).  With B from `_chart_basis`,
-    A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T; Sigma may be singular.
+    score(z) = -A_t^{-1}(z - m mu).  With B from `_gaussian_basis` (Sigma positive
+    definite, zero off its (m, part) blocks), A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T.
     """
-    mu = np.asarray(mu, dtype=float)
-    kappa, B, _ = _chart_basis(_fixed_order_eigh(np.asarray(S, dtype=float)), Sigma)
+    mu, Sigma = np.asarray(mu, dtype=float), np.asarray(Sigma, dtype=float)
+    (kappa, B, _), _ = _gaussian_basis(S, lambda m, r: _fixed_order_eigh(Sigma[np.ix_(r, r)]))
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -319,15 +329,16 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     return ScoreField(fn=fn, domain="chart")
 
 
-def gaussian_spatial_score(mu_x, factor, schedule) -> ScoreField:
-    """Score of the time-t spatial marginal for data x(0) ~ N(mu_x, G G^T).
+def gaussian_spatial_score(mu, S, M, schedule) -> ScoreField:
+    """Score of the time-t spatial marginal for data x(0) = M z(0), z(0) ~ N(mu, S).
 
-    G = `factor` (e.g. M S^{1/2}) has full column rank, and G G^T may be singular
-    (band-limited data).  With G G^T = Q diag(e) Q^T (`_spatial_basis`),
-    A_t = m^2 G G^T + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
+    M (d_X x L^2, `chart.synthesis_matrix`) has full column rank; M S M^T is singular
+    (band-limited data).  With M S M^T = Q diag(e) Q^T (`_gaussian_basis`),
+    A_t = m^2 M S M^T + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
     """
-    mu_x = np.asarray(mu_x, dtype=float)
-    e, Q = _spatial_basis(factor)
+    mu_x = M @ np.asarray(mu, dtype=float)
+    (e, C), _ = _gaussian_basis(S, M=M)
+    Q = _fixed_order_matmul(M, C)
 
     def fn(x, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -353,32 +364,19 @@ def surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
     return mu, S
 
 
-def draw_gaussian(mu, S_eig, n: int, seed):
-    """n draws of N(mu, S), S PD, given its eigenpairs (w, V), and the factor
-    S_half = V sqrt(w) (S = S_half S_half^T) they were drawn with: the normals and
-    eigenfactor that Generator.multivariate_normal(mu, S, n, method="eigh") uses."""
-    w, V = S_eig
-    S_half = V * np.sqrt(w)
-    g = np.random.default_rng(seed).standard_normal((n, len(mu)))
-    return mu + _fixed_order_matmul(g, S_half.T), S_half
-
-
 def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, data_seed):
     """n Euler-Maruyama paths over [0, T] in the "chart" or "spatial" domain;
     direction "reverse" then runs them back with the analytic Gaussian score.
 
-    Without a law (None) the paths start at zero and only run forward.  With
-    law = (mu, S), a chart Gaussian, they start at z0 ~ N(mu, S) drawn by
-    `draw_gaussian` from data_seed, or at x0 = z0 M^T in the spatial domain.
-    S is eigendecomposed once: the draw and the chart score's basis use those
-    eigenpairs, and the spatial score's basis the factor M S_half of the draw.
-    Each leg is one exact draw of its Euler-Maruyama law: forward from seed
-    (`forward_exact`), reverse from seed + 2 (`reverse_exact`).  A path blows up
-    above BLOWUP_LIMIT times the start's largest magnitude, where that exceeds 1
-    (data at any scale comes back at its own scale).  Returns
-    (final_state, aborted, errors); errors are the relative mean and covariance
-    Frobenius errors against the law in the run's domain after a reverse run
-    of n >= 2 paths (each None where the law's norm is 0), else None.
+    Without a law (None) the paths start at zero and only run forward.  With law = (mu, S),
+    a chart Gaussian, one `_gaussian_basis` gives the reverse basis and S's factor F: paths
+    start at z0 = mu + g F^T, g one (n, L^2) normal block from data_seed, or at x0 = z0 M^T
+    on the grid.  Each leg is one exact draw of its Euler-Maruyama law: forward from seed
+    (`forward_exact`), reverse from seed + 2 (`reverse_exact`).  A path blows up above
+    BLOWUP_LIMIT times the start's largest magnitude, where that exceeds 1 (data at any scale
+    comes back at its own scale).  Returns (final_state, aborted, errors); errors are the
+    relative mean and covariance Frobenius errors against the law in the run's domain after
+    a reverse run of n >= 2 paths (each None where the law's norm is 0), else None.
     """
     if direction != "forward" and (direction != "reverse" or law is None):
         raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
@@ -389,9 +387,10 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         start = np.zeros((n, L * L if in_chart else ops.d_spatial))
     else:
         mu, S = law
-        S_eig = _fixed_order_eigh(S)
-        z0, S_half = draw_gaussian(mu, S_eig, n, data_seed)
         M = None if in_chart else chart.synthesis_matrix(ops)
+        basis, F = _gaussian_basis(S, (lambda m, r: cov.eig[m]) if in_chart else None, M)
+        g = np.random.default_rng(data_seed).standard_normal((n, L * L))
+        z0 = mu + _fixed_order_matmul(g, F.T)
         start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
     limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
     state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
@@ -399,12 +398,12 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
                                    limit=limit)
     if direction == "forward":
         return state, aborted, None
-    basis = (_chart_basis(S_eig, cov.Sigma) if in_chart
-             else _spatial_basis(_fixed_order_matmul(M, S_half)))
+    if not in_chart:  # the reverse leg's grid basis Q = M K^-1 P; a forward run needs only F
+        basis = (basis[0], _fixed_order_matmul(M, basis[1]))
     state, more = reverse_exact(state, schedule, seed + 2, mean, basis, limit=limit)
     if n < 2:
         return state, aborted + more, None
-    target = S if in_chart else M @ S @ M.T
+    target = S if in_chart else _fixed_order_matmul(_fixed_order_matmul(M, S), M.T)
     return state, aborted + more, {
         "mean_rel_error": _rel_frobenius(state.values.mean(axis=0) - mean, mean),
         "cov_rel_frobenius_error": _rel_frobenius(

@@ -254,8 +254,7 @@ def _roundtrip_spatial(ops, cov, schedule, mu, S, n, seed):
     state = sde.DiffusionState(time=0.0, values=z0 @ M.T, domain="spatial")
     fwd = sde.spatial_forward_stepper(schedule)
     state, ab1 = sde.integrate(state, schedule, "forward", fwd, seed + 1)
-    w, V = np.linalg.eigh(S)
-    score = sde.gaussian_spatial_score(M @ mu, M @ (V * np.sqrt(w)), schedule)
+    score = sde.gaussian_spatial_score(mu, S, M, schedule)
     rev = sde.spatial_reverse_stepper(schedule, score)
     state, ab2 = sde.integrate(state, schedule, "reverse", rev, seed + 2)
     return state.values, ab1 + ab2

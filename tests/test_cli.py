@@ -3,12 +3,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dense_reference import sigma_csv, sliced_wasserstein_in_logs
+import spherediff
 from spherediff import chart, cli, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
@@ -21,6 +25,17 @@ def _isolated_out_dir(tmp_path, monkeypatch):
 
 def _read_json(path):
     return json.loads(path.read_text())
+
+
+def _run_cli(argv, cwd):
+    """(exit code, stderr) of `python -m spherediff.cli argv` in a child process, where
+    Python's warnings reach stderr as they do for a user."""
+    env = dict(os.environ)
+    pkg_root = str(Path(spherediff.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "spherediff.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
 
 
 def test_version_flag(capsys):
@@ -491,20 +506,29 @@ def test_reverse_diffuse_covariance_error_at_the_mean_scale_bound(domain, tmp_pa
 @pytest.mark.parametrize("domain", ["frequency", "spatial"])
 def test_diffuse_draws_its_data_from_another_stream_than_its_law(domain, tmp_path,
                                                                  monkeypatch):
-    laws, data_seeds, draw = _spy_on_law(monkeypatch), [], sde.draw_gaussian
-
-    def spy_draw(mu, S_eig, n, seed):
-        data_seeds.append(seed)
-        return draw(mu, S_eig, n, seed)
-
-    monkeypatch.setattr(sde, "draw_gaussian", spy_draw)
+    laws, seeds, rng = _spy_on_law(monkeypatch), [], sde.np.random.default_rng
+    monkeypatch.setattr(sde.np.random, "default_rng", lambda seed: seeds.append(seed) or rng(seed))
     assert main(["diffuse", "--direction", "reverse", "--score", "gaussian-analytic",
                  "--domain", domain, "--L", "3", "--n", "20", "--steps", "5", "--seed", "4",
                  "--out", str(tmp_path / "rev.csv")]) == 0
+    # every stream but the law's and the two legs' (seed, seed + 2) is the data's
+    data_seeds = [s for s in seeds if s is not laws[0][0] and s not in (4, 6)]
     assert data_seeds == [5]  # the data stream starts at default_rng(seed + 1)
     law_normals = np.random.default_rng(laws[0][0]).standard_normal(4000)
     data_normals = np.random.default_rng(data_seeds[0]).standard_normal(4000)
     assert not np.isin(law_normals, data_normals).any()
+
+
+def test_reverse_diffuse_at_a_huge_covariance_scale_prints_nothing(tmp_path):
+    # the error's and the reference's sums of squares are finite, but their sum overflows
+    (tmp_path / "law.json").write_text(json.dumps(
+        {"L": 1, "n": 3, "steps": 2, "T": 0.5, "data_cov_scale": 1e154, "beta_min": 1e-12}))
+    rc, err = _run_cli(["diffuse", "--config", "law.json", "--direction", "reverse",
+                        "--score", "gaussian-analytic", "--domain", "frequency",
+                        "--out", "rev.csv"], tmp_path)
+    assert rc == 0 and err == ""
+    diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
+    assert np.isfinite(diag["cov_rel_frobenius_error"])
 
 
 def test_diffuse_config_accepts_data_seed(tmp_path):
@@ -644,6 +668,19 @@ def test_sliced_w_on_an_empty_sample_file_is_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "holds no samples" in err
 
 
+@pytest.mark.parametrize("text, sidecar", [("", {}), ("\n\n\n", {"n": 3})],
+                         ids=["empty-no-n", "blank-lines-n3"])
+def test_sliced_w_on_a_file_with_no_data_prints_one_line(tmp_path, text, sidecar):
+    # a file with no data reads as 0 rows, without loadtxt's "no data" warning
+    good = tmp_path / "good.csv"
+    noise.save_samples(good, np.ones((3, 4)), {"L": 2, "t": 1.0, "seed": 0})
+    (tmp_path / "bad.csv").write_text(text)
+    (tmp_path / "bad.csv.json").write_text(json.dumps(sidecar))
+    rc, err = _run_cli(["sliced-w", "--a", "bad.csv", "--b", "good.csv", "--n-proj", "4",
+                        "--out", "sw.json"], tmp_path)
+    assert rc == 1 and err.count("\n") == 1 and err.startswith("spherediff sliced-w: error:")
+
+
 def test_sliced_w_on_a_sidecar_with_the_wrong_width_is_usage_error(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -716,9 +753,11 @@ def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, m
 
 
 @pytest.mark.parametrize("argv,count", [
-    (["diffuse", "--domain", "frequency"], 8 + 2),  # one per Sigma_m, S and the whitened Sigma
-    (["diffuse", "--domain", "spatial"], 2),        # S and G^T G, G = M S_half
-    (["verify-operators"], 8),                      # one per Sigma_m
+    # one per Sigma_m and one of the whitened S, (L^2, L^2)
+    (["diffuse", "--domain", "frequency"], 8 + 1),
+    # one per (m, part) block of M^T M and one of the whitened S, (L^2, L^2)
+    (["diffuse", "--domain", "spatial"], 15 + 1),
+    (["verify-operators"], 8),  # one per Sigma_m
 ], ids=["diffuse-frequency", "diffuse-spatial", "verify-operators"])
 def test_commands_eigendecompose_each_matrix_once(argv, count, tmp_path, monkeypatch):
     calls = []
@@ -739,6 +778,9 @@ def test_commands_eigendecompose_each_matrix_once(argv, count, tmp_path, monkeyp
         monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     assert main(argv + ["--L", "8", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == count, calls
+    if argv[0] == "diffuse":  # exactly one of size L^2; the per-block ones are at most L
+        assert calls.count((64, 64)) == 1, calls
+        assert all(n <= 8 for shape in calls if shape != (64, 64) for n in shape), calls
 
 
 def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):

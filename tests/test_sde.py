@@ -134,10 +134,8 @@ def test_gaussian_spatial_score_matches_direct_inverse():
     rng = np.random.default_rng(17)
     mu = rng.standard_normal(L * L)
     S = np.eye(L * L) * 0.5
-    w, V = np.linalg.eigh(S)
-    S_half = V * np.sqrt(w)
     cov_x = M @ S @ M.T  # singular spatial covariance
-    score = sde.gaussian_spatial_score(M @ mu, M @ S_half, s)
+    score = sde.gaussian_spatial_score(mu, S, M, s)
     t = 0.6
     x = rng.standard_normal(ops.d_spatial)
     m, v = s.mean_coeff(t), s.marginal_var(t)
@@ -257,9 +255,8 @@ def test_factor_built_spatial_score_matches_direct_inverse(L):
     M = chart.synthesis_matrix(ops)
     s = sde.VpSchedule()
     mu, S = _surrogate_gaussian(L, 0.25, 0.04, seed=41)
-    w, V = np.linalg.eigh(S)
     cov_x = M @ S @ M.T
-    by_factor = sde.gaussian_spatial_score(M @ mu, M @ (V * np.sqrt(w)), s)
+    by_factor = sde.gaussian_spatial_score(mu, S, M, s)
     x = np.random.default_rng(42).standard_normal((9, ops.d_spatial))
     for t in SCORE_TIMES:
         m, v = s.mean_coeff(t), s.marginal_var(t)
@@ -366,6 +363,30 @@ def test_forward_exact_keeps_a_blown_up_start_row_and_reports_it():
     assert empty.values.shape == (0, 4) and aborted == []
 
 
+def test_chart_basis_from_one_whitened_eigh_at_L32():
+    # B^T S B = I, B^T Sigma B = diag(kappa), the third entry is S B, and F F^T = S
+    L = 32
+    cov = noise.build_covariance(L)
+    mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 7)
+    (kappa, B, SB), F = sde._gaussian_basis(S, lambda m, r: cov.eig[m])
+    assert np.abs(B.T @ S @ B - np.eye(L * L)).max() <= 1e-13
+    assert np.abs(B.T @ cov.Sigma @ B - np.diag(kappa)).max() <= 1e-13 * kappa.max()
+    assert _rel(SB, S @ B) <= 1e-13 and F is SB
+    assert _rel(F @ F.T, S) <= 1e-13
+
+
+def test_grid_basis_from_one_whitened_eigh_at_L16():
+    # Q = M C has Q^T Q = I and Q diag(e) Q^T = M S M^T, and F F^T = S
+    L = 16
+    M = chart.synthesis_matrix(transform.build_operators(L))
+    mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 7)
+    (e, C), F = sde._gaussian_basis(S, M=M)
+    Q = M @ C
+    assert np.abs(Q.T @ Q - np.eye(L * L)).max() <= 1e-13
+    assert _rel((Q * e) @ Q.T, M @ S @ M.T) <= 1e-13
+    assert _rel(F @ F.T, S) <= 1e-13
+
+
 def _stepped_law(step, domain, d, t, steps):
     """Mean map, offset and noise covariance of `steps` affine steps read off `step`
     with no draw: row 0 starts at zero, rows 1 .. d at the basis (both with zero
@@ -396,18 +417,17 @@ def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps,
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 5)
     if domain == "chart":
         cov = noise.build_covariance(L)
-        basis = sde._chart_basis(np.linalg.eigh(S), cov.Sigma)
+        basis, _ = sde._gaussian_basis(S, lambda m, r: cov.eig[m])
         mean, (_, V, W) = mu, basis
         score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
         step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, cov.Lambda,
                                                          score, xi)
     else:
-        w, E = np.linalg.eigh(S)
         M = chart.synthesis_matrix(transform.build_operators(L))
-        mean, G = M @ mu, M @ (E * np.sqrt(w))
-        basis = sde._spatial_basis(G)
+        (e, C), _ = sde._gaussian_basis(S, M=M)
+        mean, basis = M @ mu, (e, _fixed_order_matmul(M, C))  # the grid basis (e, Q = M C)
         V = W = basis[1]
-        score = sde.gaussian_spatial_score(mean, G, s)
+        score = sde.gaussian_spatial_score(mu, S, M, s)
         step = lambda st, xi: sde.reverse_step_spatial(st, s, -s.dt, score, xi)
     A, b, s2, t = sde.reverse_law(s, t0, domain, mean, basis)
     d, r = len(V), V.shape[1]
@@ -427,11 +447,12 @@ def test_reverse_exact_keeps_a_blown_up_start_row_and_reports_it(domain):
     L, s = 2, sde.VpSchedule(steps=6)
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
     if domain == "chart":
-        mean, basis = mu, sde._chart_basis(np.linalg.eigh(S), noise.build_covariance(L).Sigma)
+        eig = noise.build_covariance(L).eig
+        mean, (basis, _) = mu, sde._gaussian_basis(S, lambda m, r: eig[m])
     else:
         M = chart.synthesis_matrix(transform.build_operators(L))
-        w, V = np.linalg.eigh(S)
-        mean, basis = M @ mu, sde._spatial_basis(M @ (V * np.sqrt(w)))
+        (e, C), _ = sde._gaussian_basis(S, M=M)
+        mean, basis = M @ mu, (e, _fixed_order_matmul(M, C))
     A, b, s2, t = sde.reverse_law(s, 1.0, domain, mean, basis)
     d = len(basis[1])
     x = np.ones((3, d))

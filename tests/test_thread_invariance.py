@@ -5,7 +5,7 @@ The three operator commands run at L = 16, `verify-operators` and
 `diffuse` in both domains, then `sliced-w`) at L = 12, where BLAS and LAPACK
 split their work among threads.  A sweep runs reverse `diffuse` at every
 L = 1 ... 13, where L^2 and 2L(2L-1) take each residue modulo 8 they can
-take (0, 1, 4 and 0, 2, 4, 6).  Each runs
+take (0, 1, 4 and 0, 2, 4, 6), and on the grid at L = 20.  Each runs
 in child processes under one and two threads; every output file must be
 byte-identical.
 """
@@ -54,14 +54,20 @@ for m, k, n in {PRODUCTS}:
 """
 
 
-# reverse diffuse in both domains at every L = 1 ... 13, covariance where L^2
-# (81, 289) is not a multiple of 8, and sliced-w on 306-wide grid samples
+# reverse diffuse in both domains at every L = 1 ... 13 and on the grid at L = 20
+# (where a plain product for the target M S M^T, with L^2 = 400 > 288 inner terms,
+# changed the covariance error's last digits), covariance where L^2 (81, 289) is
+# not a multiple of 8, and sliced-w on 306-wide grid samples
 SWEEP = [
     ["diffuse", "--config", "law.json", "--direction", "reverse",
      "--score", "gaussian-analytic", "--domain", domain, "--L", str(L), "--n", "40",
      "--steps", "5", "--seed", seed, "--out", f"{domain}_L{L}_{seed}.csv"]
     for L in range(1, 14) for domain in ("frequency", "spatial")
     for seed in (("3", "4") if (L, domain) == (9, "spatial") else ("3",))
+] + [
+    ["diffuse", "--direction", "reverse", "--score", "gaussian-analytic", "--domain",
+     "spatial", "--L", "20", "--n", "20", "--steps", "5", "--seed", "3",
+     "--out", "spatial_L20_3.csv"],
 ] + [
     ["covariance", "--L", str(L), "--samples", "20", "--seed", "8", "--out-dir", f"cov_L{L}"]
     for L in (9, 17)
@@ -168,8 +174,8 @@ def test_data_draw_sweep_byte_identical_under_one_and_two_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         hashes.append(json.loads(proc.stdout.splitlines()[-1]))
-    # law.json, 27 (csv, sidecar, diagnostics) triples, 2 x 3 covariance files, sw json
-    assert len(hashes[0]) == 1 + 27 * 3 + 6 + 1
+    # law.json, 28 (csv, sidecar, diagnostics) triples, 2 x 3 covariance files, sw json
+    assert len(hashes[0]) == 1 + 28 * 3 + 6 + 1
     assert hashes[0].keys() == hashes[1].keys()
     assert sorted(n for n in hashes[0] if hashes[0][n] != hashes[1][n]) == []
 
