@@ -5,8 +5,8 @@ Estimates the chart covariance of band-limited spherical noise two ways —
 sampling directly with the factor Lambda, and pushing spatial white noise
 through analysis + chart — and writes both panels next to the closed-form
 matrix t * Sigma for side-by-side comparison.  The relative Frobenius errors
-in report.json use the CLI's thread-invariant norm, so they have the same
-bits under any BLAS thread count.
+in report.json use the CLI's norm.  Importing spherediff runs BLAS on one
+thread, so every file has the same bits under any BLAS thread count.
 """
 
 import argparse

@@ -5,6 +5,15 @@ and a sliced Wasserstein estimator."""
 
 __version__ = "0.1.0"
 
+from .metrics import _blas_thread_controls
+
+# NumPy's OpenBLAS runs on one thread in this process, set once and never
+# restored: a product or eigh then reduces in one order whatever the
+# environment asks for, so every output has the same bits under any
+# OPENBLAS_NUM_THREADS.  Set before any submodule runs BLAS.
+if (_controls := _blas_thread_controls()) is not None:
+    _controls[1](1)
+
 from .grid import BandLimit, GridSpec, build_grid
 from .transform import OperatorSet, analysis, build_operators, project_bandlimited, synthesis
 from .chart import chart_linear_map, from_chart, synthesis_matrix, to_chart

@@ -80,7 +80,7 @@ def synthesis_matrix(ops: OperatorSet) -> np.ndarray:
     m, im = indexing.chart_ms(L), indexing.chart_is_im(L)
     phase = np.exp(1j * np.outer(np.arange(L), ops.grid.phi))  # (L, n_phi), row m
     trig = np.where(im[:, None], -phase.imag[m], phase.real[m])  # (L^2, n_phi)
-    leg = ops.legendre[m, :2 * L, indexing.spectral_ells(L)] * chart_weights(L)[:, None]
+    leg = ops.legendre[m, :, indexing.spectral_ells(L)] * chart_weights(L)[:, None]
     return np.multiply(leg.T[:, None, :], trig.T, order="C").reshape(ops.d_spatial, L * L)
 
 

@@ -95,7 +95,3 @@ def block_slots(L: int) -> list:
     blocks = np.flatnonzero(sizes)  # every key but the Im part of m = 0
     return list(zip((blocks // 2).tolist(), np.split(rows, np.cumsum(sizes[blocks])[:-1])))
 
-
-def pad8(n: int) -> int:
-    """n rounded up to a multiple of 8: the padded length of a per-order axis."""
-    return n + -n % 8

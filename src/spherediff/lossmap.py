@@ -24,8 +24,7 @@ import numpy as np
 
 # unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
 from .chart import from_chart  # noqa: F401
-from .indexing import order_slots, pad8
-from .metrics import _fixed_order_matmul
+from .indexing import order_slots
 from .noise import CovarianceSet, sigma_blocks
 from .sde import VpSchedule
 from .transform import OperatorSet
@@ -42,16 +41,14 @@ class BoundOperators:
     times the same.  With g = [[cc, cs], [cs, ss]] the Gram matrix of these
     trig rows over a ring, T T^T = B (x) g and T M = mult A (x) g; Sigma has
     the block Sigma_m in both parts, so with T+ = T^T Sigma^+ and Z = M - T+,
-    T T^+ = H (x) g and T Z = K (x) g.  Arrays are (L, pad8(L), pad8(L)),
-    [m, ell, ell'], zero off ell >= m, and every product stays inside the
-    limits of `metrics._fixed_order_matmul`, so no block depends on the BLAS
-    thread count.
+    T T^+ = H (x) g and T Z = K (x) g.  Arrays are (L, L, L), [m, ell, ell'],
+    zero off ell >= m.
     """
 
     L: int
     ops: OperatorSet = field(repr=False)
     sigma_cond: float       # condition number of Sigma
-    q: np.ndarray           # ring weights, zero-padded like the Legendre rings
+    q: np.ndarray           # ring weights
     mult: np.ndarray        # (L,): 1 for m = 0, else 2
     A: np.ndarray           # V^T Q V
     B: np.ndarray           # V^T Q^2 V
@@ -71,25 +68,23 @@ def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
     if not np.any(keep):
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
     cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    L, leg = ops.L, ops.legendre
-    q = np.zeros(leg.shape[1])
-    q[:2 * L] = ops.grid.weights
-    ells, ms = np.arange(leg.shape[2]), np.arange(L)
+    L, leg, q = ops.L, ops.legendre, ops.grid.weights
+    ms = np.arange(L)
     mult = np.where(ms > 0, 2.0, 1.0)
     A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
     B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
     sigma, root, pinv = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A)
     for m, (C, (ev, V)) in enumerate(zip(sigma_blocks(cov.blocks), cov.eig)):
         keep = ev > 1e-10
-        sigma[m, m:L, m:L] = C
-        root[m, m:L, m:L] = _fixed_order_matmul(V * np.sqrt(np.clip(ev, 0.0, None)), V.T)
-        pinv[m, m:L, m:L] = _fixed_order_matmul(V[:, keep] / ev[keep], V[:, keep].T)
+        sigma[m, m:, m:] = C
+        root[m, m:, m:] = (V * np.sqrt(np.clip(ev, 0.0, None))) @ V.T
+        pinv[m, m:, m:] = (V[:, keep] / ev[keep]) @ V[:, keep].T
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)
     cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
     gram = tuple(np.einsum("mk,mk->m", u, v)[:, None, None]
                  for u, v in ((cos, cos), (cos, sin), (sin, sin)))
-    eye = np.eye(leg.shape[2]) * ((ells >= ms[:, None]) & (ells < L))[:, None]
+    eye = np.eye(L) * (ms >= ms[:, None])[:, None]  # ell >= m
     return BoundOperators(L=L, ops=ops, sigma_cond=cond, q=q, mult=mult, A=A, B=B, sigma=sigma,
                           sigma_root=root, sigma_pinv=pinv, H=H, K=mult[:, None, None] * A - H,
                           eye=eye, gram=gram)
@@ -154,9 +149,9 @@ def _draw_trials(rng, n_trials: int, d: int, schedule: VpSchedule, t_floor: floa
 
 
 def _by_order(x: np.ndarray, L: int) -> np.ndarray:
-    """Chart rows (n, L^2) as [part (Re, Im), m, row, ell], ell zero-padded to pad8(L)."""
+    """Chart rows (n, L^2) as [part (Re, Im), m, row, ell], zero where ell < m."""
     ms, ell, re, im, _ = order_slots(L)
-    y = np.zeros((2, L, len(x), pad8(L)))
+    y = np.zeros((2, L, len(x), L))
     y[0, ms, :, ell] = x[:, re].T
     y[1, ms[ms > 0], :, ell[ms > 0]] = x[:, im[ms > 0]].T
     return y
@@ -198,10 +193,8 @@ def loss_spatial(bops: BoundOperators, s_hat: np.ndarray, s_ref: np.ndarray):
 def _trial_terms(bops: BoundOperators, schedule: VpSchedule, draws: dict):
     """Per-trial (LHS, Q-norm term, gap term) of the inequality, row-batched.
 
-    Each per-order array is dropped after its last use.  Every product stays
-    inside the limits of `_fixed_order_matmul` and every per-trial form is one
-    einsum row reduction, so the terms have the same bits under any BLAS
-    thread count.
+    Each per-order array is dropped after its last use, and every per-trial
+    form is one einsum row reduction.
     """
     t, L, d = draws["t"], bops.L, draws["z0"].shape[1]
     m = np.array([schedule.mean_coeff(s) for s in t])[:, None]

@@ -29,37 +29,14 @@ class SlicedWassersteinResult:
         return (self.value - 2.0 * self.se, self.value + 2.0 * self.se)
 
 
-def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with the same bits under any BLAS thread count.
-
-    Measured with OpenBLAS 0.3.31 under one, two and four threads: a product
-    gives the same bits when its inner dimension is at most 288 and its
-    column count is a multiple of 8.  A longer inner dimension (552) changes
-    the last bits almost everywhere, and other column counts change the last
-    columns (threads end on different edge tiles).  So the inner dimension is
-    summed in chunks of at most 256, in one fixed order, and b gets zero
-    columns up to a multiple of 8, dropped from the result.  Inside those
-    limits this is the plain product, bit for bit.
-    """
-    k, n = b.shape
-    pad = -n % 8
-    if pad:
-        b = np.concatenate([b, np.zeros((k, pad))], axis=1)
-    out = a[..., :256] @ b[:256]
-    for j in range(256, k, 256):
-        out += a[..., j:j + 256] @ b[j:j + 256]
-    return out[..., :n] if pad else out
-
-
 def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
     """|err| / |ref| in the Frobenius norm, None where |ref| is exactly 0.
 
-    Each sum of squares is one einsum, in a fixed order without BLAS, so it
-    does not depend on the BLAS thread count (np.linalg.norm reduces with a
-    threaded BLAS dot), and needs no temporary the size of its argument.
-    Where a sum of finite squares overflows, each sum is taken again over its
-    argument divided by that argument's own largest magnitude, and the scales
-    multiply the ratio back; a ratio that itself overflows is None too.
+    Each sum of squares is one einsum, which needs no temporary the size of
+    its argument.  Where a sum of finite squares overflows, each sum is taken
+    again over its argument divided by that argument's own largest magnitude,
+    and the scales multiply the ratio back; a ratio that itself overflows is
+    None too.
     """
     def sumsq(x, scale=None):
         v = np.ravel(x) if scale is None else np.ravel(x) / scale
@@ -78,7 +55,8 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
 @functools.cache
 def _blas_thread_controls():
     """(get, set) thread-count functions of the OpenBLAS bundled with NumPy,
-    or None when NumPy links some other BLAS."""
+    or None when NumPy links some other BLAS.  Importing `spherediff` sets
+    one thread through them (see the package's `__init__`)."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))  # the copy NumPy already loaded
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -90,29 +68,6 @@ def _blas_thread_controls():
                 put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
     return None
-
-
-def _fixed_order_eigh(a: np.ndarray):
-    """np.linalg.eigh(a) with the same bits under any BLAS thread count.
-
-    LAPACK's tridiagonal reduction calls threaded BLAS.  Measured with
-    OpenBLAS 0.3.31 at n = 2, 5, ..., 299 and 1024, eigh of an n x n matrix
-    differs between one and two threads from n = 146 on, at every n that is
-    not a multiple of 8 and at every n tried above 220.  So BLAS runs on one
-    thread for the call (the setting is process-wide, so this is not for
-    concurrent use from several Python threads).  Where NumPy's OpenBLAS
-    cannot be found this is the plain eigh.
-    """
-    controls = _blas_thread_controls()
-    if controls is None:
-        return np.linalg.eigh(a)
-    get, put = controls
-    threads = get()
-    put(1)
-    try:
-        return np.linalg.eigh(a)
-    finally:
-        put(threads)
 
 
 def _as_samples(name: str, X) -> np.ndarray:
@@ -183,8 +138,8 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
     dirs = rng.standard_normal((n_proj, A.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    PA = _fixed_order_matmul(A, dirs.T)  # (n, n_proj)
-    PB = _fixed_order_matmul(B, dirs.T)
+    PA = A @ dirs.T  # (n, n_proj)
+    PB = B @ dirs.T
     if A.shape[0] == B.shape[0]:
         PA.sort(axis=0)
         PB.sort(axis=0)

@@ -29,7 +29,6 @@ from . import indexing
 from .chart import from_chart  # noqa: F401
 from .grid import build_grid
 from .harmonics import norm_legendre_table
-from .metrics import _fixed_order_eigh, _fixed_order_matmul
 from .transform import FMT, OperatorSet, analysis
 
 
@@ -56,7 +55,7 @@ class CovarianceSet:
 
     @cached_property
     def eig(self) -> tuple:  # (w_m, V_m) of each Sigma_m, like np.linalg.eigh
-        return tuple(tuple(map(_frozen, _fixed_order_eigh(S)))
+        return tuple(tuple(map(_frozen, np.linalg.eigh(S)))
                      for S in sigma_blocks(self.blocks))
 
     @cached_property
@@ -134,7 +133,7 @@ def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray
         raise ValueError("n must be nonnegative")
     d = Lambda.shape[0]
     g = np.random.default_rng(seed).standard_normal((n, d))
-    Z = _fixed_order_matmul(g, Lambda.T)
+    Z = g @ Lambda.T
     Z *= np.sqrt(t)
     return Z
 
@@ -148,21 +147,13 @@ def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndar
 
 
 def empirical_covariance(X: np.ndarray) -> np.ndarray:
-    """Sample covariance as the BLAS Gram product R^T R / (n - 1), R = X - mean.
-
-    BLAS threads split the output into blocks, not the sum over samples that
-    makes each entry, so every entry is reduced in the same order whatever
-    the thread count.  Threads end on different edge tiles, so R gets zero
-    columns up to a multiple of 8 (dropped from the result); then the result
-    is bit-identical across thread counts.
-    """
+    """Sample covariance R^T R / (n - 1), R = X - mean."""
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
-    R = np.zeros((n, d + -d % 8))
-    np.subtract(X, X.mean(axis=0), out=R[:, :d])
-    return (R.T @ R)[:d, :d] / (n - 1)
+    R = X - X.mean(axis=0)
+    return R.T @ R / (n - 1)
 
 
 # ---------------------------------------------------------------------------

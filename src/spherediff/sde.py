@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chart, indexing, noise, transform
-from .metrics import _fixed_order_eigh, _fixed_order_matmul, _rel_frobenius
+from .metrics import _rel_frobenius
 
 BLOWUP_LIMIT = 1e6
 
@@ -102,7 +102,7 @@ def _drift(schedule, x, t, g, score, precond):
         return schedule.drift(x, t)
     if precond is None:
         return schedule.drift(x, t) - g * g * score(x, t)
-    return schedule.drift(x, t) - g * g * _fixed_order_matmul(score(x, t), precond.T)
+    return schedule.drift(x, t) - g * g * (score(x, t) @ precond.T)
 
 
 def _em_update(state, schedule, dt, xi, *, noise_factor=None, score=None, precond=None):
@@ -119,7 +119,7 @@ def _em_update(state, schedule, dt, xi, *, noise_factor=None, score=None, precon
     g = schedule.g(t)
     new = (x + _drift(schedule, x, t, g, score, precond) * dt
            + g * np.sqrt(abs(dt))
-           * (xi if noise_factor is None else _fixed_order_matmul(xi, noise_factor.T)))
+           * (xi if noise_factor is None else xi @ noise_factor.T))
     return dataclasses.replace(state, time=state.time + dt, values=new)
 
 
@@ -229,7 +229,7 @@ def forward_law(schedule, t=0.0):
 def reverse_law(schedule, t, domain, mean, basis):
     """(A, b, s^2, end time) of the Gaussian-score reverse steps from t per coordinate of
     y = B^T z, or of y = Q^T x and one last entry for Q's complement (`_gaussian_basis`)."""
-    lam, nu = basis[0], _fixed_order_matmul(mean, basis[1])
+    lam, nu = basis[0], mean @ basis[1]
     if domain == "chart":  # B^T S B = I, B^T Sigma B = diag(kappa)
         return _em_law(schedule, t, -schedule.dt, lam, 1.0, nu)
     return _em_law(schedule, t, -schedule.dt, 1.0, np.append(lam, 0.0), np.append(nu, 0.0))
@@ -250,7 +250,7 @@ def forward_exact(state, schedule, seed, *, noise_factor=None, limit=BLOWUP_LIMI
     """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I)."""
     a, s2, t = forward_law(schedule, state.time)
     xi = np.random.default_rng(seed).standard_normal(state.values.shape)
-    F_xi = xi if noise_factor is None else _fixed_order_matmul(xi, noise_factor.T)
+    F_xi = xi if noise_factor is None else xi @ noise_factor.T
     return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps, limit)
 
 
@@ -261,11 +261,10 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
     x, V, s = state.values, basis[1], np.sqrt(s2)
     zeta = np.random.default_rng(seed).standard_normal(x.shape)
     if state.domain == "chart":
-        new = _fixed_order_matmul(A * _fixed_order_matmul(x, V) + b + s * zeta, basis[2].T)
+        new = (A * (x @ V) + b + s * zeta) @ basis[2].T
     else:
-        y = ((A[:-1] - A[-1]) * _fixed_order_matmul(x, V) + b[:-1]
-             + (s[:-1] - s[-1]) * _fixed_order_matmul(zeta, V))
-        new = A[-1] * x + s[-1] * zeta + _fixed_order_matmul(y, V.T)
+        y = (A[:-1] - A[-1]) * (x @ V) + b[:-1] + (s[:-1] - s[-1]) * (zeta @ V)
+        new = A[-1] * x + s[-1] * zeta + y @ V.T
     return _endpoint(state, new, t, schedule.steps, limit)
 
 
@@ -277,7 +276,7 @@ def _block_matmul(K, X):
     """K X for a block-diagonal K held as (chart rows, block) pairs that cover X's rows."""
     out = np.empty(X.shape)
     for rows, block in K:
-        out[rows] = _fixed_order_matmul(block, X[rows])
+        out[rows] = block @ X[rows]
     return out
 
 
@@ -288,8 +287,8 @@ def _whitened_eig(S, block_eig, p):
     eig = [(rows, block_eig(m, rows)) for m, rows in indexing.block_slots(math.isqrt(len(S)))]
     if not min(w[0] for _, (w, _) in eig) > 0:
         raise ValueError("the whitening matrix is not positive definite")
-    K, K_inv = ([(r, _fixed_order_matmul(V * w ** q, V.T)) for r, (w, V) in eig] for q in (p, -p))
-    lam, P = _fixed_order_eigh(_block_matmul(K, _block_matmul(K, np.asarray(S, dtype=float)).T))
+    K, K_inv = ([(r, (V * w ** q) @ V.T) for r, (w, V) in eig] for q in (p, -p))
+    lam, P = np.linalg.eigh(_block_matmul(K, _block_matmul(K, np.asarray(S, dtype=float)).T))
     if not lam[0] > 0:
         raise ValueError(f"data covariance S is not positive definite ({lam[0]:.3e})")
     return lam, P, K, K_inv
@@ -300,8 +299,8 @@ def _gaussian_basis(S, block_eig=None, M=None):
     K = Sigma^-1/2: (kappa, B, S B = F) = (1/lam, K P lam^-1/2, K^-1 P lam^1/2), B^T S B = I,
     B^T Sigma B = diag(kappa).  Grid (M), K = (M^T M)^1/2 (block-diagonal: orders are orthogonal
     over the longitudes): (e, C) = (lam, K^-1 P), F = C lam^1/2; Q = M C, Q e Q^T = M S M^T."""
-    if M is not None:  # one gather per block; a copied G^T keeps G^T G a gemm, not a syrk
-        block_eig = lambda m, r: _fixed_order_eigh(_fixed_order_matmul((G := M[:, r]).T.copy(), G))
+    if M is not None:  # one gather per block
+        block_eig = lambda m, r: np.linalg.eigh((G := M[:, r]).T @ G)
     lam, P, K, K_inv = _whitened_eig(S, block_eig, -0.5 if M is None else 0.5)
     F = _block_matmul(K_inv, P)
     if M is None:
@@ -318,13 +317,13 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     definite, zero off its (m, part) blocks), A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T.
     """
     mu, Sigma = np.asarray(mu, dtype=float), np.asarray(Sigma, dtype=float)
-    (kappa, B, _), _ = _gaussian_basis(S, lambda m, r: _fixed_order_eigh(Sigma[np.ix_(r, r)]))
+    (kappa, B, _), _ = _gaussian_basis(S, lambda m, r: np.linalg.eigh(Sigma[np.ix_(r, r)]))
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
         r = z - m * mu  # one (d,) vector or an (n, d) batch
-        w = _fixed_order_matmul(r, B) / -(m * m + v * kappa)
-        return _fixed_order_matmul(w, B.T)
+        w = (r @ B) / -(m * m + v * kappa)
+        return w @ B.T
 
     return ScoreField(fn=fn, domain="chart")
 
@@ -338,14 +337,14 @@ def gaussian_spatial_score(mu, S, M, schedule) -> ScoreField:
     """
     mu_x = M @ np.asarray(mu, dtype=float)
     (e, C), _ = _gaussian_basis(S, M=M)
-    Q = _fixed_order_matmul(M, C)
+    Q = M @ C
 
     def fn(x, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
         r = x - m * mu_x  # one (d,) vector or an (n, d) batch
         m2e = m * m * e
-        w = _fixed_order_matmul(r, Q) * (m2e / (m2e + v))
-        return (_fixed_order_matmul(w, Q.T) - r) / v
+        w = (r @ Q) * (m2e / (m2e + v))
+        return (w @ Q.T - r) / v
 
     return ScoreField(fn=fn, domain="spatial")
 
@@ -360,7 +359,7 @@ def surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
     rng = np.random.default_rng(seed)
     mu = rng.normal(0.0, mean_scale, d)
     A = rng.normal(0.0, np.sqrt(cov_scale) / np.sqrt(d), (d, d))
-    S = _fixed_order_matmul(A, A.T) + cov_scale * np.eye(d)
+    S = A @ A.T + cov_scale * np.eye(d)
     return mu, S
 
 
@@ -376,7 +375,8 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     BLOWUP_LIMIT times the start's largest magnitude, where that exceeds 1 (data at any scale
     comes back at its own scale).  Returns (final_state, aborted, errors); errors are the
     relative mean and covariance Frobenius errors against the law in the run's domain after
-    a reverse run of n >= 2 paths (each None where the law's norm is 0), else None.
+    a reverse run of n >= 2 paths (each None where the law's norm is 0), and the mean error
+    over the law's spread sqrt(tr C), C = S or M S M^T, else None.
     """
     if direction != "forward" and (direction != "reverse" or law is None):
         raise ValueError(f"direction {direction!r}: need forward, or reverse with a law")
@@ -390,8 +390,8 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         M = None if in_chart else chart.synthesis_matrix(ops)
         basis, F = _gaussian_basis(S, (lambda m, r: cov.eig[m]) if in_chart else None, M)
         g = np.random.default_rng(data_seed).standard_normal((n, L * L))
-        z0 = mu + _fixed_order_matmul(g, F.T)
-        start, mean = (z0, mu) if in_chart else (_fixed_order_matmul(z0, M.T), M @ mu)
+        z0 = mu + g @ F.T
+        start, mean = (z0, mu) if in_chart else (z0 @ M.T, M @ mu)
     limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
     state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
                                    schedule, seed, noise_factor=cov.Lambda if in_chart else None,
@@ -399,13 +399,15 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     if direction == "forward":
         return state, aborted, None
     if not in_chart:  # the reverse leg's grid basis Q = M K^-1 P; a forward run needs only F
-        basis = (basis[0], _fixed_order_matmul(M, basis[1]))
+        basis = (basis[0], M @ basis[1])
     state, more = reverse_exact(state, schedule, seed + 2, mean, basis, limit=limit)
     if n < 2:
         return state, aborted + more, None
-    target = S if in_chart else _fixed_order_matmul(_fixed_order_matmul(M, S), M.T)
+    target = S if in_chart else M @ S @ M.T
+    mean_err = state.values.mean(axis=0) - mean
     return state, aborted + more, {
-        "mean_rel_error": _rel_frobenius(state.values.mean(axis=0) - mean, mean),
+        "mean_rel_error": _rel_frobenius(mean_err, mean),
+        "mean_err_over_sd": _rel_frobenius(mean_err, np.sqrt(np.diag(target))),
         "cov_rel_frobenius_error": _rel_frobenius(
             noise.empirical_covariance(state.values) - target, target),
     }

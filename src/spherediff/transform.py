@@ -44,18 +44,15 @@ class OperatorSet:
     """Transforms for one band limit: the grid, the ring weights and the
     per-order Legendre table, O(L^3) numbers.
 
-    `legendre[m, j, ell]` is Pbar_{ell,m}(cos theta_j), zero where ell < m;
-    both its ring and degree axes are zero-padded to a multiple of 8, so the
-    per-order products have the same bits under any BLAS thread count (see
-    `metrics._fixed_order_matmul`).  The dense `Y` and `U` are built on first
-    access, bit for bit as the columns Pbar_{ell,m} e^{i m phi} with the
+    `legendre[m, j, ell]` is Pbar_{ell,m}(cos theta_j), zero where ell < m.
+    The dense `Y` and `U` are built on first access, bit for bit as the columns Pbar_{ell,m} e^{i m phi} with the
     -m columns (-1)^m times their conjugates, and U = Y^H Q.
     """
 
     L: int
     grid: GridSpec
     q: np.ndarray = field(repr=False)         # real, diag of Q, length d_X
-    legendre: np.ndarray = field(repr=False)  # (L, pad8(2L), pad8(L)), [m, ring, ell]
+    legendre: np.ndarray = field(repr=False)  # (L, 2L, L), [m, ring, ell]
 
     def __post_init__(self):
         for arr in (self.q, self.legendre):
@@ -75,7 +72,7 @@ class OperatorSet:
         L = self.L
         m, ell, plus, minus, sign = indexing.order_slots(L)
         phase = np.exp(1j * np.outer(np.arange(L), self.grid.phi))  # (L, n_phi), row m
-        cols = (self.legendre[m, :2 * L, ell][:, :, None] * phase[m, None, :]).reshape(len(m), -1)
+        cols = (self.legendre[m, :, ell][:, :, None] * phase[m, None, :]).reshape(len(m), -1)
         Y = np.empty((self.d_spatial, self.d_spectral), dtype=complex)
         Y[:, plus] = cols.T
         neg = m > 0  # column (ell, -m) is (-1)^m times the conjugate of (ell, m)
@@ -92,11 +89,10 @@ class OperatorSet:
 
 
 def build_operators(L: int) -> OperatorSet:
-    """Grid, ring weights and the padded per-order Legendre table."""
+    """Grid, ring weights and the per-order Legendre table."""
     grid = build_grid(L)
     plm = norm_legendre_table(L, np.cos(grid.theta))  # (L, L, n_theta): [ell, m, ring]
-    legendre = np.zeros((L, indexing.pad8(2 * L), indexing.pad8(L)))
-    legendre[:, :2 * L, :L] = plm.transpose(1, 2, 0)
+    legendre = np.ascontiguousarray(plm.transpose(1, 2, 0))
     return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
 
 
@@ -110,10 +106,9 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     n = rows.shape[0]
     F = np.fft.rfft(rows, axis=-1) * ops.grid.weights[:, None]  # bins m = 0 .. L-1
     # per order m: [Re F; Im F] (2n x rings) times the Legendre block (rings x ell)
-    R = np.zeros((L, 2 * n, ops.legendre.shape[1]))
-    R[:, :n, :n_theta] = F.real.transpose(2, 0, 1)
-    R[:, n:, :n_theta] = F.imag.transpose(2, 0, 1)
-    C = R @ ops.legendre  # (L, 2n, pad8(L)): [m, Re/Im x n, ell]
+    R = np.empty((L, 2 * n, n_theta))
+    R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
+    C = R @ ops.legendre  # (L, 2n, L): [m, Re/Im x n, ell]
     m, ell, plus, minus, sign = indexing.order_slots(L)
     re, im = C[m, :n, ell].T, C[m, n:, ell].T  # (n, pairs)
     a = np.empty((n, L * L), dtype=complex)
@@ -137,13 +132,13 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     A = np.asarray(a, dtype=complex).reshape(-1, L * L)
     n = A.shape[0]
     # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell
-    S = np.zeros((L, 4 * n, ops.legendre.shape[2]))
+    S = np.zeros((L, 4 * n, L))
     m, ell, plus, minus, sign = indexing.order_slots(L)
     S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
     neg = m > 0
     S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T
     S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * A[:, minus[neg]].imag.T
-    G = (S @ ops.legendre.transpose(0, 2, 1))[..., :n_theta]  # (L, 4n, rings)
+    G = S @ ops.legendre.transpose(0, 2, 1)  # (L, 4n, rings)
     spec = np.empty((n, n_theta, n_phi), dtype=complex)
     spec[..., :L] = (G[:, :n] + 1j * G[:, n:2 * n]).transpose(1, 2, 0)
     # bin n_phi - m holds order -m: bins L ... n_phi-1 are m = -(L-1) ... -1

@@ -461,6 +461,20 @@ def test_reverse_diffuse_at_the_data_scale_bound_writes_finite_numbers(domain, t
     assert np.isfinite(diag["mean_rel_error"]) and np.isfinite(diag["cov_rel_frobenius_error"])
 
 
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_reverse_diffuse_reports_the_mean_error_in_units_of_the_spread(domain, tmp_path):
+    # a spread far above the mean: relative to the mean alone, the error reads as a failure
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps({"data_cov_scale": 1e14}))
+    out = tmp_path / "rev.csv"
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse",
+                 "--score", "gaussian-analytic", "--domain", domain, "--L", "2", "--n", "10",
+                 "--steps", "10", "--out", str(out)]) == 0
+    diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
+    assert diag["mean_rel_error"] > 1e3
+    assert diag["mean_err_over_sd"] <= 1.0
+
+
 def _spy_on_law(monkeypatch):
     """Record the seed and the result of every sde.surrogate_gaussian call."""
     calls, real = [], sde.surrogate_gaussian

@@ -1,13 +1,14 @@
 """Command outputs do not depend on the BLAS thread count.
 
-The three operator commands run at L = 16, `verify-operators` and
-`bound-check` also at L = 20, and the recovery path (reverse
-`diffuse` in both domains, then `sliced-w`) at L = 12, where BLAS and LAPACK
-split their work among threads.  A sweep runs reverse `diffuse` at every
-L = 1 ... 13, where L^2 and 2L(2L-1) take each residue modulo 8 they can
-take (0, 1, 4 and 0, 2, 4, 6), and on the grid at L = 20.  Each runs
-in child processes under one and two threads; every output file must be
-byte-identical.
+Importing `spherediff` sets NumPy's OpenBLAS to one thread, whatever
+OPENBLAS_NUM_THREADS asks for; a test checks that the setting took.  The
+three operator commands run at L = 16, `verify-operators` and `bound-check`
+also at L = 20, and the recovery path (reverse `diffuse` in both domains,
+then `sliced-w`) at L = 12, where BLAS and LAPACK would split their work
+among threads.  A sweep runs reverse `diffuse` at every L = 1 ... 13, on
+the grid at L = 20 and in the chart at L = 32, and `covariance` up to
+L = 32.  Each runs in child processes under one and two threads; every
+output file must be byte-identical.
 """
 
 import json
@@ -42,22 +43,31 @@ RECOVERY = [
 
 # (rows, inner, columns): the spatial score's projection r @ Q at L = 12, and
 # sliced-w's 500 projections of chart and grid samples at L = 12 and L = 4;
-# plain BLAS products of these shapes differ under one and two threads
+# without the one-thread setting, products of these shapes differ under one
+# and two threads
 PRODUCTS = [(250, 552, 144), (250, 552, 500), (250, 144, 500), (1000, 56, 500)]
 PRODUCT_SCRIPT = f"""
 import hashlib, numpy as np
-from spherediff.metrics import _fixed_order_matmul
+import spherediff
 rng = np.random.default_rng(0)
 for m, k, n in {PRODUCTS}:
     a, b = rng.standard_normal((m, k)), rng.standard_normal((n, k)).T
-    print(hashlib.sha256(_fixed_order_matmul(a, b).tobytes()).hexdigest())
+    print(hashlib.sha256((a @ b).tobytes()).hexdigest())
+"""
+
+# the thread count NumPy's OpenBLAS runs on after `import spherediff`
+PIN_SCRIPT = """
+import spherediff
+from spherediff.metrics import _blas_thread_controls
+controls = _blas_thread_controls()
+assert controls is not None, "NumPy's bundled OpenBLAS not found"
+print(controls[0]())
 """
 
 
-# reverse diffuse in both domains at every L = 1 ... 13 and on the grid at L = 20
-# (where a plain product for the target M S M^T, with L^2 = 400 > 288 inner terms,
-# changed the covariance error's last digits), covariance where L^2 (81, 289) is
-# not a multiple of 8, and sliced-w on 306-wide grid samples
+# reverse diffuse in both domains at every L = 1 ... 13, on the grid at L = 20 and
+# in the chart at L = 32 (a 1024 x 1024 eigh), covariance at L = 9, 17 and 32, and
+# sliced-w on 306-wide grid samples
 SWEEP = [
     ["diffuse", "--config", "law.json", "--direction", "reverse",
      "--score", "gaussian-analytic", "--domain", domain, "--L", str(L), "--n", "40",
@@ -68,9 +78,14 @@ SWEEP = [
     ["diffuse", "--direction", "reverse", "--score", "gaussian-analytic", "--domain",
      "spatial", "--L", "20", "--n", "20", "--steps", "5", "--seed", "3",
      "--out", "spatial_L20_3.csv"],
+    ["diffuse", "--direction", "reverse", "--score", "gaussian-analytic", "--domain",
+     "frequency", "--L", "32", "--n", "20", "--steps", "5", "--seed", "3",
+     "--out", "frequency_L32_3.csv"],
 ] + [
     ["covariance", "--L", str(L), "--samples", "20", "--seed", "8", "--out-dir", f"cov_L{L}"]
     for L in (9, 17)
+] + [
+    ["covariance", "--L", "32", "--samples", "50", "--seed", "8", "--out-dir", "cov_L32"],
 ] + [["sliced-w", "--a", "spatial_L9_3.csv", "--b", "spatial_L9_4.csv",
       "--n-proj", "50", "--seed", "5", "--out", "sw_spatial_L9.json"]]
 # one child per thread count runs the whole sweep in-process and prints
@@ -153,7 +168,14 @@ def test_recovery_outputs_byte_identical_under_one_and_two_threads(tmp_path):
     assert diffs == []
 
 
-def test_fixed_order_product_byte_identical_under_one_and_two_threads():
+def test_importing_spherediff_pins_blas_to_one_thread():
+    proc = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=_env("2"),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+def test_plain_products_byte_identical_under_one_and_two_threads():
     hashes = [
         subprocess.run([sys.executable, "-c", PRODUCT_SCRIPT], env=_env(threads),
                        capture_output=True, text=True, check=True).stdout.split()
@@ -174,8 +196,8 @@ def test_data_draw_sweep_byte_identical_under_one_and_two_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         hashes.append(json.loads(proc.stdout.splitlines()[-1]))
-    # law.json, 28 (csv, sidecar, diagnostics) triples, 2 x 3 covariance files, sw json
-    assert len(hashes[0]) == 1 + 28 * 3 + 6 + 1
+    # law.json, 29 (csv, sidecar, diagnostics) triples, 3 x 3 covariance files, sw json
+    assert len(hashes[0]) == 1 + 29 * 3 + 9 + 1
     assert hashes[0].keys() == hashes[1].keys()
     assert sorted(n for n in hashes[0] if hashes[0][n] != hashes[1][n]) == []
 
@@ -192,3 +214,15 @@ def test_covariance_panels_byte_identical_under_one_and_two_threads(tmp_path):
                      "theoretical.csv"]
     assert [n for n in names if (tmp_path / "1" / n).read_bytes()
             != (tmp_path / "2" / n).read_bytes()] == []
+
+
+def test_gaussian_recovery_report_byte_identical_under_one_and_two_threads(tmp_path):
+    # without the one-thread setting, the fresh data's eigh and products change
+    # their last bits with the thread count from L = 13 on
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gaussian_recovery.py"
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, str(script), "--L", "13", "--n", "200",
+                               "--steps", "20", "--out", str(tmp_path / f"{threads}.json")],
+                              env=_env(threads), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
