@@ -2,9 +2,9 @@
 """Empirical-vs-theoretical chart covariance panels.
 
 Estimates the chart covariance of band-limited spherical noise two ways —
-sampling directly with the factor Lambda, and pushing spatial white noise
-through analysis + chart — and writes both panels next to the closed-form
-matrix t * Sigma for side-by-side comparison.  The relative Frobenius errors
+sampling directly with the per-order roots Sigma_m^{1/2}, and pushing
+spatial white noise through analysis + chart — and writes both panels next
+to the closed-form matrix t * Sigma for side-by-side comparison.  The relative Frobenius errors
 in report.json use the CLI's norm.  Importing spherediff runs BLAS on one
 thread, so every file has the same bits under any BLAS thread count.
 """
@@ -30,7 +30,7 @@ def main() -> int:
     cov = noise.build_covariance(args.L)
     theo = args.t * cov.Sigma
 
-    direct = noise.sample_mirrored_bm(cov.Lambda, args.t, args.samples, args.seed)
+    direct = noise.sample_mirrored_bm(cov, args.t, args.samples, args.seed)
     via_spatial = chart.to_chart(
         noise.mirrored_bm_via_spatial(ops, args.t, args.samples, args.seed + 1), args.L
     )

@@ -136,7 +136,7 @@ def cmd_covariance(args) -> int:
     cov = noise.build_covariance(args.L)
     with np.errstate(over="ignore"):  # an overflow is reported below, in one line
         emp = noise.empirical_covariance(
-            noise.sample_mirrored_bm(cov.Lambda, args.t, args.samples, args.seed))
+            noise.sample_mirrored_bm(cov, args.t, args.samples, args.seed))
         theo = args.t * cov.Sigma
     if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(theo))):
         raise UsageError(f"--t {args.t!r} is too large: the covariance overflows")

@@ -41,33 +41,23 @@ def norm_legendre_table(L: int, x) -> np.ndarray:
     if L < 1:
         raise ValueError(f"band limit must be >= 1, got {L}")
     x = _check_args(0, 0, x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    shape, x = x.shape, x.reshape(-1)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    table = np.zeros((L, L) + x.shape)
+    table = np.zeros((L, L, x.size))
+    ms = np.arange(L)
 
-    # log of the m-dependent diagonal prefactor sqrt((2m+1)/(4pi) (2m-1)!!/(2m)!!)
-    log_pref = 0.5 * (np.log(1.0) - np.log(FOUR_PI))
-    with np.errstate(divide="ignore"):
-        log_s = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), -np.inf)
-    for m in range(L):
-        if m == 0:
-            p_mm = np.full(x.shape, np.exp(log_pref))
-        else:
-            log_pref += 0.5 * (np.log(2 * m + 1) - np.log(2 * m))
-            sign = -1.0 if m % 2 else 1.0
-            with np.errstate(invalid="ignore"):
-                p_mm = sign * np.exp(log_pref + m * log_s)
-            p_mm = np.where(s > 0.0, p_mm, 0.0)
-        table[m, m] = p_mm
-        if m + 1 < L:
-            table[m + 1, m] = np.sqrt(2 * m + 3.0) * x * p_mm
-        for ell in range(m + 2, L):
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = np.sqrt(
-                (2.0 * ell + 1.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-            )
-            table[ell, m] = a * x * table[ell - 1, m] - b * table[ell - 2, m]
-    return table[..., 0] if scalar else table
+    # the diagonal P_mm: (-1)^m s^m times the prefactor sqrt((2m+1)/(4pi) (2m-1)!!/(2m)!!),
+    # whose log is summed in m order; zero at the poles but for m = 0
+    log_pref = np.cumsum(0.5 * (np.log(2 * ms + 1.0) - np.log(np.where(ms > 0, 2 * ms, FOUR_PI))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_mm = np.exp(log_pref[:, None] + ms[:, None] * np.log(s))
+    table[ms, ms] = np.where(s > 0.0, np.where(ms % 2, -1.0, 1.0)[:, None] * p_mm, 0.0)
+    table[0, 0] = np.exp(log_pref[0])
+    table[ms[1:], ms[:-1]] = np.sqrt(2 * ms[:-1] + 3.0)[:, None] * x * table[ms[:-1], ms[:-1]]
+    for ell in range(2, L):  # the three-term recurrence in ell, for all m < ell - 1 at once
+        m = ms[:ell - 1]
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))[:, None]
+        b = np.sqrt((2.0 * ell + 1.0) * ((ell - 1.0) ** 2 - m * m)
+                    / ((2.0 * ell - 3.0) * (ell * ell - m * m)))[:, None]
+        table[ell, m] = a * x * table[ell - 1, m] - b * table[ell - 2, m]
+    return table.reshape((L, L) + shape)

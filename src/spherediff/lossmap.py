@@ -62,7 +62,7 @@ class BoundOperators:
 
 
 def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
-    """The kit of one band limit, with each Sigma_m and its eigenpairs read from `cov`."""
+    """The kit of one band limit, with each Sigma_m, its eigenpairs and root read from `cov`."""
     w = np.concatenate([ev for ev, _ in cov.eig])  # the eigenvalues of Sigma
     keep = w > 1e-10
     if not np.any(keep):
@@ -74,10 +74,10 @@ def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
     A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
     B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
     sigma, root, pinv = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A)
-    for m, (C, (ev, V)) in enumerate(zip(sigma_blocks(cov.blocks), cov.eig)):
+    for m, (C, R, (ev, V)) in enumerate(zip(sigma_blocks(cov.blocks), cov.root, cov.eig)):
         keep = ev > 1e-10
         sigma[m, m:, m:] = C
-        root[m, m:, m:] = (V * np.sqrt(np.clip(ev, 0.0, None))) @ V.T
+        root[m, m:, m:] = R
         pinv[m, m:, m:] = (V[:, keep] / ev[keep]) @ V[:, keep].T
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)

@@ -102,22 +102,31 @@ def _power_mean_root(D: np.ndarray, p: float, w=None) -> np.ndarray:
     return root
 
 
-def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:
-    """Exact order-p Wasserstein distance between 1-D empirical measures."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    n, m = a.size, b.size
-    if n == 0 or m == 0:
-        raise ValueError("empty sample set")
+def _sorted_wasserstein(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Order-p Wasserstein distances between the columns of a and b, each sorted
+    down axis 0, as `_power_mean_root` gives them: equal counts pair the sorted
+    samples, unequal counts the quantiles on the merged-CDF segments, weighted
+    by the segment widths (one segment walk serves every column).  Each
+    difference array goes straight into `_power_mean_root`, which drops it."""
+    n, m = len(a), len(b)
     if n == m:
-        return float(_power_mean_root(a - b, p)[0])
+        return _power_mean_root(a - b, p)
     edges = np.concatenate(
         [[0.0], np.union1d(np.arange(1, n) / n, np.arange(1, m) / m), [1.0]]
     )
     mids = 0.5 * (edges[:-1] + edges[1:])
     ia = np.minimum((mids * n).astype(np.intp), n - 1)
     ib = np.minimum((mids * m).astype(np.intp), m - 1)
-    return float(_power_mean_root(a[ia] - b[ib], p, np.diff(edges))[0])
+    return _power_mean_root(a[ia] - b[ib], p, np.diff(edges))
+
+
+def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:
+    """Exact order-p Wasserstein distance between 1-D empirical measures."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empty sample set")
+    return float(_sorted_wasserstein(a, b, p)[0])
 
 
 def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
@@ -140,14 +149,9 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
 
     PA = A @ dirs.T  # (n, n_proj)
     PB = B @ dirs.T
-    if A.shape[0] == B.shape[0]:
-        PA.sort(axis=0)
-        PB.sort(axis=0)
-        per = _power_mean_root(PA - PB, p)
-    else:
-        per = np.array(
-            [wasserstein_1d(PA[:, i], PB[:, i], p) for i in range(n_proj)]
-        )
+    PA.sort(axis=0)
+    PB.sort(axis=0)
+    per = _sorted_wasserstein(PA, PB, p)  # all projections at once
 
     with np.errstate(over="ignore"):  # an overflow is summed again below
         value, sd = per.mean(), per.std(ddof=1) if n_proj > 1 else 0.0

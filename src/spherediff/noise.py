@@ -11,8 +11,9 @@ covariance assembles into Sigma with the m = 0 block doubled, and the
 normative identity Sigma = T T^T ties the convention to the actual operators
 (the prefactor above makes the match exact; no rescaling is applied).
 
-Lambda, a fixed factor with Lambda Lambda^T = Sigma from one eigh per order,
-makes sqrt(t) * Lambda g, g ~ N(0, I), a sample of the time-t marginal.
+The symmetric roots Sigma_m^{1/2}, from the one eigh of each Sigma_m, make
+sqrt(t) * Sigma^{1/2} g, g ~ N(0, I), a sample of the time-t marginal; they
+are applied one (m, part) block at a time and Sigma^{1/2} is never formed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CovarianceSet:
     """Covariance data for one band limit: the C blocks, and on first access
-    the per-order eigenpairs of Sigma, Sigma itself and its factor Lambda."""
+    the per-order eigenpairs of Sigma, Sigma itself and the roots Sigma_m^{1/2}."""
 
     L: int
     blocks: tuple = field(repr=False)  # blocks[m]: (L-m, L-m), index ell-m
@@ -63,8 +64,8 @@ class CovarianceSet:
         return _frozen(build_sigma(self.blocks, self.L))
 
     @cached_property
-    def Lambda(self) -> np.ndarray:  # Lambda @ Lambda.T == Sigma
-        return _frozen(factor_sigma(self.eig)[0])
+    def root(self) -> tuple:  # root[m] @ root[m] == Sigma_m, symmetric
+        return tuple(map(_frozen, factor_sigma(self.eig)[0]))
 
 
 def covariance_blocks(L: int) -> tuple:
@@ -95,53 +96,52 @@ def build_sigma(blocks: tuple, L: int) -> np.ndarray:
 
 
 def factor_sigma(eig):
-    """Fixed factor Lambda = V sqrt(diag(w)) with Lambda Lambda^T = Sigma.
+    """The symmetric roots Sigma_m^{1/2} = V_m sqrt(diag(w_m)) V_m^T, m = 0..L-1.
 
-    `eig` holds the eigenpairs (w_m, V_m) of Sigma_m, m = 0..L-1; V scatters
-    them into the (m, part) blocks of Sigma.  Columns run by eigenvalue
-    descending, ties in (m, part) block order, then in eigh's order; an
-    eigenvalue below -1e-8 raises IndefiniteCovariance, those below 1e-12 are
-    clipped to zero, and each eigenvector's largest-magnitude entry is made
-    positive.  Returns (Lambda, min_eigenvalue).
+    `eig` holds the eigenpairs (w_m, V_m) of each Sigma_m.  An eigenvalue
+    below -1e-8 raises IndefiniteCovariance, and the others are clipped at
+    zero.  Returns (roots, min_eigenvalue).
     """
-    slots = indexing.block_slots(len(eig))
-    w = np.concatenate([eig[m][0] for m, _ in slots])
-    min_eig = float(w.min())
+    min_eig = min(float(w.min()) for w, _ in eig)
     if min_eig < -1e-8:
         raise IndefiniteCovariance(f"Sigma indefinite: min eigenvalue {min_eig:.3e}")
-    col = np.argsort(np.argsort(-w, kind="stable"))  # the Lambda column of each pair
-    scale = np.sqrt(np.where(w < 1e-12, 0.0, w))
-    Lambda, start = np.zeros((w.size, w.size)), 0
-    for m, rows in slots:
-        V, end = eig[m][1], start + len(rows)
-        sign = np.where(V[np.argmax(np.abs(V), axis=0), np.arange(len(rows))] < 0, -1.0, 1.0)
-        Lambda[np.ix_(rows, col[start:end])] = V * sign * scale[start:end]
-        start = end
-    return Lambda, min_eig
+    return tuple((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T for w, V in eig), min_eig
+
+
+def _block_matmul(K, X):
+    """K X for a block-diagonal K held as (chart rows, block) pairs that cover X's rows."""
+    out = np.empty(X.shape)
+    for rows, block in K:
+        out[rows] = block @ X[rows]
+    return out
+
+
+def _times_root(cov: CovarianceSet, g: np.ndarray) -> np.ndarray:
+    """The rows of g times Sigma^{1/2}, one (m, part) block at a time."""
+    return _block_matmul([(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)],
+                         g.T).T
 
 
 def build_covariance(L: int) -> CovarianceSet:
-    """The C blocks of one band limit; Sigma and Lambda follow on first access."""
+    """The C blocks of one band limit; Sigma and its roots follow on first access."""
     return CovarianceSet(L=L, blocks=covariance_blocks(L))
 
 
-def sample_mirrored_bm(Lambda: np.ndarray, t: float, n: int, seed) -> np.ndarray:
-    """n chart samples of the time-t mirrored-BM marginal: sqrt(t) Lambda g."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray:
+    """n chart samples of the time-t mirrored-BM marginal: sqrt(t) Sigma^{1/2} g."""
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = Lambda.shape[0]
-    g = np.random.default_rng(seed).standard_normal((n, d))
-    Z = g @ Lambda.T
+    Z = _times_root(cov, np.random.default_rng(seed).standard_normal((n, cov.L * cov.L)))
     Z *= np.sqrt(t)
     return Z
 
 
 def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndarray:
     """n coefficient samples U w with spatial Brownian w ~ N(0, t I)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     g = np.random.default_rng(seed).standard_normal((n, ops.d_spatial))
     return np.sqrt(t) * analysis(ops, g)
 

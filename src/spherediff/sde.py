@@ -23,6 +23,7 @@ import numpy as np
 
 from . import chart, indexing, noise, transform
 from .metrics import _rel_frobenius
+from .noise import _block_matmul
 
 BLOWUP_LIMIT = 1e6
 
@@ -108,9 +109,9 @@ def _drift(schedule, x, t, g, score, precond):
 def _em_update(state, schedule, dt, xi, *, noise_factor=None, score=None, precond=None):
     """The one Euler-Maruyama update x + (f - g^2 P s) dt + g sqrt(|dt|) F xi.
 
-    F is `noise_factor` (Lambda) or I when None; P is `precond` (Sigma) or I
-    when None; without a score the drift is f alone.  f and g come from
-    `schedule.drift` and `schedule.g`, so any schedule providing those works.
+    F is `noise_factor` (a dense Sigma^{1/2}) or I when None; P is `precond`
+    (Sigma) or I when None; without a score the drift is f alone.  f and g come
+    from `schedule.drift` and `schedule.g`, so any schedule providing those works.
     """
     expected = "spatial" if precond is None else "chart"  # P = Sigma only in the chart
     if score is not None and score.domain != expected:
@@ -246,11 +247,12 @@ def _endpoint(state, new, t, steps, limit):
             [{"path": int(i), "step": k} for i in np.flatnonzero(dead)])
 
 
-def forward_exact(state, schedule, seed, *, noise_factor=None, limit=BLOWUP_LIMIT):
-    """`integrate`'s forward endpoint as one draw a x + s F xi (F = noise_factor or I)."""
+def forward_exact(state, schedule, seed, *, cov=None, limit=BLOWUP_LIMIT):
+    """`integrate`'s forward endpoint as one draw a x + s F xi (F = Sigma^{1/2} of the
+    covariance set `cov`, applied per block, or I when None)."""
     a, s2, t = forward_law(schedule, state.time)
     xi = np.random.default_rng(seed).standard_normal(state.values.shape)
-    F_xi = xi if noise_factor is None else xi @ noise_factor.T
+    F_xi = xi if cov is None else noise._times_root(cov, xi)
     return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps, limit)
 
 
@@ -271,14 +273,6 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
 # ---------------------------------------------------------------------------
 # analytic Gaussian scores (closed-form, no training): a fixed basis, no LAPACK per call
 # ---------------------------------------------------------------------------
-
-def _block_matmul(K, X):
-    """K X for a block-diagonal K held as (chart rows, block) pairs that cover X's rows."""
-    out = np.empty(X.shape)
-    for rows, block in K:
-        out[rows] = block @ X[rows]
-    return out
-
 
 def _whitened_eig(S, block_eig, p):
     """(lam, P, K, K^-1) from one eigh K S K = P diag(lam) P^T (of K (K S)^T's lower triangle),
@@ -394,8 +388,7 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         start, mean = (z0, mu) if in_chart else (z0 @ M.T, M @ mu)
     limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
     state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
-                                   schedule, seed, noise_factor=cov.Lambda if in_chart else None,
-                                   limit=limit)
+                                   schedule, seed, cov=cov, limit=limit)
     if direction == "forward":
         return state, aborted, None
     if not in_chart:  # the reverse leg's grid basis Q = M K^-1 P; a forward run needs only F

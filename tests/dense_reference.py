@@ -10,7 +10,9 @@ oracle of the streaming `noise.sigma_to_csv`; through a sample CSV built
 with one % call per row, the oracle of the block-formatting
 `noise.save_samples`; and through order-p Wasserstein distances summed in
 logs, the oracle of `metrics.wasserstein_1d` and
-`metrics.sliced_wasserstein` at orders where |x|^p leaves the float range.
+`metrics.sliced_wasserstein` at orders where |x|^p leaves the float range;
+and through the dense Sigma^{1/2} of a covariance set, the oracle of the
+per-block roots and the noise factor of the reference steppers.
 """
 
 import math
@@ -104,6 +106,14 @@ def chart_index(ell: int, m: int, part: str = RE) -> int:
             raise ValueError("a_{ell,0} has no imaginary chart slot")
         return ell * ell
     return ell * ell + 2 * m - (1 if part == RE else 0)
+
+
+def sigma_root(cov) -> np.ndarray:
+    """The dense Sigma^{1/2} (L^2 x L^2): `cov.root` scattered over the (m, part) blocks."""
+    out = np.zeros((cov.L * cov.L,) * 2)
+    for m, rows in block_slots(cov.L):
+        out[np.ix_(rows, rows)] = cov.root[m]
+    return out
 
 
 def T(bops) -> np.ndarray:

@@ -154,7 +154,7 @@ def test_covariance_of_charted_spatial_noise(ops4, cov4):
 
 def test_mirrored_noise_component_structure(cov4):
     L, n, t = 4, 50_000, 1.0
-    Z = noise.sample_mirrored_bm(cov4.Lambda, t, n, seed=44)
+    Z = noise.sample_mirrored_bm(cov4, t, n, seed=44)
 
     var_ok = True
     worst_sigmas = 0.0
@@ -212,7 +212,7 @@ def test_frequency_forward_marginal_and_drift_identity(ops4, cov4):
     L, n = 4, 50_000
     sch = _DriftlessUnitSchedule()
     start = sde.DiffusionState(time=0.0, values=np.zeros((n, L * L)), domain="chart")
-    stepper = sde.frequency_forward_stepper(sch, cov4.Lambda)
+    stepper = sde.frequency_forward_stepper(sch, dense_reference.sigma_root(cov4))
     final, aborted = sde.integrate(start, sch, "forward", stepper, seed=55)
     emp = noise.empirical_covariance(final.values)
     theo = sch.T * cov4.Sigma
@@ -240,10 +240,11 @@ def test_frequency_forward_marginal_and_drift_identity(ops4, cov4):
 def _roundtrip_chart(ops, cov, schedule, mu, S, n, seed):
     z0 = np.random.default_rng(seed).multivariate_normal(mu, S, size=n, method="eigh")
     state = sde.DiffusionState(time=0.0, values=z0, domain="chart")
-    fwd = sde.frequency_forward_stepper(schedule, cov.Lambda)
+    root = dense_reference.sigma_root(cov)
+    fwd = sde.frequency_forward_stepper(schedule, root)
     state, ab1 = sde.integrate(state, schedule, "forward", fwd, seed + 1)
     score = sde.gaussian_chart_score(mu, S, cov.Sigma, schedule)
-    rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, cov.Lambda, score)
+    rev = sde.frequency_reverse_stepper(schedule, cov.Sigma, root, score)
     state, ab2 = sde.integrate(state, schedule, "reverse", rev, seed + 2)
     return state.values, ab1 + ab2
 

@@ -230,7 +230,7 @@ def test_covariance_csvs_at_L32_equal_the_per_value_formatter(tmp_path):
     assert main(["covariance", "--L", "32", "--samples", "100", "--t", "0.7", "--seed", "4",
                  "--out-dir", str(out_dir)]) == 0
     cov = noise.build_covariance(32)
-    emp = noise.empirical_covariance(noise.sample_mirrored_bm(cov.Lambda, 0.7, 100, 4))
+    emp = noise.empirical_covariance(noise.sample_mirrored_bm(cov, 0.7, 100, 4))
     assert np.array_equal(emp.view(np.uint64), emp.T.view(np.uint64))  # mirror cells reused
     for name, X in (("empirical", emp), ("theoretical", 0.7 * cov.Sigma)):
         assert (out_dir / f"covariance_{name}.csv").read_text() == sigma_csv(X, 32), name
@@ -755,15 +755,23 @@ def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, m
         return eigh(a, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Sigma was factored")
+        raise AssertionError("the dense Sigma was built")
+
+    factored = []
+    factor_sigma = noise.factor_sigma
+
+    def factor_counted(eig):
+        factored.append(len(eig))
+        return factor_sigma(eig)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(noise, "factor_sigma", refuse)
+    monkeypatch.setattr(noise, "factor_sigma", factor_counted)
     monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     out = tmp_path / "bound.json"
     assert main(["bound-check", "--L", "8", "--trials", "50", "--out", str(out)]) == 0
     assert _read_json(out)["violations"] == 0
     assert sorted(calls) == [(n, n) for n in range(1, 9)]  # Sigma_m is (8 - m) x (8 - m)
+    assert factored == [8]  # the kit reads the roots Sigma_m^{1/2} of the covariance set
 
 
 @pytest.mark.parametrize("argv,count", [

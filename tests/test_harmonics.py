@@ -33,11 +33,11 @@ def test_norm_table_matches_scipy_harmonics(L):
 
 
 def test_norm_table_agrees_with_single_eval():
-    x = np.cos(np.linspace(0.1, 3.0, 7))
-    table = norm_legendre_table(5, x)
-    for ell in range(5):
-        for m in range(ell + 1):
-            np.testing.assert_array_equal(norm_legendre(ell, m, x), table[ell, m])
+    for L, x in ((5, np.cos(np.linspace(0.1, 3.0, 7))), (32, np.cos(build_grid(32).theta))):
+        table = norm_legendre_table(L, x)
+        for ell in range(L):
+            for m in range(ell + 1):
+                np.testing.assert_array_equal(norm_legendre(ell, m, x), table[ell, m])
 
 
 def test_stable_at_high_degree():

@@ -57,6 +57,20 @@ def test_wasserstein_1d_unequal_counts_matches_order_statistic_grid():
             np.testing.assert_allclose(got, exact, rtol=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n,m", [(250, 1000), (37, 53)])
+def test_sliced_wasserstein_at_unequal_counts_is_the_mean_of_the_1d_distances(n, m, p):
+    # all projections share one merged-CDF segment walk; each equals its own 1-D distance
+    rng = np.random.default_rng(23)
+    A, B = rng.standard_normal((n, 3)), rng.standard_normal((m, 3)) + 0.2
+    res = metrics.sliced_wasserstein(A, B, p=p, n_proj=40, seed=4)
+    dirs = np.random.default_rng(4).standard_normal((40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    PA, PB = A @ dirs.T, B @ dirs.T
+    per = [metrics.wasserstein_1d(PA[:, i], PB[:, i], p) for i in range(40)]
+    assert res.value == pytest.approx(np.mean(per), rel=1e-14)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [50.0, 1e-3])
 @pytest.mark.parametrize("m", [200, 150], ids=["equal-counts", "unequal-counts"])

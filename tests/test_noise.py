@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BAND_LIMITS
-from dense_reference import chart_index, sample_csv, sigma_csv
-from spherediff import chart, noise, transform
+from dense_reference import chart_index, sample_csv, sigma_csv, sigma_root
+from spherediff import chart, noise, sde, transform
 from spherediff.indexing import chart_is_im, chart_ms
 
 
@@ -58,7 +58,8 @@ def test_sigma_equals_tt_transpose(L, ops_cache, cov_cache):
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
 def test_factor_reproduces_sigma(L, cov_cache):
     cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
-    assert np.linalg.norm(cov.Lambda @ cov.Lambda.T - cov.Sigma) < 1e-10
+    root = sigma_root(cov)
+    assert np.linalg.norm(root @ root.T - cov.Sigma) < 1e-10
 
 
 def _eig(*sigma_blocks):
@@ -67,14 +68,17 @@ def _eig(*sigma_blocks):
 
 
 def test_factor_identity_convention():
-    Lam, min_eig = noise.factor_sigma(_eig(np.eye(2), np.eye(1)))  # Sigma = I at L = 2
-    np.testing.assert_array_equal(Lam, np.eye(4))
+    roots, min_eig = noise.factor_sigma(_eig(np.eye(2), np.eye(1)))  # Sigma = I at L = 2
+    assert len(roots) == 2
+    np.testing.assert_array_equal(roots[0], np.eye(2))
+    np.testing.assert_array_equal(roots[1], np.eye(1))
     assert min_eig == 1.0
 
 
 def test_factor_clips_tiny_negatives_and_rejects_indefinite():
-    Lam, _ = noise.factor_sigma(_eig(np.diag([1.0, -1e-13]), [[1.0]]))
-    np.testing.assert_allclose(Lam @ Lam.T, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-15)
+    roots, _ = noise.factor_sigma(_eig(np.diag([1.0, -1e-13]), [[1.0]]))
+    np.testing.assert_allclose(roots[0] @ roots[0].T, np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(roots[1] @ roots[1].T, [[1.0]], atol=1e-15)
     with pytest.raises(noise.IndefiniteCovariance):
         noise.factor_sigma(_eig(np.diag([1.0, -1e-3]), [[1.0]]))
     with pytest.raises(noise.IndefiniteCovariance):
@@ -84,7 +88,9 @@ def test_factor_clips_tiny_negatives_and_rejects_indefinite():
 def test_factor_deterministic():
     a, _ = noise.factor_sigma(noise.build_covariance(3).eig)
     b, _ = noise.factor_sigma(noise.build_covariance(3).eig)
-    np.testing.assert_array_equal(a, b)
+    assert len(a) == len(b) == 3
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
@@ -100,17 +106,47 @@ def test_covariance_eigenpairs_are_one_eigh_per_order(L, cov_cache):
 
 def test_sampler_zero_time_and_shapes(cov_cache):
     cov = cov_cache[2]
-    Z = noise.sample_mirrored_bm(cov.Lambda, 0.0, 5, seed=1)
+    Z = noise.sample_mirrored_bm(cov, 0.0, 5, seed=1)
     assert Z.shape == (5, 4)
     assert np.all(Z == 0.0)
     with pytest.raises(ValueError):
-        noise.sample_mirrored_bm(cov.Lambda, -1.0, 5, seed=1)
+        noise.sample_mirrored_bm(cov, -1.0, 5, seed=1)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_samplers_reject_a_time_that_is_not_finite_and_nonnegative(t, ops_cache, cov_cache):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        noise.sample_mirrored_bm(cov_cache[2], t, 2, seed=0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        noise.mirrored_bm_via_spatial(ops_cache[2], t, 2, seed=0)
+
+
+@pytest.mark.parametrize("L", list(range(1, 14)) + [16, 32])
+def test_per_block_roots_equal_the_dense_root(L, cov_cache):
+    # the sampler and the chart forward leg apply Sigma^{1/2} one (m, part)
+    # block at a time; both equal the dense root times the same normals
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
+    root, n = sigma_root(cov), 7
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    g = np.random.default_rng(3).standard_normal((n, L * L))
+    assert rel(noise.sample_mirrored_bm(cov, 0.6, n, seed=3), np.sqrt(0.6) * g @ root.T) <= 1e-14
+    s = sde.VpSchedule(steps=10)
+    a, s2, _ = sde.forward_law(s)
+    x = np.random.default_rng(4).standard_normal((n, L * L))
+    state = sde.DiffusionState(time=0.0, values=x, domain="chart")
+    out, aborted = sde.forward_exact(state, s, 5, cov=cov)
+    xi = np.random.default_rng(5).standard_normal((n, L * L))
+    assert not aborted
+    assert rel(out.values, a * x + np.sqrt(s2) * (xi @ root.T)) <= 1e-14
 
 
 def test_chart_and_spatial_samplers_agree_in_law(ops_cache, cov_cache):
     L, n, t = 2, 20_000, 0.7
     cov = cov_cache[L]
-    Z1 = noise.sample_mirrored_bm(cov.Lambda, t, n, seed=11)
+    Z1 = noise.sample_mirrored_bm(cov, t, n, seed=11)
     V = noise.mirrored_bm_via_spatial(ops_cache[L], t, n, seed=12)
     Z2 = (V @ _chart_extraction_matrix(L).T).real
     c1 = noise.empirical_covariance(Z1)
@@ -138,8 +174,8 @@ def test_spatial_route_sample_symmetry_exact(ops_cache):
 def test_disjoint_increments_uncorrelated(cov_cache):
     cov = cov_cache[2]
     n = 20_000
-    Z1 = noise.sample_mirrored_bm(cov.Lambda, 0.5, n, seed=21)
-    dZ = noise.sample_mirrored_bm(cov.Lambda, 0.3, n, seed=22)
+    Z1 = noise.sample_mirrored_bm(cov, 0.5, n, seed=21)
+    dZ = noise.sample_mirrored_bm(cov, 0.3, n, seed=22)
     r1 = Z1 - Z1.mean(axis=0)
     r2 = dZ - dZ.mean(axis=0)
     cross = r1.T @ r2 / (n - 1)
@@ -149,7 +185,7 @@ def test_disjoint_increments_uncorrelated(cov_cache):
 
 def test_lift_samples_symmetry(cov_cache):
     cov = cov_cache[2]
-    Z = noise.sample_mirrored_bm(cov.Lambda, 1.0, 4, seed=2)
+    Z = noise.sample_mirrored_bm(cov, 1.0, 4, seed=2)
     A = chart.from_chart(Z, 2)
     for a in A:
         assert transform.mirror_residual(a, 2) == 0.0
@@ -203,17 +239,15 @@ def test_sigma_csv_annotations(cov_cache, tmp_path):
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
-def test_factor_convention(L, cov_cache):
-    Lam = cov_cache[L].Lambda if L in cov_cache else noise.build_covariance(L).Lambda
-    # each column lives in one (m, part) block of Sigma
-    ms, im = chart_ms(L), chart_is_im(L)
-    for col in Lam.T:
-        support = col != 0
-        assert len(set(zip(ms[support], im[support]))) == 1
-    # eigenvalues descending: the squared column norms never increase
-    assert np.all(np.diff(np.einsum("ij,ij->j", Lam, Lam)) <= 0)
-    # the largest-magnitude entry of each column is positive
-    assert np.all(Lam[np.argmax(np.abs(Lam), axis=0), np.arange(L * L)] > 0)
+def test_factor_roots_are_symmetric_positive_definite_square_roots(L, cov_cache):
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
+    assert len(cov.root) == L
+    for m, R in enumerate(cov.root):
+        S = (2.0 if m == 0 else 1.0) * cov.blocks[m]  # Sigma_m
+        # symmetric up to round-off: V sqrt(w) V^T is not summed symmetrically
+        assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
+        assert np.max(np.abs(R @ R - S)) <= 1e-13
+        assert np.linalg.eigvalsh(R).min() > 0
 
 
 def test_empirical_covariance_matches_the_einsum_reference():
@@ -401,7 +435,7 @@ def test_sigma_csv_at_L32_streams_within_a_memory_bound(tmp_path):
     # rows; the bound is about 1.5 times that.  Building the whole text
     # first, as a list of lines and then one string, peaked at 73.9 MB.
     cov = noise.build_covariance(32)
-    E = noise.empirical_covariance(noise.sample_mirrored_bm(cov.Lambda, 1.0, 300, 12))
+    E = noise.empirical_covariance(noise.sample_mirrored_bm(cov, 1.0, 300, 12))
     tracemalloc.start()
     try:
         noise.sigma_to_csv(E, 32, tmp_path / "e.csv")

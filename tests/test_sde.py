@@ -156,10 +156,11 @@ def test_gaussian_recovery_chart_domain_reduced():
     S = A @ A.T + 0.1 * np.eye(d)
     z0 = rng.multivariate_normal(mu, S, size=4000, method="eigh")
     st = sde.DiffusionState(time=0.0, values=z0, domain="chart")
-    st, ab1 = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, cov.Lambda), seed=1)
+    root = dense_reference.sigma_root(cov)
+    st, ab1 = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, root), seed=1)
     score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
     st, ab2 = sde.integrate(
-        st, s, "reverse", sde.frequency_reverse_stepper(s, cov.Sigma, cov.Lambda, score), seed=2
+        st, s, "reverse", sde.frequency_reverse_stepper(s, cov.Sigma, root, score), seed=2
     )
     assert not ab1 and not ab2
     assert abs(st.time) < 1e-12
@@ -208,7 +209,7 @@ def test_integrate_all_paths_diverged_raises():
 def test_replay_is_bit_identical():
     s = sde.VpSchedule(steps=50)
     st = sde.DiffusionState(time=0.0, values=np.zeros((8, 4)), domain="chart")
-    Lam = noise.build_covariance(2).Lambda
+    Lam = dense_reference.sigma_root(noise.build_covariance(2))
     a, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
     b, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=77)
     assert np.array_equal(a.values, b.values)
@@ -277,7 +278,7 @@ def test_blow_up_check_flags_exactly_the_bad_rows():
 
 def test_integrate_draws_the_same_noise_as_fresh_draws():
     s = sde.VpSchedule(steps=20)
-    Lam = noise.build_covariance(2).Lambda
+    Lam = dense_reference.sigma_root(noise.build_covariance(2))
     st = sde.DiffusionState(time=0.0, values=np.ones((6, 4)), domain="chart")
     got, _ = sde.integrate(st, s, "forward", sde.frequency_forward_stepper(s, Lam), seed=9)
     rng = np.random.default_rng(9)
@@ -298,7 +299,7 @@ def test_forward_law_is_the_law_of_the_euler_maruyama_steppers(steps, config):
     one step (their Gram matrix gives s^2 F F^T)."""
     s = sde.VpSchedule(steps=steps, **config)
     a, s2, t = sde.forward_law(s)
-    Lam = noise.build_covariance(2).Lambda
+    Lam = dense_reference.sigma_root(noise.build_covariance(2))
     for F, domain, step in (
         (np.eye(1), "spatial", lambda st, xi: sde.forward_step_spatial(st, s, s.dt, xi)),
         (Lam, "chart", lambda st, xi: sde.forward_step_frequency(st, s, s.dt, Lam, xi)),
@@ -419,7 +420,8 @@ def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps,
         basis, _ = sde._gaussian_basis(S, lambda m, r: cov.eig[m])
         mean, (_, V, W) = mu, basis
         score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
-        step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, cov.Lambda,
+        root = dense_reference.sigma_root(cov)
+        step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, root,
                                                          score, xi)
     else:
         M = chart.synthesis_matrix(transform.build_operators(L))
