@@ -14,7 +14,7 @@ from .metrics import _blas_thread_controls
 if (_controls := _blas_thread_controls()) is not None:
     _controls[1](1)
 
-from .grid import BandLimit, GridSpec, build_grid
+from .grid import GridSpec, build_grid
 from .transform import OperatorSet, analysis, build_operators, project_bandlimited, synthesis
 from .chart import chart_linear_map, from_chart, synthesis_matrix, to_chart
 from .noise import CovarianceSet, build_covariance, sample_mirrored_bm
@@ -24,7 +24,7 @@ from .metrics import SlicedWassersteinResult, sliced_wasserstein
 
 __all__ = [
     "__version__",
-    "BandLimit", "GridSpec", "build_grid",
+    "GridSpec", "build_grid",
     "OperatorSet", "analysis", "build_operators", "project_bandlimited", "synthesis",
     "chart_linear_map", "from_chart", "synthesis_matrix", "to_chart",
     "CovarianceSet", "build_covariance", "sample_mirrored_bm",

@@ -254,8 +254,8 @@ def cmd_diffuse(args) -> int:
                     {**errors, "aborted_paths": aborted, "provenance": _provenance(cfg)})
 
     if aborted:
-        print(f"diffuse: {len(aborted)} path(s) aborted (non-finite): "
-              f"{aborted[:10]}", file=sys.stderr)
+        print(f"spherediff diffuse: {len(aborted)} path(s) aborted (non-finite or above the "
+              f"blow-up limit), kept at their start rows: {aborted[:10]}", file=sys.stderr)
         return 3
     return 0
 

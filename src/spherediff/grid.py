@@ -19,35 +19,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class BandLimit:
-    """Number of harmonic degrees retained (ell = 0..L-1)."""
-
-    L: int
-
-    def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"band limit must be a positive integer, got {self.L!r}")
-
-    @property
-    def n_theta(self) -> int:
-        return 2 * self.L
-
-    @property
-    def n_phi(self) -> int:
-        return 2 * self.L - 1
-
-    @property
-    def d_spatial(self) -> int:
-        """Grid sample count d_X = 2L(2L-1)."""
-        return 2 * self.L * (2 * self.L - 1)
-
-    @property
-    def d_spectral(self) -> int:
-        """Coefficient count L^2."""
-        return self.L * self.L
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Immutable node/weight set for one band limit."""
 
@@ -60,22 +31,18 @@ class GridSpec:
         for arr in (self.theta, self.phi, self.weights):
             arr.setflags(write=False)
 
-    @property
-    def band(self) -> BandLimit:
-        return BandLimit(self.L)
-
 
 def build_grid(L: int) -> GridSpec:
     """Construct nodes and quadrature weights for band limit L.
 
     Angles come straight from the closed forms in double precision; the
     weight sum over degrees is evaluated per ring without cumulative tricks.
-    Raises ValueError for L < 1 (empty harmonic space).
+    Raises ValueError unless L is a positive integer (L < 1 is an empty harmonic space).
     """
-    band = BandLimit(L)
-    j = np.arange(band.n_theta)
-    theta = (2 * j + 1) * np.pi / (4 * L)
-    phi = 2 * np.pi * np.arange(band.n_phi) / (2 * L - 1)
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError(f"band limit must be a positive integer, got {L!r}")
+    theta = (2 * np.arange(2 * L) + 1) * np.pi / (4 * L)
+    phi = 2 * np.pi * np.arange(2 * L - 1) / (2 * L - 1)
 
     ells = np.arange(L)
     # sum_{l<L} sin((2l+1) theta_j) / (2l+1), shape (n_theta,)
@@ -89,5 +56,5 @@ def ring_weights_flat(grid: GridSpec) -> np.ndarray:
 
     Spatial layout is theta-major: flat index = j * N_phi + k.
     """
-    return np.repeat(grid.weights, 2 * grid.L - 1)
+    return np.repeat(grid.weights, len(grid.phi))
 

@@ -30,22 +30,30 @@ class SlicedWassersteinResult:
 
 
 def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
-    """|err| / |ref| in the Frobenius norm, None where |ref| is exactly 0.
+    """|err| / |ref| in the Frobenius norm, None where ref is 0 or its largest
+    magnitude is subnormal.
 
     Each sum of squares is one einsum, which needs no temporary the size of
-    its argument.  Where a sum of finite squares overflows, each sum is taken
-    again over its argument divided by that argument's own largest magnitude,
-    and the scales multiply the ratio back; a ratio that itself overflows is
-    None too.
+    its argument.  As in `_power_mean_root`, where a sum leaves the normal
+    float range (its squares overflow, or underflow below the smallest normal
+    float), each argument whose largest magnitude is a normal float is summed
+    again divided by that magnitude, and the magnitudes scale the ratio back;
+    a ratio that itself overflows is None too.  Sums inside the range keep
+    the bits of the plain form.
     """
-    def sumsq(x, scale=None):
-        v = np.ravel(x) if scale is None else np.ravel(x) / scale
+    def sumsq(x, scale=1.0):
+        v = np.ravel(x) if scale == 1.0 else np.ravel(x) / scale
         return np.einsum("i,i->", v, v)
 
+    tiny = np.finfo(float).tiny
     num, den = sumsq(err), sumsq(ref)
-    if not (np.isfinite(num) and np.isfinite(den)):  # num + den could overflow itself
+    if not (tiny <= num < np.inf and tiny <= den < np.inf):  # else no magnitude is read
         s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
-        if np.isfinite(s_err + s_ref) and s_err and s_ref:
+        normal = tiny <= s_err < np.inf, tiny <= s_ref < np.inf
+        if any(ok and not tiny <= s < np.inf for ok, s in zip(normal, (num, den))):
+            if not normal[1]:  # ref is 0, subnormal or not finite
+                return None
+            s_err = s_err if normal[0] else 1.0
             with np.errstate(over="ignore"):
                 ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
             return float(ratio) if np.isfinite(ratio) else None

@@ -253,7 +253,9 @@ def forward_exact(state, schedule, seed, *, cov=None, limit=BLOWUP_LIMIT):
     a, s2, t = forward_law(schedule, state.time)
     xi = np.random.default_rng(seed).standard_normal(state.values.shape)
     F_xi = xi if cov is None else noise._times_root(cov, xi)
-    return _endpoint(state, a * state.values + np.sqrt(s2) * F_xi, t, schedule.steps, limit)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
+        new = a * state.values + np.sqrt(s2) * F_xi
+    return _endpoint(state, new, t, schedule.steps, limit)
 
 
 def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
@@ -262,11 +264,12 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
     A, b, s2, t = reverse_law(schedule, state.time, state.domain, mean, basis)
     x, V, s = state.values, basis[1], np.sqrt(s2)
     zeta = np.random.default_rng(seed).standard_normal(x.shape)
-    if state.domain == "chart":
-        new = (A * (x @ V) + b + s * zeta) @ basis[2].T
-    else:
-        y = (A[:-1] - A[-1]) * (x @ V) + b[:-1] + (s[:-1] - s[-1]) * (zeta @ V)
-        new = A[-1] * x + s[-1] * zeta + y @ V.T
+    with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
+        if state.domain == "chart":
+            new = (A * (x @ V) + b + s * zeta) @ basis[2].T
+        else:
+            y = (A[:-1] - A[-1]) * (x @ V) + b[:-1] + (s[:-1] - s[-1]) * (zeta @ V)
+            new = A[-1] * x + s[-1] * zeta + y @ V.T
     return _endpoint(state, new, t, schedule.steps, limit)
 
 

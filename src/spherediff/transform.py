@@ -60,7 +60,7 @@ class OperatorSet:
 
     @property
     def d_spatial(self) -> int:
-        return self.grid.band.d_spatial
+        return self.q.size
 
     @property
     def d_spectral(self) -> int:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -225,6 +226,17 @@ def test_covariance_at_a_subnormal_time_reports_no_relative_error(tmp_path):
     assert _read_json(out_dir / "summary.json")["rel_frobenius_error"] is None
 
 
+def test_covariance_at_a_tiny_normal_time_reports_its_relative_error(tmp_path):
+    # the squares of t Sigma underflow, but its entries are normal floats: the error is
+    # the one at t = 1 with the same draws, not null
+    got = {}
+    for t in ("1", "1e-300"):
+        assert main(["covariance", "--L", "2", "--samples", "10", "--t", t,
+                     "--out-dir", str(tmp_path / t)]) == 0
+        got[t] = _read_json(tmp_path / t / "summary.json")["rel_frobenius_error"]
+    assert got["1e-300"] == pytest.approx(got["1"], rel=1e-12)
+
+
 def test_covariance_csvs_at_L32_equal_the_per_value_formatter(tmp_path):
     out_dir = tmp_path / "cov"
     assert main(["covariance", "--L", "32", "--samples", "100", "--t", "0.7", "--seed", "4",
@@ -371,6 +383,9 @@ def test_diffuse_rejects_unknown_config_keys(tmp_path, capsys, cfg):
     {"diffuse": {"steps": None}},
     ["not", "an", "object"],
     {"diffuse": [1, 2]},
+    {"direction": "sideways"},  # argparse checks the choices of the flags only
+    {"domain": "x"},
+    {"score": "x"},
 ])
 def test_diffuse_rejects_bad_config_values(tmp_path, capsys, cfg):
     path = tmp_path / "bad_values.json"
@@ -403,6 +418,21 @@ def test_reverse_diffuse_on_degenerate_laws(law, rc, domain, tmp_path, capsys):
         return
     diag = _read_json(tmp_path / "rev.csv.diagnostics.json")
     assert diag["mean_rel_error"] is None and np.isfinite(diag["cov_rel_frobenius_error"])
+
+
+def test_reverse_diffuse_reports_the_relative_error_of_a_tiny_mean(tmp_path):
+    # the mean's squares underflow, its entries do not: mean_rel_error is a number
+    cfg = tmp_path / "law.json"
+    cfg.write_text(json.dumps({"data_mean_scale": 1e-170}))
+    out = tmp_path / "rev.csv"
+    assert main(["diffuse", "--config", str(cfg), "--direction", "reverse", "--L", "2",
+                 "--n", "50", "--steps", "10", "--score", "gaussian-analytic",
+                 "--out", str(out)]) == 0
+    got = _read_json(tmp_path / "rev.csv.diagnostics.json")["mean_rel_error"]
+    mu, _ = sde.surrogate_gaussian(2, 1e-170, 0.04, np.random.SeedSequence(1).spawn(1)[0])
+    X, _ = noise.load_samples(out)
+    want = np.linalg.norm(X.mean(axis=0) - mu) / np.linalg.norm(1e170 * mu) * 1e170
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("domain", ["frequency", "spatial"])
@@ -572,6 +602,44 @@ def test_diffuse_blowup_exits_3(tmp_path, capsys):
     rc = main(["diffuse", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [{}, {"domain": "spatial"},
+                                   {"direction": "reverse", "score": "gaussian-analytic"}],
+                         ids=["frequency", "spatial", "reverse"])
+def test_diffuse_schedule_that_overflows_aborts_on_one_line(extra, tmp_path):
+    # the endpoint's products overflow; the blow-up guard reports it, NumPy does not warn
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"beta_max": 1e300, "steps": 3, **extra}))
+    rc, err = _run_cli(["diffuse", "--config", str(cfg), "--L", "2", "--n", "5"], tmp_path)
+    assert rc == 3
+    assert err.startswith("spherediff diffuse: aborted:") and err.count("\n") == 1, err
+
+
+def test_diffuse_partial_abort_writes_every_row_and_reports_on_one_line(tmp_path):
+    # a coarse, fast schedule sends a few of 200 finite paths above the blow-up limit
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"beta_max": 2000.0, "steps": 4, "n": 200, "L": 2}))
+    out = tmp_path / "x.csv"
+    rc, err = _run_cli(["diffuse", "--config", str(cfg), "--out", str(out)], tmp_path)
+    assert rc == 3
+    assert err.startswith("spherediff diffuse: 3 path(s) aborted (non-finite or above the "
+                          "blow-up limit)") and err.count("\n") == 1, err
+    X, meta = noise.load_samples(out)
+    assert X.shape == (200, 4) and meta["n"] == 200
+    dead = np.zeros(200, dtype=bool)
+    dead[[a["path"] for a in ast.literal_eval(err.split("start rows: ")[1])]] = True
+    assert dead.sum() == 3
+    assert np.all(X[dead] == 0.0)  # a score-free run starts at 0 and keeps its start row
+    assert np.all(np.any(X[~dead] != 0.0, axis=1))
+
+
+def test_reverse_diffuse_of_one_path_writes_no_diagnostics(tmp_path):
+    out = tmp_path / "rev.csv"
+    assert main(["diffuse", "--direction", "reverse", "--score", "gaussian-analytic",
+                 "--L", "2", "--n", "1", "--steps", "5", "--out", str(out)]) == 0
+    assert noise.load_samples(out)[0].shape == (1, 4)
+    assert not (tmp_path / "rev.csv.diagnostics.json").exists()
 
 
 def test_bound_check_success(tmp_path):

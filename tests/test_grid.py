@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherediff.grid import BandLimit, GridSpec, build_grid, ring_weights_flat
+from spherediff.grid import build_grid, ring_weights_flat
+from spherediff.transform import build_operators
 
 
 def test_band_limit_dimensions():
-    b = BandLimit(4)
-    assert b.n_theta == 8
-    assert b.n_phi == 7
-    assert b.d_spatial == 56
-    assert b.d_spectral == 16
-    with pytest.raises(ValueError):
-        BandLimit(0)
+    g, ops = build_grid(4), build_operators(4)
+    assert len(g.theta) == 8
+    assert len(g.phi) == 7
+    assert ops.d_spatial == 56
+    assert ops.d_spectral == 16
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="band limit must be a positive integer"):
+            build_grid(bad)
 
 
 def test_grid_nodes():
@@ -47,9 +49,9 @@ def test_quadrature_exact_on_low_degree_polynomials(L):
 def test_ring_weights_flat_layout():
     g = build_grid(3)
     q = ring_weights_flat(g)
-    assert q.shape == (g.band.d_spatial,)
+    assert q.shape == (len(g.theta) * len(g.phi),)
     # theta-major: first n_phi entries all equal the first ring weight
-    np.testing.assert_array_equal(q[: g.band.n_phi], np.full(g.band.n_phi, g.weights[0]))
+    np.testing.assert_array_equal(q[: len(g.phi)], np.full(len(g.phi), g.weights[0]))
 
 
 @settings(max_examples=25, deadline=None)

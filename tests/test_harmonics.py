@@ -84,8 +84,8 @@ def test_grid_orthonormality():
     L = 4
     g = build_grid(L)
     q = ring_weights_flat(g)
-    th = np.repeat(g.theta, g.band.n_phi)
-    ph = np.tile(g.phi, g.band.n_theta)
+    th = np.repeat(g.theta, len(g.phi))
+    ph = np.tile(g.phi, len(g.theta))
     basis = {
         (ell, m): sh_eval(ell, m, th, ph) for ell in range(L) for m in range(-ell, ell + 1)
     }
@@ -101,3 +101,5 @@ def test_argument_validation():
         legendre(2, 3, np.array([0.0]))
     with pytest.raises(ValueError):
         norm_legendre_table(0, np.array([0.0]))
+    with pytest.raises(ValueError, match="out of domain"):
+        norm_legendre_table(3, 1.5)

@@ -177,3 +177,20 @@ def test_rel_frobenius_scales_sums_of_squares_that_overflow():
     assert got == pytest.approx(1e278 * plain, rel=1e-14)
     assert metrics._rel_frobenius(1e300 * err, 1e-10 * ref) is None
     assert metrics._rel_frobenius(np.array([np.inf, 1e300]), np.ones(2)) == math.inf
+
+
+def test_rel_frobenius_scales_sums_of_squares_that_underflow():
+    # squares below the smallest normal float are summed again over each argument divided
+    # by its largest magnitude, as `_power_mean_root` does
+    got = metrics._rel_frobenius(np.array([1e-200]), np.array([3e-160]))
+    assert got == pytest.approx(1e-200 / 3e-160, rel=1e-15)
+    rng = np.random.default_rng(4)
+    err, ref = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    plain = metrics._rel_frobenius(err, ref)
+    for small in (1e-160, 1e-200, 1e-300):
+        assert metrics._rel_frobenius(small * err, small * ref) == pytest.approx(plain, rel=1e-15)
+        assert metrics._rel_frobenius(small * err, ref) == pytest.approx(small * plain, rel=1e-15)
+    # a reference whose largest magnitude is subnormal, or 0, has no norm to divide by
+    assert metrics._rel_frobenius(err, 1e-320 * np.ones(3)) is None
+    assert metrics._rel_frobenius(1e-200 * err, np.zeros(3)) is None
+    assert metrics._rel_frobenius(np.zeros(3), ref) == 0.0

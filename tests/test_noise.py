@@ -111,6 +111,8 @@ def test_sampler_zero_time_and_shapes(cov_cache):
     assert np.all(Z == 0.0)
     with pytest.raises(ValueError):
         noise.sample_mirrored_bm(cov, -1.0, 5, seed=1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        noise.sample_mirrored_bm(cov, 1.0, -1, 0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
