@@ -36,10 +36,11 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
     Each sum of squares is one einsum, which needs no temporary the size of
     its argument.  As in `_power_mean_root`, where a sum leaves the normal
     float range (its squares overflow, or underflow below the smallest normal
-    float), each argument whose largest magnitude is a normal float is summed
-    again divided by that magnitude, and the magnitudes scale the ratio back;
-    a ratio that itself overflows is None too.  Sums inside the range keep
-    the bits of the plain form.
+    float), it is summed again over its argument divided by that argument's
+    largest magnitude, and the magnitudes scale the ratio back: for ref when
+    that magnitude is a normal float, for err when it is finite and not 0
+    (a subnormal one too); a ratio that itself overflows is None too.  Sums
+    inside the range keep the bits of the plain form.
     """
     def sumsq(x, scale=1.0):
         v = np.ravel(x) if scale == 1.0 else np.ravel(x) / scale
@@ -49,11 +50,11 @@ def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
     num, den = sumsq(err), sumsq(ref)
     if not (tiny <= num < np.inf and tiny <= den < np.inf):  # else no magnitude is read
         s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
-        normal = tiny <= s_err < np.inf, tiny <= s_ref < np.inf
-        if any(ok and not tiny <= s < np.inf for ok, s in zip(normal, (num, den))):
-            if not normal[1]:  # ref is 0, subnormal or not finite
+        scalable = 0 < s_err < np.inf, tiny <= s_ref < np.inf
+        if any(ok and not tiny <= s < np.inf for ok, s in zip(scalable, (num, den))):
+            if not scalable[1]:  # ref is 0, subnormal or not finite
                 return None
-            s_err = s_err if normal[0] else 1.0
+            s_err = s_err if scalable[0] else 1.0
             with np.errstate(over="ignore"):
                 ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
             return float(ratio) if np.isfinite(ratio) else None
@@ -87,24 +88,29 @@ def _as_samples(name: str, X) -> np.ndarray:
     return X
 
 
-def _power_mean_root(D: np.ndarray, p: float, w=None) -> np.ndarray:
-    """(sum_i w_i |D_i|^p)^(1/p) down each column of D (w_i = 1/n unless
-    given), as a 1-D array with one entry per column (one for a 1-D D).
+def _power_mean_root(diff, p: float, w=None) -> np.ndarray:
+    """(sum_i w_i |D_i|^p)^(1/p) down each column of D = diff(), a new float
+    array (w_i = 1/n unless given), as a 1-D array with one entry per column
+    (one for a 1-D D).  |D|^p overwrites D, so one array of D's size is held.
 
     Where that sum leaves the normal float range (|D_i|^p overflows, or the
     sum falls among the subnormals or to 0), the column is summed again over
-    |D| / M, M its largest |D_i|, and M scales the root back.  Sums inside
-    the range keep the bits of the plain form.
+    |D| / M, M its largest |D_i|, from a second diff(), and M scales the root
+    back.  Sums inside the range keep the bits of the plain form.
     """
-    D = np.abs(D)
+    P = diff()
+    np.abs(P, out=P)
     with np.errstate(over="ignore"):
-        s = np.mean(D ** p, axis=0) if w is None else w @ D ** p
+        P **= p  # the bits of P ** p
+        s = np.mean(P, axis=0) if w is None else w @ P
+    del P
     root = np.atleast_1d(s ** (1.0 / p))
     cols = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
-    D = D.reshape(len(D), -1)[:, cols]
-    M = D.max(axis=0)
-    cols, D, M = cols[M > 0], D[:, M > 0], M[M > 0]  # an all-zero column's root is 0
     if cols.size:
+        D = diff()
+        D = np.abs(D, out=D).reshape(len(D), -1)[:, cols]
+        M = D.max(axis=0)
+        cols, D, M = cols[M > 0], D[:, M > 0], M[M > 0]  # an all-zero column's root is 0
         D = (D / M) ** p
         root[cols] = M * (np.mean(D, axis=0) if w is None else w @ D) ** (1.0 / p)
     return root
@@ -114,18 +120,27 @@ def _sorted_wasserstein(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Order-p Wasserstein distances between the columns of a and b, each sorted
     down axis 0, as `_power_mean_root` gives them: equal counts pair the sorted
     samples, unequal counts the quantiles on the merged-CDF segments, weighted
-    by the segment widths (one segment walk serves every column).  Each
-    difference array goes straight into `_power_mean_root`, which drops it."""
+    by the segment widths (one segment walk serves every column).  The
+    quantiles of b are gathered and subtracted a block of rows at a time, so
+    no second array of the segments' size is made."""
     n, m = len(a), len(b)
     if n == m:
-        return _power_mean_root(a - b, p)
+        return _power_mean_root(lambda: a - b, p)
     edges = np.concatenate(
         [[0.0], np.union1d(np.arange(1, n) / n, np.arange(1, m) / m), [1.0]]
     )
     mids = 0.5 * (edges[:-1] + edges[1:])
     ia = np.minimum((mids * n).astype(np.intp), n - 1)
     ib = np.minimum((mids * m).astype(np.intp), m - 1)
-    return _power_mean_root(a[ia] - b[ib], p, np.diff(edges))
+
+    def diff():
+        D = a[ia]
+        step = max(1, (1 << 17) // max(D[0].size, 1))  # about 2^17 values a block
+        for i in range(0, len(D), step):
+            D[i:i + step] -= b[ib[i:i + step]]
+        return D
+
+    return _power_mean_root(diff, p, np.diff(edges))
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 2.0) -> float:

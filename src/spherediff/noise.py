@@ -33,6 +33,9 @@ from .harmonics import norm_legendre_table
 from .transform import FMT, OperatorSet, analysis
 
 
+_DRAW_BLOCK = 1 << 17  # normals per block of rows drawn by `sample_mirrored_bm`
+
+
 class IndefiniteCovariance(ValueError):
     """Sigma has an eigenvalue below the indefiniteness threshold."""
 
@@ -108,18 +111,24 @@ def factor_sigma(eig):
     return tuple((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T for w, V in eig), min_eig
 
 
-def _block_matmul(K, X):
-    """K X for a block-diagonal K held as (chart rows, block) pairs that cover X's rows."""
-    out = np.empty(X.shape)
+def _block_matmul(K, X, out=None):
+    """K X for a block-diagonal K held as (chart rows, block) pairs that cover
+    X's rows, into `out` (a new array if None); `out` may be X itself, since
+    each block reads only its own rows."""
+    out = np.empty(X.shape) if out is None else out
     for rows, block in K:
         out[rows] = block @ X[rows]
     return out
 
 
+def _root_blocks(cov: CovarianceSet) -> list:
+    """Sigma^{1/2} as (chart rows, Sigma_m^{1/2}) pairs, one per (m, part) block."""
+    return [(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)]
+
+
 def _times_root(cov: CovarianceSet, g: np.ndarray) -> np.ndarray:
     """The rows of g times Sigma^{1/2}, one (m, part) block at a time."""
-    return _block_matmul([(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)],
-                         g.T).T
+    return _block_matmul(_root_blocks(cov), g.T).T
 
 
 def build_covariance(L: int) -> CovarianceSet:
@@ -128,12 +137,24 @@ def build_covariance(L: int) -> CovarianceSet:
 
 
 def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray:
-    """n chart samples of the time-t mirrored-BM marginal: sqrt(t) Sigma^{1/2} g."""
+    """n chart samples of the time-t mirrored-BM marginal: sqrt(t) Sigma^{1/2} g.
+
+    The normals g, one (n, L^2) stream, are drawn in blocks of rows into an
+    (L^2, n) buffer, and each (m, part) block of Sigma^{1/2} multiplies its
+    rows of that buffer in place; the samples are the transposed buffer, so
+    the working set is one copy of them.  The products are those of
+    `_times_root` on the whole draw, bit for bit.
+    """
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    Z = _times_root(cov, np.random.default_rng(seed).standard_normal((n, cov.L * cov.L)))
+    rng, d = np.random.default_rng(seed), cov.L * cov.L
+    G = np.empty((d, n))
+    step = max(1, _DRAW_BLOCK // d)
+    for i in range(0, n, step):
+        G[:, i:i + step] = rng.standard_normal((min(step, n - i), d)).T
+    Z = _block_matmul(_root_blocks(cov), G, out=G).T
     Z *= np.sqrt(t)
     return Z
 
@@ -146,14 +167,21 @@ def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndar
     return np.sqrt(t) * analysis(ops, g)
 
 
-def empirical_covariance(X: np.ndarray) -> np.ndarray:
-    """Sample covariance R^T R / (n - 1), R = X - mean."""
+def empirical_covariance(X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """Sample covariance R^T R / (n - 1), R = X - mean.
+
+    With `overwrite`, a float X is centred in place and serves as R, which
+    saves a copy of the samples; the bits are the same for a C- or
+    F-contiguous X.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
-    R = X - X.mean(axis=0)
-    return R.T @ R / (n - 1)
+    R = np.subtract(X, X.mean(axis=0), out=X if overwrite else None)
+    C = R.T @ R
+    C /= n - 1
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +234,13 @@ def _layouts():
     move up by the length of a gap, which is filled with the point (left
     out when no digit follows it) or with the "0." and zeros of the fixed
     form below 1; the scientific form ends in "e+XX" or "e+XXX" at byte 23.
-    Returns, per X, the mask of the bytes that stay, the shift in bits and
-    the fill without and with the point; and the masks that keep the sign
-    and the first k digits, k = 0 ... 17."""
+    Returns, per X, the mask of the bytes that stay and the shift in bits;
+    the fill without the point (row i of X = _X0 + i) and with it (row
+    i + 563); and the masks that keep the sign and the first k digits,
+    k = 0 ... 17."""
     n = 1 - 2 * _X0
     stay, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
-    fill = np.zeros((2, n, 3), np.uint64)
+    fill = np.zeros((2 * n, 3), np.uint64)
     for i, X in enumerate(range(_X0, 1 - _X0)):
         if -4 <= X < 0:
             cut, gap, tail = 1, b"0." + b"0" * (-X - 1), b""
@@ -222,8 +251,8 @@ def _layouts():
             tail = b"" if fixed else b"e%+03d" % X
         stay[i], shift[i] = _words(b"\xff" * cut), 8 * len(gap)
         end = _words(tail.rjust(24, b"\0"))
-        fill[0, i] = _words(b"\0" * cut + bare) | end
-        fill[1, i] = _words(b"\0" * cut + gap) | end
+        fill[i] = _words(b"\0" * cut + bare) | end
+        fill[n + i] = _words(b"\0" * cut + gap) | end
     return stay, shift, fill, np.stack([_words(b"\xff" * (1 + k)) for k in range(18)])
 
 
@@ -268,12 +297,13 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     stay, shift, fill, kept = _layouts()
     cells = np.zeros((x.size, 24), np.uint8)
     cells[:, :18] = D.T
-    W, i = cells.view("<u8"), X - _X0
-    W &= kept[keep]
-    up = W & ~stay[i]
-    W &= stay[i]
-    W |= fill[(keep > whole).astype(np.intp), i]
-    b = shift[i][:, None]
+    W, i = cells.view("<u8"), X - _X0  # each gather: one np.take of whole rows
+    W &= np.take(kept, keep, axis=0)
+    mask = np.take(stay, i, axis=0)
+    up = W & ~mask
+    W &= mask
+    W |= np.take(fill, (keep > whole) * len(stay) + i, axis=0)
+    b = np.take(shift, i)[:, None]
     W |= up << b
     W[:, 1:] |= up[:, :-1] >> (64 - b)
 

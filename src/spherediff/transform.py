@@ -12,6 +12,12 @@ j*N_phi + k); spectral vectors are complex in the canonical ordering of
 the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
 conjugate-symmetric to the last bit.
 
+Both transforms run one order at a time, each order's Legendre product over
+the whole batch of rows (the shape, and so the bits, of one stacked product
+of every order), and their FFTs one block of rows at a time.  So synthesis
+holds its complex output and one order's products, and analysis the
+batch's weighted FFT bins, its output and one order's products.
+
 The dense Y (harmonics on the grid, d_X x L^2) and U = Y^H Q are built only
 on first access: the tests use them, no command does.
 """
@@ -26,6 +32,9 @@ import numpy as np
 from . import indexing
 from .grid import GridSpec, build_grid, ring_weights_flat
 from .harmonics import norm_legendre_table
+
+
+_BLOCK_ELEMS = 1 << 17  # spatial values per block of rows in the FFTs of the transforms
 
 
 class ConstraintViolation(ValueError):
@@ -96,26 +105,45 @@ def build_operators(L: int) -> OperatorSet:
     return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
 
 
+def _row_blocks(n: int, d: int) -> list:
+    """Slices of at most max(1, 2^17 // d) consecutive rows (32 at L = 32)
+    covering n rows of width d: the FFTs run one block at a time, which
+    bounds their temporaries.  Each line's FFT is its own, so the blocks
+    leave every bit as it was."""
+    step = max(1, _BLOCK_ELEMS // d)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _orders(L: int):
+    """(m, +m slots, -m slots, (-1)^m) of each order m = 0 .. L-1, over its
+    degrees ell = m .. L-1 in ascending order."""
+    m, _, plus, minus, sign = indexing.order_slots(L)  # ell-major, so stable in ell
+    by_order = np.split(np.argsort(m, kind="stable"), np.cumsum(np.bincount(m))[:-1])
+    for k, pairs in enumerate(by_order):
+        yield k, plus[pairs], minus[pairs], sign[pairs]
+
+
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     """Harmonic coefficients a = U x of real sampled fields, x of shape (d_X,) or (n, d_X)."""
     x = _check_length("spatial field", x, ops.d_spatial)
     if not np.all(np.isfinite(x)):
         raise ValueError("spatial field contains non-finite entries")
     L, n_theta = ops.L, 2 * ops.L
-    rows = np.asarray(x, dtype=float).reshape(-1, n_theta, 2 * L - 1)
-    n = rows.shape[0]
-    F = np.fft.rfft(rows, axis=-1) * ops.grid.weights[:, None]  # bins m = 0 .. L-1
-    # per order m: [Re F; Im F] (2n x rings) times the Legendre block (rings x ell)
+    fields = np.asarray(x, dtype=float).reshape(-1, n_theta, 2 * L - 1)
+    n = len(fields)
+    # per order m: [Re F; Im F] (2n x rings), F the weighted FFT bin m of each ring
     R = np.empty((L, 2 * n, n_theta))
-    R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
-    C = R @ ops.legendre  # (L, 2n, L): [m, Re/Im x n, ell]
-    m, ell, plus, minus, sign = indexing.order_slots(L)
-    re, im = C[m, :n, ell].T, C[m, n:, ell].T  # (n, pairs)
+    for rows in _row_blocks(n, ops.d_spatial):
+        F = np.fft.rfft(fields[rows], axis=-1) * ops.grid.weights[:, None]  # bins 0 .. L-1
+        R[:, rows] = F.real.transpose(2, 0, 1)
+        R[:, n + rows.start:n + rows.stop] = F.imag.transpose(2, 0, 1)
     a = np.empty((n, L * L), dtype=complex)
-    a.real[:, plus], a.imag[:, plus] = re, im
-    neg = m > 0  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
-    a.real[:, minus[neg]] = sign[neg] * re[:, neg]
-    a.imag[:, minus[neg]] = -sign[neg] * im[:, neg]
+    for m, plus, minus, sign in _orders(L):
+        C = R[m] @ ops.legendre[m]  # (2n, L): [Re/Im x n, ell], 0 where ell < m
+        re, im = C[:n, m:], C[n:, m:]
+        a.real[:, plus], a.imag[:, plus] = re, im
+        if m:  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
+            a.real[:, minus], a.imag[:, minus] = sign * re, -sign * im
     return a.reshape(np.shape(x)[:-1] + (L * L,))
 
 
@@ -131,26 +159,29 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     L, n_theta, n_phi = ops.L, 2 * ops.L, 2 * ops.L - 1
     A = np.asarray(a, dtype=complex).reshape(-1, L * L)
     n = A.shape[0]
-    # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell
-    S = np.zeros((L, 4 * n, L))
-    m, ell, plus, minus, sign = indexing.order_slots(L)
-    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
-    neg = m > 0
-    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T
-    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * A[:, minus[neg]].imag.T
-    G = S @ ops.legendre.transpose(0, 2, 1)  # (L, 4n, rings)
-    spec = np.empty((n, n_theta, n_phi), dtype=complex)
-    spec[..., :L] = (G[:, :n] + 1j * G[:, n:2 * n]).transpose(1, 2, 0)
-    # bin n_phi - m holds order -m: bins L ... n_phi-1 are m = -(L-1) ... -1
-    spec[..., L:] = (G[:0:-1, 2 * n:3 * n] + 1j * G[:0:-1, 3 * n:]).transpose(1, 2, 0)
-    x = np.fft.ifft(spec, axis=-1, norm="forward").reshape(n, ops.d_spatial)
-    resid = float(np.max(np.abs(x.imag), initial=0.0))
+    x = np.empty((n, n_theta, n_phi), dtype=complex)  # the ring spectra, then the samples
+    for m, plus, minus, sign in _orders(L):
+        # rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell, 0 where ell < m
+        S = np.zeros((4 * n, L))
+        ap = A[:, plus]
+        S[:n, m:], S[n:2 * n, m:] = ap.real, ap.imag
+        if m:
+            am = A[:, minus]
+            S[2 * n:3 * n, m:], S[3 * n:, m:] = sign * am.real, sign * am.imag
+        G = S @ ops.legendre[m].T  # (4n, rings)
+        x[..., m] = G[:n] + 1j * G[n:2 * n]
+        if m:  # bin n_phi - m holds order -m
+            x[..., n_phi - m] = G[2 * n:3 * n] + 1j * G[3 * n:]
+    resid = 0.0
+    for rows in _row_blocks(n, ops.d_spatial):
+        np.fft.ifft(x[rows], axis=-1, norm="forward", out=x[rows])
+        resid = max(resid, float(np.max(np.abs(x[rows].imag), initial=0.0)))
     if resid > imag_tol:
         raise ConstraintViolation(
             f"synthesis imaginary residual {resid:.3e} exceeds {imag_tol:.1e}; "
             "coefficients are not conjugate-symmetric"
         )
-    return x.real.reshape(np.shape(a)[:-1] + (ops.d_spatial,))
+    return x.reshape(n, ops.d_spatial).real.reshape(np.shape(a)[:-1] + (ops.d_spatial,))
 
 
 def project_bandlimited(ops: OperatorSet, x: np.ndarray) -> np.ndarray:

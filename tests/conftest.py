@@ -1,10 +1,7 @@
-import numpy as np
 import pytest
+from sphere_helpers import BAND_LIMITS
 
 from spherediff import noise, transform
-from spherediff.indexing import mirror_permutation
-
-BAND_LIMITS = (1, 2, 4, 8)
 
 
 @pytest.fixture(scope="session")
@@ -15,14 +12,3 @@ def ops_cache():
 @pytest.fixture(scope="session")
 def cov_cache():
     return {L: noise.build_covariance(L) for L in BAND_LIMITS}
-
-
-def symmetrize(a: np.ndarray, L: int) -> np.ndarray:
-    """Project a complex coefficient vector onto the conjugate-symmetric set."""
-    perm, sign = mirror_permutation(L)
-    return 0.5 * (a + sign * np.conj(a[perm]))
-
-
-def random_symmetric_coeffs(L: int, rng) -> np.ndarray:
-    a = rng.standard_normal(L * L) + 1j * rng.standard_normal(L * L)
-    return symmetrize(a, L)

@@ -12,7 +12,9 @@ with one % call per row, the oracle of the block-formatting
 logs, the oracle of `metrics.wasserstein_1d` and
 `metrics.sliced_wasserstein` at orders where |x|^p leaves the float range;
 and through the dense Sigma^{1/2} of a covariance set, the oracle of the
-per-block roots and the noise factor of the reference steppers.
+per-block roots and the noise factor of the reference steppers; and through
+the transforms as one stacked product over every order and row, the
+bit-for-bit oracle of the per-order `transform.synthesis` and `analysis`.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
-from spherediff.indexing import IM, RE, block_slots
+from spherediff.indexing import IM, RE, block_slots, order_slots
 from spherediff.noise import chart_labels
 from spherediff.sde import ScoreField
 from spherediff.transform import (FMT, ConstraintViolation, OperatorSet, analysis,
@@ -38,6 +40,41 @@ def vp_drift_identity_error(ops, schedule, t: float) -> float:
 def projector(ops) -> np.ndarray:
     """P = YU, materialized on demand (d_X x d_X)."""
     return ops.Y @ ops.U
+
+
+def stacked_synthesis(ops, A: np.ndarray) -> np.ndarray:
+    """Real grid samples of the rows of A, (n, L^2) complex, with the Legendre
+    products of all orders in one stacked matmul and one FFT of all rows."""
+    L, n = ops.L, len(A)
+    m, ell, plus, minus, sign = order_slots(L)
+    S = np.zeros((L, 4 * n, L))
+    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
+    neg = m > 0
+    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T
+    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * A[:, minus[neg]].imag.T
+    G = S @ ops.legendre.transpose(0, 2, 1)
+    spec = np.empty((n, 2 * L, 2 * L - 1), dtype=complex)
+    spec[..., :L] = (G[:, :n] + 1j * G[:, n:2 * n]).transpose(1, 2, 0)
+    spec[..., L:] = (G[:0:-1, 2 * n:3 * n] + 1j * G[:0:-1, 3 * n:]).transpose(1, 2, 0)
+    return np.fft.ifft(spec, axis=-1, norm="forward").reshape(n, -1).real
+
+
+def stacked_analysis(ops, x: np.ndarray) -> np.ndarray:
+    """Coefficients of the rows of x, (n, d_X) real, with one FFT of all rows
+    and the Legendre products of all orders in one stacked matmul."""
+    L, n = ops.L, len(x)
+    F = np.fft.rfft(x.reshape(n, 2 * L, 2 * L - 1), axis=-1) * ops.grid.weights[:, None]
+    R = np.empty((L, 2 * n, 2 * L))
+    R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
+    C = R @ ops.legendre
+    m, ell, plus, minus, sign = order_slots(L)
+    re, im = C[m, :n, ell].T, C[m, n:, ell].T
+    a = np.empty((n, L * L), dtype=complex)
+    a.real[:, plus], a.imag[:, plus] = re, im
+    neg = m > 0
+    a.real[:, minus[neg]] = sign[neg] * re[:, neg]
+    a.imag[:, minus[neg]] = -sign[neg] * im[:, neg]
+    return a
 
 
 def legendre(ell: int, m: int, x):

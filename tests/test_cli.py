@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,25 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
     monkeypatch.setattr(transform.OperatorSet, "U", property(refuse))
     assert main(["verify-operators", "--L", "64"]) == 0
     assert _read_json(tmp_path / "verify_operators_L64.json")["pass"] is True
+
+
+# Measured peaks in a fresh process: 27.0 MB for verify-operators, whose
+# transforms run one order at a time (58.9 MB when every order's products of
+# the whole batch were held at once), and 26.0 MB for covariance, which holds
+# one copy of its samples (43.3 MB with the normals, their product, the
+# centred copy and the cached Sigma); each bound lies between the two.
+@pytest.mark.parametrize("argv,bound", [
+    (["verify-operators", "--L", "32"], 40e6),
+    (["covariance", "--L", "32", "--samples", "2000"], 35e6),
+])
+def test_L32_checks_run_within_a_memory_bound(argv, bound):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def _refuse_dense_operators(monkeypatch, *, bound):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from conftest import BAND_LIMITS, random_symmetric_coeffs
+from sphere_helpers import BAND_LIMITS, random_symmetric_coeffs
 from spherediff import chart, lossmap, noise, sde, transform
 from spherediff.grid import ring_weights_flat
 from spherediff.transform import ConstraintViolation

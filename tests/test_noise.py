@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAND_LIMITS
 from dense_reference import chart_index, sample_csv, sigma_csv, sigma_root
+from sphere_helpers import BAND_LIMITS
 from spherediff import chart, noise, sde, transform
 from spherediff.indexing import chart_is_im, chart_ms
 
@@ -258,6 +258,28 @@ def test_empirical_covariance_matches_the_einsum_reference():
     ref = np.einsum("ni,nj->ij", R, R) / (X.shape[0] - 1)
     got = noise.empirical_covariance(X)
     assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_empirical_covariance_in_place_keeps_the_bits():
+    Z = noise.sample_mirrored_bm(noise.build_covariance(6), 1.0, 500, 3)  # F-ordered
+    for X in (Z, np.ascontiguousarray(Z)):
+        want, Y = noise.empirical_covariance(X), X.copy(order="K")
+        assert noise.empirical_covariance(Y, overwrite=True).tobytes() == want.tobytes()
+        assert Y.tobytes() == (X - X.mean(axis=0)).tobytes()  # centred in place
+
+
+# one block of draws; blocks of 7 rows and a shorter last one; the covariance
+# command at L = 32 (blocks of 128 rows)
+@pytest.mark.parametrize("L,n,rows", [(1, 5, None), (4, 300, None), (4, 300, 7), (13, 200, 7),
+                                      (32, 2000, None)])
+def test_sampler_draws_in_blocks_the_bits_of_one_draw(L, n, rows, monkeypatch):
+    cov = noise.build_covariance(L)
+    want = noise._times_root(cov, np.random.default_rng(9).standard_normal((n, L * L)))
+    want *= np.sqrt(0.7)
+    if rows:
+        monkeypatch.setattr(noise, "_DRAW_BLOCK", rows * L * L)
+    got = noise.sample_mirrored_bm(cov, 0.7, n, 9)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 def _awkward_matrix():

@@ -6,8 +6,9 @@ three operator commands run at L = 16, `verify-operators` and `bound-check`
 also at L = 20, and the recovery path (reverse `diffuse` in both domains,
 then `sliced-w`) at L = 12, where BLAS and LAPACK would split their work
 among threads.  A sweep runs reverse `diffuse` at every L = 1 ... 13, on
-the grid at L = 20 and in the chart at L = 32, and `covariance` up to
-L = 32.  Each runs in child processes under one and two threads; every
+the grid at L = 20 and in the chart at L = 32, `covariance` up to L = 32
+and `verify-operators` at L = 32, whose transforms run over several FFT
+blocks of rows there.  Each runs in child processes under one and two threads; every
 output file must be byte-identical.
 """
 
@@ -66,8 +67,8 @@ print(controls[0]())
 
 
 # reverse diffuse in both domains at every L = 1 ... 13, on the grid at L = 20 and
-# in the chart at L = 32 (a 1024 x 1024 eigh), covariance at L = 9, 17 and 32, and
-# sliced-w on 306-wide grid samples
+# in the chart at L = 32 (a 1024 x 1024 eigh), covariance at L = 9, 17 and 32,
+# verify-operators at L = 32 (FFT blocks of 32 rows), and sliced-w on 306-wide grid samples
 SWEEP = [
     ["diffuse", "--config", "law.json", "--direction", "reverse",
      "--score", "gaussian-analytic", "--domain", domain, "--L", str(L), "--n", "40",
@@ -86,6 +87,7 @@ SWEEP = [
     for L in (9, 17)
 ] + [
     ["covariance", "--L", "32", "--samples", "50", "--seed", "8", "--out-dir", "cov_L32"],
+    ["verify-operators", "--L", "32", "--seed", "7", "--out", "verify_L32.json"],
 ] + [["sliced-w", "--a", "spatial_L9_3.csv", "--b", "spatial_L9_4.csv",
       "--n-proj", "50", "--seed", "5", "--out", "sw_spatial_L9.json"]]
 # one child per thread count runs the whole sweep in-process and prints
@@ -196,8 +198,9 @@ def test_data_draw_sweep_byte_identical_under_one_and_two_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         hashes.append(json.loads(proc.stdout.splitlines()[-1]))
-    # law.json, 29 (csv, sidecar, diagnostics) triples, 3 x 3 covariance files, sw json
-    assert len(hashes[0]) == 1 + 29 * 3 + 9 + 1
+    # law.json, 29 (csv, sidecar, diagnostics) triples, 3 x 3 covariance files, the
+    # verify-operators report, sw json
+    assert len(hashes[0]) == 1 + 29 * 3 + 9 + 1 + 1
     assert hashes[0].keys() == hashes[1].keys()
     assert sorted(n for n in hashes[0] if hashes[0][n] != hashes[1][n]) == []
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import dense_reference
-from conftest import BAND_LIMITS, random_symmetric_coeffs
-from spherediff import transform
+from sphere_helpers import BAND_LIMITS, random_symmetric_coeffs
+from spherediff import chart, transform
 from spherediff.transform import ConstraintViolation
 
 
@@ -121,3 +121,25 @@ def test_dense_operators_are_built_on_first_access_only():
     transform.synthesis(ops, transform.analysis(ops, np.ones(ops.d_spatial)))
     assert "Y" not in vars(ops) and "U" not in vars(ops)
     assert ops.U is ops.U and not ops.Y.flags.writeable
+
+
+# 200 rows at L = 32 is verify-operators' batch; 777 rows at L = 20 and 200 at
+# L = 36 are batches where products of blocks of rows would run on other BLAS
+# kernels than the whole batch and move bits
+@pytest.mark.parametrize("L,n", [(1, 3), (2, 1), (5, 40), (13, 200), (20, 777), (32, 200),
+                                 (32, 20), (36, 200)])
+def test_per_order_transforms_keep_the_bits_of_one_stacked_product(L, n, monkeypatch):
+    ops = transform.build_operators(L)
+    a = chart.from_chart(np.random.default_rng(L).standard_normal((n, L * L)), L)
+    x = dense_reference.stacked_synthesis(ops, a)
+    y = dense_reference.stacked_analysis(ops, x)
+    for rows in (None, 1, 3):  # the default FFT blocks, then blocks of 1 and 3 rows
+        if rows:
+            monkeypatch.setattr(transform, "_BLOCK_ELEMS", rows * ops.d_spatial)
+        got = transform.synthesis(ops, a)
+        assert got.tobytes() == x.tobytes() and got.strides == x.strides
+        assert transform.analysis(ops, x).tobytes() == y.tobytes()
+    x1 = dense_reference.stacked_synthesis(ops, a[:1])  # one vector
+    y1 = dense_reference.stacked_analysis(ops, x1)
+    assert transform.synthesis(ops, a[0]).tobytes() == x1.tobytes()
+    assert transform.analysis(ops, x1[0]).tobytes() == y1.tobytes()
