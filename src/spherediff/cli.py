@@ -223,6 +223,10 @@ def _check_diffuse_config(cfg: dict) -> None:
         raise UsageError(f"unknown score {cfg['score']!r}")
     if cfg["direction"] == "reverse" and cfg["score"] == "none":
         raise UsageError("reverse integration requires --score gaussian-analytic")
+    seed = cfg["seed"]  # the legs draw from seed and seed + 2, the data from data_seed
+    if cfg["data_seed"] in (seed, seed + 2):
+        raise UsageError(f"data_seed {cfg['data_seed']} is a path seed of --seed {seed} "
+                         f"(seed or seed + 2); its normals would be reused")
 
 
 def cmd_diffuse(args) -> int:

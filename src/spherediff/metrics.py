@@ -4,6 +4,7 @@ Projects both sets onto random unit directions (normalized Gaussian draws)
 and averages the exact 1-D order-p Wasserstein distance over projections.
 Equal sample counts pair sorted samples directly; unequal counts use the
 exact merged-CDF segment walk over the union of quantile breakpoints.
+The directions are drawn, projected on and compared one block at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+_PROJ_BLOCK = 1 << 16  # values per array of projected samples in `sliced_wasserstein`
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,12 @@ def _as_samples(name: str, X) -> np.ndarray:
 
 
 def _power_mean_root(diff, p: float, w=None) -> np.ndarray:
-    """(sum_i w_i |D_i|^p)^(1/p) down each column of D = diff(), a new float
-    array (w_i = 1/n unless given), as a 1-D array with one entry per column
-    (one for a 1-D D).  |D|^p overwrites D, so one array of D's size is held.
+    """(sum_i w_i |D_i|^p)^(1/p) along the last axis of D = diff(), a new float
+    array (w_i = 1/n unless given), as a 1-D array with one entry per row (one
+    for a 1-D D).  |D|^p overwrites D, so one array of D's size is held.
 
     Where that sum leaves the normal float range (|D_i|^p overflows, or the
-    sum falls among the subnormals or to 0), the column is summed again over
+    sum falls among the subnormals or to 0), the row is summed again over
     |D| / M, M its largest |D_i|, from a second diff(), and M scales the root
     back.  Sums inside the range keep the bits of the plain form.
     """
@@ -102,28 +105,27 @@ def _power_mean_root(diff, p: float, w=None) -> np.ndarray:
     np.abs(P, out=P)
     with np.errstate(over="ignore"):
         P **= p  # the bits of P ** p
-        s = np.mean(P, axis=0) if w is None else w @ P
+        s = np.mean(P, axis=-1) if w is None else P @ w
     del P
     root = np.atleast_1d(s ** (1.0 / p))
-    cols = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
-    if cols.size:
+    rows = np.flatnonzero(~((s >= np.finfo(float).tiny) & (s < np.inf)))
+    if rows.size:
         D = diff()
-        D = np.abs(D, out=D).reshape(len(D), -1)[:, cols]
-        M = D.max(axis=0)
-        cols, D, M = cols[M > 0], D[:, M > 0], M[M > 0]  # an all-zero column's root is 0
-        D = (D / M) ** p
-        root[cols] = M * (np.mean(D, axis=0) if w is None else w @ D) ** (1.0 / p)
+        D = np.abs(D, out=D).reshape(-1, D.shape[-1])[rows]
+        M = D.max(axis=1)
+        rows, D, M = rows[M > 0], D[M > 0], M[M > 0]  # an all-zero row's root is 0
+        D = (D / M[:, None]) ** p
+        root[rows] = M * (np.mean(D, axis=1) if w is None else D @ w) ** (1.0 / p)
     return root
 
 
 def _sorted_wasserstein(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    """Order-p Wasserstein distances between the columns of a and b, each sorted
-    down axis 0, as `_power_mean_root` gives them: equal counts pair the sorted
-    samples, unequal counts the quantiles on the merged-CDF segments, weighted
-    by the segment widths (one segment walk serves every column).  The
-    quantiles of b are gathered and subtracted a block of rows at a time, so
-    no second array of the segments' size is made."""
-    n, m = len(a), len(b)
+    """Order-p Wasserstein distances between the rows of a and b, each sorted
+    along the last axis, as `_power_mean_root` gives them: equal counts pair
+    the sorted samples, unequal counts the quantiles on the merged-CDF
+    segments, weighted by the segment widths (one segment walk serves every
+    row)."""
+    n, m = a.shape[-1], b.shape[-1]
     if n == m:
         return _power_mean_root(lambda: a - b, p)
     edges = np.concatenate(
@@ -134,10 +136,8 @@ def _sorted_wasserstein(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     ib = np.minimum((mids * m).astype(np.intp), m - 1)
 
     def diff():
-        D = a[ia]
-        step = max(1, (1 << 17) // max(D[0].size, 1))  # about 2^17 values a block
-        for i in range(0, len(D), step):
-            D[i:i + step] -= b[ib[i:i + step]]
+        D = a[..., ia]
+        D -= b[..., ib]
         return D
 
     return _power_mean_root(diff, p, np.diff(edges))
@@ -166,15 +166,19 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
     if n_proj < 1:
         raise ValueError("need at least one projection")
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_proj, A.shape[1]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    PA = A @ dirs.T  # (n, n_proj)
-    PB = B @ dirs.T
-    PA.sort(axis=0)
-    PB.sort(axis=0)
-    per = _sorted_wasserstein(PA, PB, p)  # all projections at once
+    # Blocks of directions, cut from one (n_proj, d) normal stream, keep each
+    # array near _PROJ_BLOCK values: no (n, n_proj) projections are held.
+    rng, d = np.random.default_rng(seed), A.shape[1]
+    step = max(1, _PROJ_BLOCK // max(len(A), len(B), d))
+    per = np.empty(n_proj)
+    for i in range(0, n_proj, step):
+        dirs = rng.standard_normal((min(step, n_proj - i), d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        PA, PB = dirs @ A.T, dirs @ B.T  # (block, n) and (block, m)
+        PA.sort(axis=1)
+        PB.sort(axis=1)
+        per[i:i + len(dirs)] = _sorted_wasserstein(PA, PB, p)
+        del PA, PB  # before the next block's products are made
 
     with np.errstate(over="ignore"):  # an overflow is summed again below
         value, sd = per.mean(), per.std(ddof=1) if n_proj > 1 else 0.0

@@ -380,6 +380,16 @@ def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:
     )
 
 
+def _blank(path) -> bool:
+    """Whether a file holds only ASCII whitespace (what bytes.strip removes),
+    read 64 KiB at a time: a file with data stops at its first block."""
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            if not block.isspace():
+                return False
+    return True
+
+
 def load_samples(path):
     """Read a sample matrix and its sidecar; returns (X, meta)."""
     path = Path(path)
@@ -393,7 +403,7 @@ def load_samples(path):
             raise ValueError(f"sidecar of {path}: {key} must be an integer >= 0")
     if meta.get("raw"):
         X = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, meta["d"]).copy()
-    elif not path.read_bytes().strip():  # no data: loadtxt would warn and guess d = 1
+    elif _blank(path):  # no data: loadtxt would warn and guess d = 1
         X = np.empty((0, meta.get("d", 0)))
     else:
         X = np.loadtxt(path, delimiter=",", ndmin=2)

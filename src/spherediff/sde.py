@@ -165,8 +165,11 @@ def frequency_reverse_stepper(schedule, Sigma, Lambda, score):
 
 
 def _blown_up(x: np.ndarray, limit: float = BLOWUP_LIMIT) -> np.ndarray:
-    """Rows of x holding a NaN, an infinity or a magnitude above limit, in
-    one pass: a NaN makes the row maximum NaN, and NaN <= limit is False."""
+    """Rows of x holding a NaN, an infinity or a magnitude above limit.  The
+    whole array's max and min are read first; only when they leave the limit
+    (a NaN fails both tests) is each row's largest magnitude taken."""
+    if -limit <= x.min(initial=0.0) and x.max(initial=0.0) <= limit:
+        return np.zeros(len(x), dtype=bool)
     return ~(np.abs(x).max(axis=1) <= limit)
 
 
@@ -252,10 +255,12 @@ def forward_exact(state, schedule, seed, *, cov=None, limit=BLOWUP_LIMIT):
     covariance set `cov`, applied per block, or I when None)."""
     a, s2, t = forward_law(schedule, state.time)
     xi = np.random.default_rng(seed).standard_normal(state.values.shape)
-    F_xi = xi if cov is None else noise._times_root(cov, xi)
+    if cov is not None:  # F xi over xi, one (m, part) block of rows of xi^T at a time
+        _block_matmul(noise._root_blocks(cov), xi.T, out=xi.T)
     with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
-        new = a * state.values + np.sqrt(s2) * F_xi
-    return _endpoint(state, new, t, schedule.steps, limit)
+        xi *= np.sqrt(s2)  # in place, with the bits of a x + sqrt(s2) F xi
+        xi += a * state.values
+    return _endpoint(state, xi, t, schedule.steps, limit)
 
 
 def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
@@ -265,11 +270,21 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
     x, V, s = state.values, basis[1], np.sqrt(s2)
     zeta = np.random.default_rng(seed).standard_normal(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
+        y = x @ V  # scaled and summed in place, with the bits of the plain expressions
         if state.domain == "chart":
-            new = (A * (x @ V) + b + s * zeta) @ basis[2].T
+            y *= A
+            y += b
+            zeta *= s
+            y += zeta
+            new = y @ basis[2].T
         else:
-            y = (A[:-1] - A[-1]) * (x @ V) + b[:-1] + (s[:-1] - s[-1]) * (zeta @ V)
-            new = A[-1] * x + s[-1] * zeta + y @ V.T
+            y *= A[:-1] - A[-1]
+            y += b[:-1]
+            y += (s[:-1] - s[-1]) * (zeta @ V)
+            new = zeta
+            new *= s[-1]
+            new += A[-1] * x
+            new += y @ V.T
     return _endpoint(state, new, t, schedule.steps, limit)
 
 
@@ -360,6 +375,46 @@ def surrogate_gaussian(L: int, mean_scale: float, cov_scale: float, seed):
     return mu, S
 
 
+def _grid_cov_error(x, e, Q):
+    """(diag B, |A - B| / |B|) in the Frobenius norm for the sample covariance A of the
+    rows of x (n >= 2) and B = Q diag(e) Q^T (Q^T Q = I, e > 0), with no d_X x d_X matrix
+    where n <= d_X; the ratio is None where B's largest entry (on its diagonal) is
+    subnormal, or where the ratio overflows.
+
+    The centred rows R split into Y Q^T + Z, Y = R Q and Z = R - Y Q^T, so A - B splits
+    into three Frobenius-orthogonal parts whose squares add with no cancellation:
+    |A - B|^2 = |Y^T Y / (n - 1) - diag(e)|^2 + (2 |Y^T Z|^2 + |Z^T Z|^2) / (n - 1)^2,
+    the last two from the smaller Grams of Y and Z.  R and e are first scaled by 2^-h and
+    4^-h (exact) so that max|R| and max e^1/2 are at most 1, and |B| = |e| by its own
+    power of 2, which the ratio takes back: no sum of squares overflows, and only terms
+    too small to count underflow.
+    """
+    n, d = x.shape
+    var = np.einsum("ij,ij,j->i", Q, Q, e)
+    if not var.max() >= np.finfo(float).tiny:
+        return var, None
+    R = x - x.mean(axis=0)
+    h = max(np.frexp(max(R.max(), -R.min()))[1], -(-np.frexp(e.max())[1] // 2))
+    np.ldexp(R, -h, out=R)
+    Y = R @ Q
+    R -= Y @ Q.T  # Z, over R
+    D = Y.T @ Y
+    D /= n - 1
+    D[np.diag_indices_from(D)] -= np.ldexp(e, -2 * h)
+    if n <= d:
+        GZ = R @ R.T
+        cross = np.einsum("ij,ij->", Y @ Y.T, GZ)
+    else:
+        GZ, YZ = R.T @ R, Y.T @ R
+        cross = np.einsum("ij,ij->", YZ, YZ)
+    num = np.einsum("ij,ij->", D, D) + (2.0 * cross + np.einsum("ij,ij->", GZ, GZ)) / (n - 1) ** 2
+    j = np.frexp(e.max())[1]
+    e_j = np.ldexp(e, -j)
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(np.sqrt(num / (e_j @ e_j)), 2 * h - j)
+    return var, float(ratio) if np.isfinite(ratio) else None
+
+
 def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, data_seed):
     """n Euler-Maruyama paths over [0, T] in the "chart" or "spatial" domain;
     direction "reverse" then runs them back with the analytic Gaussian score.
@@ -386,24 +441,29 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
         mu, S = law
         M = None if in_chart else chart.synthesis_matrix(ops)
         basis, F = _gaussian_basis(S, (lambda m, r: cov.eig[m]) if in_chart else None, M)
-        g = np.random.default_rng(data_seed).standard_normal((n, L * L))
-        z0 = mu + g @ F.T
+        z0 = mu + np.random.default_rng(data_seed).standard_normal((n, L * L)) @ F.T
         start, mean = (z0, mu) if in_chart else (z0 @ M.T, M @ mu)
+        del z0, F
     limit = BLOWUP_LIMIT * max(1.0, -start.min(initial=0.0), start.max(initial=0.0))
     state, aborted = forward_exact(DiffusionState(time=0.0, values=start, domain=domain),
                                    schedule, seed, cov=cov, limit=limit)
+    del start  # each leg's endpoint is a new array
     if direction == "forward":
         return state, aborted, None
     if not in_chart:  # the reverse leg's grid basis Q = M K^-1 P; a forward run needs only F
-        basis = (basis[0], M @ basis[1])
+        basis, M = (basis[0], M @ basis[1]), None  # M is not needed past Q
     state, more = reverse_exact(state, schedule, seed + 2, mean, basis, limit=limit)
     if n < 2:
         return state, aborted + more, None
-    target = S if in_chart else M @ S @ M.T
-    mean_err = state.values.mean(axis=0) - mean
+    x = state.values
+    mean_err = x.mean(axis=0) - mean
+    if in_chart:
+        var, cov_err = np.diag(S), _rel_frobenius(noise.empirical_covariance(x) - S, S)
+    else:
+        var, cov_err = _grid_cov_error(x, *basis)
     return state, aborted + more, {
         "mean_rel_error": _rel_frobenius(mean_err, mean),
-        "mean_err_over_sd": _rel_frobenius(mean_err, np.sqrt(np.diag(target))),
-        "cov_rel_frobenius_error": _rel_frobenius(
-            noise.empirical_covariance(state.values) - target, target),
+        "mean_err_over_sd": _rel_frobenius(mean_err, np.sqrt(var)),
+        "cov_rel_frobenius_error": cov_err,
     }
+

@@ -14,7 +14,9 @@ logs, the oracle of `metrics.wasserstein_1d` and
 and through the dense Sigma^{1/2} of a covariance set, the oracle of the
 per-block roots and the noise factor of the reference steppers; and through
 the transforms as one stacked product over every order and row, the
-bit-for-bit oracle of the per-order `transform.synthesis` and `analysis`.
+bit-for-bit oracle of the per-order `transform.synthesis` and `analysis`;
+and through the d_X x d_X target M S M^T and sample covariance of the
+paths, the oracle of the spatial diagnostics of `sde.run_chain`.
 """
 
 import math
@@ -24,7 +26,8 @@ import numpy as np
 from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
 from spherediff.indexing import IM, RE, block_slots, order_slots
-from spherediff.noise import chart_labels
+from spherediff.metrics import _rel_frobenius
+from spherediff.noise import chart_labels, empirical_covariance
 from spherediff.sde import ScoreField
 from spherediff.transform import (FMT, ConstraintViolation, OperatorSet, analysis,
                                   mirror_residual, q_norm_sq, synthesis)
@@ -276,3 +279,15 @@ def sliced_wasserstein_in_logs(A, B, p: float, n_proj: int, seed) -> np.ndarray:
     dirs = np.random.default_rng(seed).standard_normal((n_proj, A.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.array([wasserstein_in_logs(A @ u, B @ u, p) for u in dirs])
+
+
+def grid_diagnostics(x, mu, S, M) -> dict:
+    """`sde.run_chain`'s diagnostics of spatial paths x against N(M mu, M S M^T),
+    from the dense d_X x d_X target and sample covariance."""
+    target, mean = M @ S @ M.T, M @ mu
+    mean_err = x.mean(axis=0) - mean
+    return {
+        "mean_rel_error": _rel_frobenius(mean_err, mean),
+        "mean_err_over_sd": _rel_frobenius(mean_err, np.sqrt(np.diag(target))),
+        "cov_rel_frobenius_error": _rel_frobenius(empirical_covariance(x) - target, target),
+    }

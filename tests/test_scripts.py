@@ -48,6 +48,15 @@ def test_script_runs_and_reports_finite_values(tmp_path, script, args, report):
     assert values and all(math.isfinite(v) for v in values)
 
 
+def test_working_sets_measures_every_row_in_a_child(tmp_path):
+    _run("working_sets.py", "--L", "2", "--out", str(tmp_path / "ws.json"))
+    report = json.loads((tmp_path / "ws.json").read_text())
+    rows = _load_script("working_sets.py").rows(2)
+    assert report["L"] == 2 and [r["argv"] for r in report["rows"]] == [a for _, a in rows]
+    # each child traces its own command only; its RSS includes the import
+    assert all(0 < r["traced_mb"] < r["rss_mb"] for r in report["rows"])
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)

@@ -1,10 +1,12 @@
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dense_reference
-from spherediff import chart, noise, sde, transform
+from spherediff import chart, cli, noise, sde, transform
 
 
 def test_schedule_validation():
@@ -319,10 +321,8 @@ def test_forward_law_is_the_law_of_the_euler_maruyama_steppers(steps, config):
         assert np.max(np.abs(N.T @ N - target)) <= 1e-12 * np.max(np.abs(target))
 
 
-@pytest.mark.parametrize("domain", ["chart", "spatial"])
-def test_reverse_chain_draws_one_block_per_leg(monkeypatch, domain):
-    L, n, steps, seed, data_seed = 4, 30, 7, 20, 99
-    law = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
+def _spy_on_draws(monkeypatch) -> dict:
+    """{seed: [size of each standard_normal draw]} of every default_rng from here on."""
     real, draws = np.random.default_rng, {}
 
     class CountingRng:
@@ -334,12 +334,82 @@ def test_reverse_chain_draws_one_block_per_leg(monkeypatch, domain):
                                                    else int(np.prod(size)))
             return self.rng.standard_normal(size, out=out)
 
+        def normal(self, *args, **kwargs):  # the surrogate law's draws
+            return self.rng.normal(*args, **kwargs)
+
     monkeypatch.setattr(sde.np.random, "default_rng", CountingRng)
+    return draws
+
+
+@pytest.mark.parametrize("domain", ["chart", "spatial"])
+def test_reverse_chain_draws_one_block_per_leg(monkeypatch, domain):
+    L, n, steps, seed, data_seed = 4, 30, 7, 20, 99
+    law = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
+    draws = _spy_on_draws(monkeypatch)
     state, aborted, errors = sde.run_chain(L, sde.VpSchedule(steps=steps), domain, "reverse",
                                            law, n, seed, data_seed)
     d = L * L if domain == "chart" else 2 * L * (2 * L - 1)
     assert draws == {data_seed: [n * L * L], seed: [n * d], seed + 2: [n * d]}
     assert state.values.shape == (n, d) and aborted == [] and errors is not None
+
+
+@pytest.mark.parametrize("domain", ["frequency", "spatial"])
+def test_diffuse_draws_data_and_both_legs_from_distinct_seeds(monkeypatch, tmp_path, capsys,
+                                                              domain):
+    # data_seed defaults to seed + 1; seed (forward) and seed + 2 (reverse) are rejected,
+    # since each would make one leg's normals the data's
+    L, n, seed = 3, 20, 4
+    d = L * L if domain == "frequency" else 2 * L * (2 * L - 1)
+    argv = ["diffuse", "--direction", "reverse", "--score", "gaussian-analytic",
+            "--domain", domain, "--L", str(L), "--n", str(n), "--steps", "5",
+            "--seed", str(seed)]
+    draws = _spy_on_draws(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path / "rev.csv")]) == 0
+    # keyed by seed, so three keys are three distinct streams
+    assert draws == {seed + 1: [n * L * L], seed: [n * d], seed + 2: [n * d]}
+    capsys.readouterr()
+    for data_seed in (seed, seed + 2):
+        draws.clear()
+        cfg = tmp_path / "law.json"
+        cfg.write_text(json.dumps({"data_seed": data_seed}))
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spherediff diffuse: error: data_seed") and err.count("\n") == 1
+        assert draws == {} and not (tmp_path / "x.csv").exists()
+
+
+# d_X = 12, 56 and 552: n on both sides of it, so |A| comes from either Gram
+@pytest.mark.parametrize("L,n", [(2, 5), (2, 50), (4, 30), (4, 200), (12, 100), (12, 1000)])
+def test_spatial_diagnostics_match_the_dense_form_without_a_grid_covariance(monkeypatch, L, n):
+    law = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
+    real = noise.empirical_covariance
+
+    def chart_wide_only(X, **kwargs):
+        assert X.shape[1] <= L * L, "a d_X x d_X covariance"
+        return real(X, **kwargs)
+
+    monkeypatch.setattr(noise, "empirical_covariance", chart_wide_only)
+    state, _, errors = sde.run_chain(L, sde.VpSchedule(steps=20), "spatial", "reverse", law, n,
+                                     5, 6)
+    monkeypatch.undo()
+    M = chart.synthesis_matrix(transform.build_operators(L))
+    want = dense_reference.grid_diagnostics(state.values, *law, M)
+    assert errors.keys() == want.keys()
+    for key, value in want.items():
+        assert errors[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+# Measured: 30.0 MB; one d_X x d_X array at L = 24 (d_X = 2256) is 40.7 MB.
+def test_spatial_reverse_diffuse_at_L24_runs_within_a_memory_bound(tmp_path):
+    tracemalloc.start()
+    try:
+        rc = cli.main(["diffuse", "--direction", "reverse", "--score", "gaussian-analytic",
+                       "--domain", "spatial", "--L", "24", "--n", "200", "--steps", "20",
+                       "--out", str(tmp_path / "rev.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak <= 40e6, peak
 
 
 def test_forward_exact_keeps_a_blown_up_start_row_and_reports_it():

@@ -98,7 +98,7 @@ from pathlib import Path
 from spherediff.cli import main
 out = Path(sys.argv[1])
 os.chdir(out)
-(out / "law.json").write_text('{"data_seed": 5}\\n')
+(out / "law.json").write_text('{"data_seed": 7}\\n')
 for cmd in json.loads(sys.argv[2]):
     assert main(cmd) == 0, cmd
 print(json.dumps({str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -160,7 +160,7 @@ def test_recovery_outputs_byte_identical_under_one_and_two_threads(tmp_path):
     one, two = tmp_path / "threads1", tmp_path / "threads2"
     for out_dir in (one, two):
         out_dir.mkdir()
-        (out_dir / "law.json").write_text('{"data_seed": 5}\n')
+        (out_dir / "law.json").write_text('{"data_seed": 7}\n')
     _run(one, "1", RECOVERY)
     _run(two, "2", RECOVERY)
     names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file())
