@@ -50,6 +50,8 @@ def rows(L: int) -> list:
         (f"`verify-operators --L {L}`", ["verify-operators", "--L", str(L)]),
         (f"`covariance --L {L} --samples 2000`",
          ["covariance", "--L", str(L), "--samples", "2000"]),
+        (f"`covariance --L {L} --samples 50000`",
+         ["covariance", "--L", str(L), "--samples", "50000"]),
         (f"`bound-check --L {L} --trials 500`",
          ["bound-check", "--L", str(L), "--trials", "500"]),
         (f"`diffuse --L {L} --n 1000 --steps 100` (chart, forward)",

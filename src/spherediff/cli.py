@@ -134,9 +134,8 @@ def cmd_covariance(args) -> int:
         raise UsageError("--t must be > 0")
     _require_min("seed", args.seed, 0)
     cov = noise.build_covariance(args.L)
-    with np.errstate(over="ignore"):  # an overflow is reported below, in one line
-        emp = noise.empirical_covariance(
-            noise.sample_mirrored_bm(cov, args.t, args.samples, args.seed), overwrite=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        emp = noise.mirrored_bm_covariance(cov, args.t, args.samples, args.seed)
         theo = noise.build_sigma(cov.blocks, args.L)
         theo *= args.t
     if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(theo))):

@@ -128,9 +128,11 @@ def _sorted_wasserstein(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     n, m = a.shape[-1], b.shape[-1]
     if n == m:
         return _power_mean_root(lambda: a - b, p)
-    edges = np.concatenate(
-        [[0.0], np.union1d(np.arange(1, n) / n, np.arange(1, m) / m), [1.0]]
-    )
+    # the merged breakpoints k/n and k/m, sorted, each value once, as np.union1d
+    # gives them (which would import numpy.ma, through np.unique)
+    edges = np.concatenate([[0.0], np.arange(1, n) / n, np.arange(1, m) / m, [1.0]])
+    edges.sort()
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     mids = 0.5 * (edges[:-1] + edges[1:])
     ia = np.minimum((mids * n).astype(np.intp), n - 1)
     ib = np.minimum((mids * m).astype(np.intp), m - 1)

@@ -167,19 +167,71 @@ def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndar
     return np.sqrt(t) * analysis(ops, g)
 
 
-def empirical_covariance(X: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """Sample covariance R^T R / (n - 1), R = X - mean.
-
-    With `overwrite`, a float X is centred in place and serves as R, which
-    saves a copy of the samples; the bits are the same for a C- or
-    F-contiguous X.
-    """
+def empirical_covariance(X: np.ndarray) -> np.ndarray:
+    """Sample covariance R^T R / (n - 1), R = X - mean."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
-    R = np.subtract(X, X.mean(axis=0), out=X if overwrite else None)
+    R = X - X.mean(axis=0)
     C = R.T @ R
+    C /= n - 1
+    return C
+
+
+def _covariance_rows(n: int, d: int) -> int:
+    """Rows per block of `mirrored_bm_covariance` for n samples of d coordinates.
+
+    min(max(512, n // 4), max(2048, d)): a moderate n is split into about
+    four blocks, which frees most of its samples' memory, and no block grows
+    past max(2048, d) rows whatever n is.  Each block also costs two passes
+    over d x d arrays (NumPy's fill of its product's lower triangle and the
+    sum into the accumulator), which 2048 rows, or d where more, make a small
+    share of its product's work.  Where n is at most such a block and d
+    more, the blocks and the second d x d buffer they need would hold no
+    fewer values than the samples, so all n rows are one block.
+    """
+    rows = min(max(512, n // 4), max(2048, d))
+    return n if n <= rows + d else rows
+
+
+def mirrored_bm_covariance(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray:
+    """`empirical_covariance(sample_mirrored_bm(cov, t, n, seed))`, to round-off,
+    without the n x L^2 samples: they are drawn and folded in blocks of rows.
+
+    Every block is drawn by `sample_mirrored_bm` from one Generator, so the
+    blocks continue one normal stream.  A block is centred on its own mean in
+    place, its Gram goes into one reused L^2 x L^2 buffer and is added to the
+    accumulator, and the pairwise merge of Chan, Golub & LeVeque (1983) adds
+    the rank-1 term (a b / (a + b)) delta delta^T, delta the block's mean less
+    the running one (a rows so far, b in the block), as u u^T through the same
+    buffer, which keeps the result exactly symmetric.  The block size is
+    `_covariance_rows`; one block keeps the bits of the dense estimator.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 samples to estimate a covariance")
+    rng, d = np.random.default_rng(seed), cov.L * cov.L
+    rows = _covariance_rows(n, d)
+    C = np.empty((d, d))
+    P = np.empty((d, d)) if rows < n else None  # each later block's Gram, then its merge term
+    mean = None
+    for a in range(0, n, rows):
+        Z = sample_mirrored_bm(cov, t, min(rows, n - a), rng)
+        m = Z.mean(axis=0)
+        Z -= m
+        if mean is None:
+            np.matmul(Z.T, Z, out=C)  # the bits of Z.T @ Z
+            mean = m
+        else:
+            np.matmul(Z.T, Z, out=P)
+            C += P
+            b = len(Z)
+            delta = m - mean
+            u = delta * np.sqrt(a * b / (a + b))
+            np.multiply.outer(u, u, out=P)
+            C += P
+            mean += delta * (b / (a + b))
+        del Z  # before the next block is drawn
     C /= n - 1
     return C
 

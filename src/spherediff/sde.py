@@ -26,6 +26,7 @@ from .metrics import _rel_frobenius
 from .noise import _block_matmul
 
 BLOWUP_LIMIT = 1e6
+_ADD_BLOCK = 1 << 16  # values of a x added at a time by `forward_exact`
 
 
 class BlowUpError(RuntimeError):
@@ -254,12 +255,15 @@ def forward_exact(state, schedule, seed, *, cov=None, limit=BLOWUP_LIMIT):
     """`integrate`'s forward endpoint as one draw a x + s F xi (F = Sigma^{1/2} of the
     covariance set `cov`, applied per block, or I when None)."""
     a, s2, t = forward_law(schedule, state.time)
-    xi = np.random.default_rng(seed).standard_normal(state.values.shape)
+    x = state.values
+    xi = np.random.default_rng(seed).standard_normal(x.shape)
     if cov is not None:  # F xi over xi, one (m, part) block of rows of xi^T at a time
         _block_matmul(noise._root_blocks(cov), xi.T, out=xi.T)
+    rows = max(1, _ADD_BLOCK // x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
         xi *= np.sqrt(s2)  # in place, with the bits of a x + sqrt(s2) F xi
-        xi += a * state.values
+        for i in range(0, len(x), rows):  # a x a block of rows at a time: no third (n, d) array
+            xi[i:i + rows] += a * x[i:i + rows]
     return _endpoint(state, xi, t, schedule.steps, limit)
 
 

@@ -156,12 +156,15 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
 
 # Measured peaks in a fresh process: 27.0 MB for verify-operators, whose
 # transforms run one order at a time (58.9 MB when every order's products of
-# the whole batch were held at once), and 26.0 MB for covariance, which holds
-# one copy of its samples (43.3 MB with the normals, their product, the
-# centred copy and the cached Sigma); each bound lies between the two.
+# the whole batch were held at once).  covariance holds one block of its
+# samples, an accumulator and a product buffer: 23.2 MB at L = 32 with blocks
+# of 512 rows (25.9 MB with all 2000 samples held, 43.3 MB with the normals,
+# their product, the centred copy and the cached Sigma), and 6.4 MB at
+# L = 16 with blocks of 2048 rows, where all 20 000 samples held took 46.2 MB.
 @pytest.mark.parametrize("argv,bound", [
     (["verify-operators", "--L", "32"], 40e6),
     (["covariance", "--L", "32", "--samples", "2000"], 35e6),
+    (["covariance", "--L", "16", "--samples", "20000"], 8e6),
 ])
 def test_L32_checks_run_within_a_memory_bound(argv, bound):
     tracemalloc.start()
@@ -286,6 +289,14 @@ def test_covariance_that_overflows_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == ("spherediff covariance: error: --t 1e+308 is too "
                                        "large: the covariance overflows\n")
     assert not out_dir.exists()
+
+
+def test_covariance_that_overflows_in_later_blocks_prints_one_line(tmp_path):
+    # blocks of 512 samples: the Grams and merge terms overflow, and NumPy does not warn
+    rc, err = _run_cli(["covariance", "--L", "2", "--samples", "3000", "--t", "1e307",
+                        "--out-dir", "cov"], tmp_path)
+    assert rc == 1
+    assert err == "spherediff covariance: error: --t 1e+307 is too large: the covariance overflows\n"
 
 
 def test_covariance_usage_errors():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,10 +210,11 @@ def test_rel_frobenius_scales_an_error_whose_largest_magnitude_is_subnormal():
 
 
 # Measured peaks (1000 rows of 16 coordinates, 500 projections, blocks of 65
-# directions): 1.6 MB at equal counts and 3.8 MB at 1000 against 700, of which
-# 1.2 MB is NumPy's first import of numpy.ma (for np.union1d) where no earlier
-# test made it; with all 500 projections at once they were 12.1 and 15.5 MB.
-# Each bound is 1.5 times the measured peak.
+# directions): 1.6 MB at equal counts and 2.6 MB at 1000 against 700; with all
+# 500 projections at once they were 12.1 and 15.5 MB.  The bounds were set at
+# 1.5 times 1.6 MB and 3.8 MB, when the unequal-count breakpoints came from
+# np.union1d, whose first call imports numpy.ma (1.2 MB), which the merge of
+# the breakpoints no longer does.
 @pytest.mark.parametrize("m,bound", [(1000, 2.4e6), (700, 5.7e6)])
 def test_sliced_wasserstein_runs_within_a_memory_bound(m, bound):
     rng = np.random.default_rng(8)
@@ -221,3 +226,31 @@ def test_sliced_wasserstein_runs_within_a_memory_bound(m, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound, peak
+
+
+def test_unequal_counts_do_not_import_numpy_ma():
+    # np.union1d would import numpy.ma (about 11 ms and 1.2 MB) on its first call
+    code = ("import sys, numpy as np; from spherediff import metrics; "
+            "rng = np.random.default_rng(0); "
+            "metrics.sliced_wasserstein(rng.standard_normal((30, 3)), "
+            "rng.standard_normal((20, 3)), n_proj=5, seed=1); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    pkg_root = str(Path(metrics.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (1, 5), (6, 4), (700, 1000), (999, 333), (7, 91)])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_unequal_count_distance_keeps_the_union1d_breakpoints(n, m, p):
+    rng = np.random.default_rng(n * m)
+    a, b = np.sort(rng.standard_normal((2, n))), np.sort(rng.standard_normal((2, m)))
+    edges = np.concatenate([[0.0], np.union1d(np.arange(1, n) / n, np.arange(1, m) / m), [1.0]])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ia = np.minimum((mids * n).astype(np.intp), n - 1)
+    ib = np.minimum((mids * m).astype(np.intp), m - 1)
+    want = metrics._power_mean_root(lambda: a[:, ia] - b[:, ib], p, np.diff(edges))
+    assert metrics._sorted_wasserstein(a, b, p).tobytes() == want.tobytes()

@@ -196,6 +196,8 @@ def test_lift_samples_symmetry(cov_cache):
 def test_empirical_covariance_needs_two_samples():
     with pytest.raises(ValueError):
         noise.empirical_covariance(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="2 samples"):
+        noise.mirrored_bm_covariance(noise.build_covariance(2), 1.0, 1, 0)
 
 
 def test_sample_files_round_trip(tmp_path):
@@ -260,12 +262,35 @@ def test_empirical_covariance_matches_the_einsum_reference():
     assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
-def test_empirical_covariance_in_place_keeps_the_bits():
-    Z = noise.sample_mirrored_bm(noise.build_covariance(6), 1.0, 500, 3)  # F-ordered
-    for X in (Z, np.ascontiguousarray(Z)):
-        want, Y = noise.empirical_covariance(X), X.copy(order="K")
-        assert noise.empirical_covariance(Y, overwrite=True).tobytes() == want.tobytes()
-        assert Y.tobytes() == (X - X.mean(axis=0)).tobytes()  # centred in place
+def _one_block_limit(d):
+    """The largest n that `mirrored_bm_covariance` draws as one block."""
+    n = 2
+    while noise._covariance_rows(n + 1, d) == n + 1:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("L", [*range(1, 14), 16, 32])
+def test_streamed_covariance_matches_the_dense_estimator(L):
+    cov = noise.build_covariance(L)
+    k = _one_block_limit(L * L)
+    for n in (2, k - 1, k, k + 1, 3001):
+        want = noise.empirical_covariance(noise.sample_mirrored_bm(cov, 0.8, n, 21))
+        got = noise.mirrored_bm_covariance(cov, 0.8, n, 21)
+        if n <= k:  # one block: the same bits
+            assert got.tobytes() == want.tobytes(), n
+        else:  # merged blocks: round-off, and still exactly symmetric
+            assert noise._covariance_rows(n, L * L) < n
+            assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want), n
+            assert got.tobytes() == got.T.copy().tobytes(), n
+
+
+def test_streamed_covariance_of_large_counts_holds_bounded_blocks():
+    for d in (1, 256, 1024, 4096):
+        for n in (10**5, 10**7):
+            assert noise._covariance_rows(n, d) == max(2048, d)
+    assert noise._covariance_rows(2000, 1024) == 512  # four blocks of at most 512 rows
+    assert noise._covariance_rows(2000, 4096) == 2000  # blocks would hold more values
 
 
 # one block of draws; blocks of 7 rows and a shorter last one; the covariance

@@ -433,6 +433,29 @@ def test_forward_exact_keeps_a_blown_up_start_row_and_reports_it():
     assert empty.values.shape == (0, 4) and aborted == []
 
 
+# Measured: 1.16 (spatial) and 1.13 (chart) times the paths' size; holding a x as a
+# whole (n, d) array besides the normals made it 2.09 and 2.00.
+@pytest.mark.parametrize("domain", ["spatial", "chart"])
+def test_forward_exact_holds_the_normals_and_no_third_path_array(domain):
+    cov = noise.build_covariance(16) if domain == "chart" else None
+    x = np.random.default_rng(1).standard_normal((1000, 1000) if cov is None else (2000, 256))
+    if cov is not None:
+        cov.root  # built before tracing
+    state = sde.DiffusionState(time=0.0, values=x, domain=domain)
+    tracemalloc.start()
+    try:
+        out, _ = sde.forward_exact(state, sde.VpSchedule(steps=100), 3, cov=cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes, peak / x.nbytes
+    xi = np.random.default_rng(3).standard_normal(x.shape)
+    if cov is not None:
+        xi = noise._times_root(cov, xi)
+    a, s2, _ = sde.forward_law(sde.VpSchedule(steps=100))
+    assert np.array_equal(out.values, a * x + np.sqrt(s2) * xi)
+
+
 def test_chart_basis_from_one_whitened_eigh_at_L32():
     # B^T S B = I, B^T Sigma B = diag(kappa), the third entry is S B, and F F^T = S
     L = 32
