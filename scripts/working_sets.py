@@ -4,10 +4,13 @@
     python3 scripts/working_sets.py --L 32 [--out working_sets.json]
 
 Each row runs one `spherediff` command in a fresh child process, in a
-scratch directory that also holds its outputs.  The child imports the
-package, starts `tracemalloc`, runs the command in-process and reports the
-traced peak (NumPy's arrays and Python's objects, the import not included)
-and its `ru_maxrss` (the whole process, import included).  `sliced-w` reads
+scratch directory that also holds its outputs; the last row runs the three
+commands of the benchmark's operators workload one after another in one
+child, whose peak RSS depends on where the heap lies after each command, not
+only on the largest one.  The child imports the package, starts
+`tracemalloc`, runs the commands in-process and reports the traced peak
+(NumPy's arrays and Python's objects, the import not included) and its
+`ru_maxrss` (the whole process, import included).  `sliced-w` reads
 two sample files of 1000 and of 1000 or 700 rows of L^2 standard normals,
 written before its child starts.  The table is printed as Markdown; `--out`
 also writes it as JSON, with the machine it ran on.
@@ -31,7 +34,9 @@ CHILD = """
 import json, resource, sys, tracemalloc
 from spherediff.cli import main
 tracemalloc.start()
-rc = main(sys.argv[1:])
+rc = 0
+for argv in json.loads(sys.argv[1]):
+    rc = rc or main(argv)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 print(json.dumps({"traced_mb": peak / 1e6,
@@ -43,9 +48,13 @@ REVERSE = ["--direction", "reverse", "--score", "gaussian-analytic"]
 
 
 def rows(L: int) -> list:
-    """(label, argv) of each row at band limit L."""
+    """(label, argv) of each row at band limit L; the argv of the last row is
+    a list of three argvs, run in one process."""
     diffuse = ["diffuse", "--L", str(L)]
     sliced = ["sliced-w", "--a", "a.csv", "--n-proj", "500"]
+    sequence = [["verify-operators", "--L", str(L)],
+                ["covariance", "--L", str(L), "--samples", "2000"],
+                ["bound-check", "--L", str(max(1, L // 2)), "--trials", "500"]]
     return [
         (f"`verify-operators --L {L}`", ["verify-operators", "--L", str(L)]),
         (f"`covariance --L {L} --samples 2000`",
@@ -66,20 +75,24 @@ def rows(L: int) -> list:
          sliced + ["--b", "b.csv"]),
         (f"`sliced-w`, 1000 against 700 rows of {L * L} values, 500 projections",
          sliced + ["--b", "c.csv"]),
+        ("the operators workload in one process: "
+         + ", then ".join(f"`{' '.join(a)}`" for a in sequence), sequence),
     ]
 
 
 def measure(argv, work_dir: Path) -> dict:
-    """The child's report of one command run in work_dir."""
+    """The child's report of one command, or of a list of commands run one
+    after another, in work_dir."""
     env = dict(os.environ, **{ENV_OUT_DIR: str(work_dir)})
     # the directory of the spherediff imported here goes first, so the child
     # runs this package even from an uninstalled checkout
     pkg_root = str(Path(noise.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work_dir, env=env,
-                          capture_output=True, text=True)
+    commands = argv if isinstance(argv[0], list) else [argv]
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)], cwd=work_dir,
+                          env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} failed:\n{proc.stderr}")
+        raise RuntimeError(f"{commands} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 

@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, chart, lossmap, metrics, noise, sde, transform
-from .metrics import _rel_frobenius
+from . import __version__, chart, indexing, lossmap, metrics, noise, sde, transform
+from .metrics import _frobenius_parts, _frobenius_ratio
 
 ENV_OUT_DIR = "SPHEREDIFF_OUT_DIR"
+_PAIR_BLOCK = 1 << 17  # spatial values per block of verify-operators' isometry pairs
 
 
 class UsageError(ValueError):
@@ -95,12 +96,16 @@ def cmd_verify_operators(args) -> int:
     bops = lossmap.bound_operators(ops, noise.build_covariance(args.L))
     checks = lossmap.order_residuals(bops)  # UY - I, PP - P, T T^T - Sigma, T Z, T T^+ - I
 
-    # 100 pairs (z1, z2) drawn as rows 0, 2, 4, ... and 1, 3, 5, ... of one batch
-    X = transform.synthesis(ops, chart.from_chart(rng.standard_normal((200, L2)), args.L))
-    A = transform.analysis(ops, X)
-    lhs = np.einsum("ij,ij->i", X[0::2] * ops.q, X[1::2])
-    rhs = np.einsum("ij,ij->i", A[0::2].conj(), A[1::2]).real
-    checks["isometry_relative"] = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
+    # 100 pairs (z1, z2): rows 0, 2, 4, ... and 1, 3, 5, ... of one batch, in blocks of pairs
+    z, step = rng.standard_normal((200, L2)), max(1, _PAIR_BLOCK // (2 * ops.d_spatial)) * 2
+    resid = []
+    for i in range(0, len(z), step):
+        X = transform.synthesis(ops, chart.from_chart(z[i:i + step], args.L))
+        A = transform.analysis(ops, X)
+        lhs = np.einsum("ij,ij->i", X[0::2] * ops.q, X[1::2])
+        rhs = np.einsum("ij,ij->i", A[0::2].conj(), A[1::2]).real
+        resid.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
+    checks["isometry_relative"] = float(np.max(np.concatenate(resid)))
 
     a = chart.from_chart(rng.standard_normal((20, L2)), args.L)
     rt = transform.analysis(ops, transform.synthesis(ops, a)) - a
@@ -136,24 +141,28 @@ def cmd_covariance(args) -> int:
     cov = noise.build_covariance(args.L)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         emp = noise.mirrored_bm_covariance(cov, args.t, args.samples, args.seed)
-        theo = noise.build_sigma(cov.blocks, args.L)
-        theo *= args.t
-    if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(theo))):
+        theo_blocks = [S * args.t for S in noise.sigma_blocks(cov.blocks)]  # t Sigma_m
+    if not (np.all(np.isfinite(emp)) and all(np.all(np.isfinite(S)) for S in theo_blocks)):
         raise UsageError(f"--t {args.t!r} is too large: the covariance overflows")
 
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir() / f"covariance_L{args.L}"
     out_dir.mkdir(parents=True, exist_ok=True)
     noise.sigma_to_csv(emp, args.L, out_dir / "covariance_empirical.csv")
+    err = emp  # emp - t Sigma in place; t Sigma is zero off its (m, part) blocks
+    for m, rows in indexing.block_slots(args.L):
+        err[np.ix_(rows, rows)] -= theo_blocks[m]
+    err_parts = _frobenius_parts(err, overwrite=True)  # max |err| is its scale
+    del emp, err  # before the dense t Sigma is built
+    theo = noise.build_sigma(cov.blocks, args.L)
+    theo *= args.t
     noise.sigma_to_csv(theo, args.L, out_dir / "covariance_theoretical.csv")
-    err = emp  # both CSVs are written: emp becomes emp - theo, then its magnitude
-    err -= theo
-    rel = _rel_frobenius(err, theo)
+    rel = _frobenius_ratio(err_parts, _frobenius_parts(theo, overwrite=True))
     summary = {
         "L": args.L,
         "samples": args.samples,
         "t": args.t,
         "rel_frobenius_error": rel,
-        "max_abs_entry_error": float(np.max(np.abs(err, out=err))),
+        "max_abs_entry_error": float(err_parts[1]),
         "provenance": _provenance(_settings(args)),
     }
     _write_json(out_dir / "summary.json", summary)

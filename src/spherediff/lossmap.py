@@ -29,6 +29,8 @@ from .noise import CovarianceSet, sigma_blocks
 from .sde import VpSchedule
 from .transform import OperatorSet
 
+_TRIAL_BLOCK = 1 << 15  # chart values per batch of trials in `check_theorem2_bound`
+
 
 @dataclass(frozen=True)
 class BoundOperators:
@@ -231,11 +233,15 @@ def check_theorem2_bound(bops: BoundOperators, schedule: VpSchedule, n_trials: i
     G_ij ~ N(0, 0.25/d) i.i.d., offset ~ N(0, 0.25 I) and alpha ~ U(0, 2):
     near-oracle and far-off scores alike.  Only G z_t enters, so it is drawn
     from its exact law N(0, 0.25 |z_t|^2/d I), not as a d x d matrix.  All
-    trials are evaluated as one batch; a trial is a violation when
+    trials are drawn at once and evaluated in batches of about _TRIAL_BLOCK
+    chart values; a trial is a violation when
     slack = RHS - LHS < -1e-8 * max(1, RHS).
     """
     draws = _draw_trials(np.random.default_rng(seed), n_trials, bops.L * bops.L, schedule, 1e-3)
-    lhs, term_q, gap_sq = _trial_terms(bops, schedule, draws)
+    step = max(1, _TRIAL_BLOCK // (bops.L * bops.L))
+    terms = [_trial_terms(bops, schedule, {k: v[i:i + step] for k, v in draws.items()})
+             for i in range(0, n_trials, step)]
+    lhs, term_q, gap_sq = map(np.concatenate, zip(*terms))
     rhs = 2.0 * (term_q + gap_sq)
     slack = rhs - lhs
     violations = int(np.sum(slack < -1e-8 * np.maximum(1.0, rhs)))

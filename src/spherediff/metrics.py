@@ -33,33 +33,47 @@ class SlicedWassersteinResult:
 
 
 def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
-    """|err| / |ref| in the Frobenius norm, None where ref is 0 or its largest
-    magnitude is subnormal.
+    """|err| / |ref| in the Frobenius norm (see `_frobenius_ratio`)."""
+    return _frobenius_ratio(_frobenius_parts(err), _frobenius_parts(ref))
 
-    Each sum of squares is one einsum, which needs no temporary the size of
-    its argument.  As in `_power_mean_root`, where a sum leaves the normal
-    float range (its squares overflow, or underflow below the smallest normal
-    float), it is summed again over its argument divided by that argument's
-    largest magnitude, and the magnitudes scale the ratio back: for ref when
-    that magnitude is a normal float, for err when it is finite and not 0
-    (a subnormal one too); a ratio that itself overflows is None too.  Sums
-    inside the range keep the bits of the plain form.
+
+def _frobenius_parts(x: np.ndarray, *, overwrite: bool = False) -> tuple:
+    """(sum of squares, s = max |x|, sum of squares of x / s where 0 < s < inf)
+    of x, each sum one einsum.  With `overwrite` the last is taken at once,
+    dividing x in place; else it is a function, called only where needed."""
+    v = np.ravel(x)
+    sumsq = np.einsum("i,i->", v, v)
+    s = np.maximum(v.max(initial=0.0), -v.min(initial=0.0)) + 0.0  # max |x|, as +0.0 at 0
+
+    def scaled():
+        w = np.divide(v, s, out=v if overwrite else None)
+        return np.einsum("i,i->", w, w)
+
+    return sumsq, s, (scaled() if overwrite else scaled) if 0 < s < np.inf else None
+
+
+def _frobenius_ratio(err_parts: tuple, ref_parts: tuple):
+    """|err| / |ref| from `_frobenius_parts` of each, None where ref is 0 or
+    its largest magnitude is subnormal.
+
+    As in `_power_mean_root`, where a sum of squares leaves the normal float
+    range (its squares overflow, or underflow below the smallest normal
+    float), the sums over each argument divided by its largest magnitude are
+    used, and the magnitudes scale the ratio back: for ref when that
+    magnitude is a normal float, for err when it is finite and not 0 (a
+    subnormal one too); a ratio that itself overflows is None too.
     """
-    def sumsq(x, scale=1.0):
-        v = np.ravel(x) if scale == 1.0 else np.ravel(x) / scale
-        return np.einsum("i,i->", v, v)
-
+    (num, s_err, num_scaled), (den, s_ref, den_scaled) = err_parts, ref_parts
     tiny = np.finfo(float).tiny
-    num, den = sumsq(err), sumsq(ref)
-    if not (tiny <= num < np.inf and tiny <= den < np.inf):  # else no magnitude is read
-        s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
+    if not (tiny <= num < np.inf and tiny <= den < np.inf):
         scalable = 0 < s_err < np.inf, tiny <= s_ref < np.inf
         if any(ok and not tiny <= s < np.inf for ok, s in zip(scalable, (num, den))):
             if not scalable[1]:  # ref is 0, subnormal or not finite
                 return None
-            s_err = s_err if scalable[0] else 1.0
+            s_err, num_scaled = (s_err, num_scaled) if scalable[0] else (1.0, num)
+            num_scaled, den_scaled = (f() if callable(f) else f for f in (num_scaled, den_scaled))
             with np.errstate(over="ignore"):
-                ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
+                ratio = s_err / s_ref * (np.sqrt(num_scaled) / np.sqrt(den_scaled))
             return float(ratio) if np.isfinite(ratio) else None
     return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None
 

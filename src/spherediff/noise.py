@@ -34,6 +34,7 @@ from .transform import FMT, OperatorSet, analysis
 
 
 _DRAW_BLOCK = 1 << 17  # normals per block of rows drawn by `sample_mirrored_bm`
+_PANEL_SHARE = 8  # a later covariance block's terms enter through panels of L^2 // 8 columns
 
 
 class IndefiniteCovariance(ValueError):
@@ -184,12 +185,11 @@ def _covariance_rows(n: int, d: int) -> int:
 
     min(max(512, n // 4), max(2048, d)): a moderate n is split into about
     four blocks, which frees most of its samples' memory, and no block grows
-    past max(2048, d) rows whatever n is.  Each block also costs two passes
-    over d x d arrays (NumPy's fill of its product's lower triangle and the
-    sum into the accumulator), which 2048 rows, or d where more, make a small
-    share of its product's work.  Where n is at most such a block and d
-    more, the blocks and the second d x d buffer they need would hold no
-    fewer values than the samples, so all n rows are one block.
+    past max(2048, d) rows whatever n is.  Each later block also costs two
+    passes over the accumulator's upper triangle (its Gram and merge term),
+    which 2048 rows, or d where more, make a small share of its product's
+    work.  Where n is at most such a block and d more, blocks would save at
+    most d rows, the accumulator's size, so all n rows are one block.
     """
     rows = min(max(512, n // 4), max(2048, d))
     return n if n <= rows + d else rows
@@ -200,21 +200,21 @@ def mirrored_bm_covariance(cov: CovarianceSet, t: float, n: int, seed) -> np.nda
     without the n x L^2 samples: they are drawn and folded in blocks of rows.
 
     Every block is drawn by `sample_mirrored_bm` from one Generator, so the
-    blocks continue one normal stream.  A block is centred on its own mean in
-    place, its Gram goes into one reused L^2 x L^2 buffer and is added to the
-    accumulator, and the pairwise merge of Chan, Golub & LeVeque (1983) adds
-    the rank-1 term (a b / (a + b)) delta delta^T, delta the block's mean less
-    the running one (a rows so far, b in the block), as u u^T through the same
-    buffer, which keeps the result exactly symmetric.  The block size is
-    `_covariance_rows`; one block keeps the bits of the dense estimator.
+    blocks continue one normal stream, and is centred on its own mean in
+    place.  The first block's Gram is the accumulator (the bits of the dense
+    estimator when it is the only block).  Each later one adds its Gram and
+    the rank-1 term (a b / (a + b)) delta delta^T of the pairwise merge of
+    Chan, Golub & LeVeque (1983), delta the block's mean less the running one
+    (a rows so far, b in the block), into the upper triangle only, one panel
+    of about L^2 / 8 columns at a time; the upper triangle is mirrored into
+    the lower one at the end, so the result is exactly symmetric.  The block
+    size is `_covariance_rows`.
     """
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a covariance")
     rng, d = np.random.default_rng(seed), cov.L * cov.L
-    rows = _covariance_rows(n, d)
-    C = np.empty((d, d))
-    P = np.empty((d, d)) if rows < n else None  # each later block's Gram, then its merge term
-    mean = None
+    rows, w = _covariance_rows(n, d), max(1, d // _PANEL_SHARE)
+    C, mean = np.empty((d, d)), None
     for a in range(0, n, rows):
         Z = sample_mirrored_bm(cov, t, min(rows, n - a), rng)
         m = Z.mean(axis=0)
@@ -223,15 +223,22 @@ def mirrored_bm_covariance(cov: CovarianceSet, t: float, n: int, seed) -> np.nda
             np.matmul(Z.T, Z, out=C)  # the bits of Z.T @ Z
             mean = m
         else:
-            np.matmul(Z.T, Z, out=P)
-            C += P
-            b = len(Z)
-            delta = m - mean
-            u = delta * np.sqrt(a * b / (a + b))
-            np.multiply.outer(u, u, out=P)
-            C += P
+            b, delta = len(Z), m - mean
+            u, panel = delta * np.sqrt(a * b / (a + b)), np.empty(d * w)
+            for j0 in range(0, d, w):  # Z^T Z + u u^T into rows 0:j1 of columns j0:j1
+                j1 = min(j0 + w, d)
+                P = panel[:j1 * (j1 - j0)].reshape(j1, j1 - j0)
+                np.matmul(Z[:, :j1].T, Z[:, j0:j1], out=P)
+                C[:j1, j0:j1] += P
+                np.multiply.outer(u[:j1], u[j0:j1], out=P)
+                C[:j1, j0:j1] += P
             mean += delta * (b / (a + b))
+            del panel, P
         del Z  # before the next block is drawn
+    if rows < n:  # the lower triangle from the upper one
+        for j0 in range(0, d, w):
+            low = np.tri(d - j0, min(w, d - j0), -1, dtype=bool)
+            np.copyto(C[j0:, j0:j0 + w], C[j0:j0 + w, j0:].T, where=low)
     C /= n - 1
     return C
 
@@ -286,12 +293,12 @@ def _layouts():
     move up by the length of a gap, which is filled with the point (left
     out when no digit follows it) or with the "0." and zeros of the fixed
     form below 1; the scientific form ends in "e+XX" or "e+XXX" at byte 23.
-    Returns, per X, the mask of the bytes that stay and the shift in bits;
+    Returns, per X, the mask of the bytes that move and the shift in bits;
     the fill without the point (row i of X = _X0 + i) and with it (row
     i + 563); and the masks that keep the sign and the first k digits,
     k = 0 ... 17."""
     n = 1 - 2 * _X0
-    stay, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
+    move, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
     fill = np.zeros((2 * n, 3), np.uint64)
     for i, X in enumerate(range(_X0, 1 - _X0)):
         if -4 <= X < 0:
@@ -301,11 +308,11 @@ def _layouts():
             fixed = 0 <= X <= 16
             cut, gap, bare = X + 2 if fixed else 2, b".", b""
             tail = b"" if fixed else b"e%+03d" % X
-        stay[i], shift[i] = _words(b"\xff" * cut), 8 * len(gap)
+        move[i], shift[i] = ~_words(b"\xff" * cut), 8 * len(gap)
         end = _words(tail.rjust(24, b"\0"))
         fill[i] = _words(b"\0" * cut + bare) | end
         fill[n + i] = _words(b"\0" * cut + gap) | end
-    return stay, shift, fill, np.stack([_words(b"\xff" * (1 + k)) for k in range(18)])
+    return move, shift, fill, np.stack([_words(b"\xff" * (1 + k)) for k in range(18)])
 
 
 def _scaled(a: np.ndarray, X: np.ndarray):
@@ -346,18 +353,22 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     D[1:] += ord("0")
     D[0] = np.where(np.signbit(x), ord("-"), 0)
 
-    stay, shift, fill, kept = _layouts()
+    move, shift, fill, kept = _layouts()
     cells = np.zeros((x.size, 24), np.uint8)
     cells[:, :18] = D.T
     W, i = cells.view("<u8"), X - _X0  # each gather: one np.take of whole rows
     W &= np.take(kept, keep, axis=0)
-    mask = np.take(stay, i, axis=0)
-    up = W & ~mask
-    W &= mask
-    W |= np.take(fill, (keep > whole) * len(stay) + i, axis=0)
-    b = np.take(shift, i)[:, None]
-    W |= up << b
-    W[:, 1:] |= up[:, :-1] >> (64 - b)
+    up = np.take(move, i, axis=0)  # the mask of the bytes that move, then those bytes
+    up &= W
+    W ^= up
+    W |= np.take(fill, (keep > whole) * len(move) + i, axis=0)
+    # shift and carry on the flat words; word 2's top bytes are empty (the 17
+    # digits and a gap of at most 6 bytes end by byte 23), so it carries nothing
+    b = np.repeat(np.take(shift, i), 3)
+    W, up = W.reshape(-1), up.reshape(-1)
+    carry = np.right_shift(up, 64 - b)
+    W |= np.left_shift(up, b, out=up)
+    W[1:] |= carry[:-1]
 
     text = cells.view("S24")[:, 0]
     zero = x == 0

@@ -16,7 +16,9 @@ per-block roots and the noise factor of the reference steppers; and through
 the transforms as one stacked product over every order and row, the
 bit-for-bit oracle of the per-order `transform.synthesis` and `analysis`;
 and through the d_X x d_X target M S M^T and sample covariance of the
-paths, the oracle of the spatial diagnostics of `sde.run_chain`.
+paths, the oracle of the spatial diagnostics of `sde.run_chain`; and through
+the relative Frobenius error of both arrays at once, the bit-for-bit oracle
+of `metrics._frobenius_ratio` of each array's `_frobenius_parts`.
 """
 
 import math
@@ -291,3 +293,27 @@ def grid_diagnostics(x, mu, S, M) -> dict:
         "mean_err_over_sd": _rel_frobenius(mean_err, np.sqrt(np.diag(target))),
         "cov_rel_frobenius_error": _rel_frobenius(empirical_covariance(x) - target, target),
     }
+
+
+def rel_frobenius(err, ref):
+    """|err| / |ref| in the Frobenius norm with both arrays at hand: each sum
+    of squares is summed again over its array divided by its largest
+    magnitude only where a sum leaves the normal float range (the rules of
+    `metrics._frobenius_ratio`)."""
+    def sumsq(x, scale=1.0):
+        v = np.ravel(x) if scale == 1.0 else np.ravel(x) / scale
+        return np.einsum("i,i->", v, v)
+
+    tiny = np.finfo(float).tiny
+    num, den = sumsq(err), sumsq(ref)
+    if not (tiny <= num < np.inf and tiny <= den < np.inf):
+        s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
+        scalable = 0 < s_err < np.inf, tiny <= s_ref < np.inf
+        if any(ok and not tiny <= s < np.inf for ok, s in zip(scalable, (num, den))):
+            if not scalable[1]:
+                return None
+            s_err = s_err if scalable[0] else 1.0
+            with np.errstate(over="ignore"):
+                ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
+            return float(ratio) if np.isfinite(ratio) else None
+    return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None

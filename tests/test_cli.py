@@ -154,17 +154,61 @@ def test_verify_operators_at_L64_builds_no_dense_operator(tmp_path, monkeypatch)
     assert _read_json(tmp_path / "verify_operators_L64.json")["pass"] is True
 
 
-# Measured peaks in a fresh process: 27.0 MB for verify-operators, whose
-# transforms run one order at a time (58.9 MB when every order's products of
-# the whole batch were held at once).  covariance holds one block of its
-# samples, an accumulator and a product buffer: 23.2 MB at L = 32 with blocks
-# of 512 rows (25.9 MB with all 2000 samples held, 43.3 MB with the normals,
-# their product, the centred copy and the cached Sigma), and 6.4 MB at
-# L = 16 with blocks of 2048 rows, where all 20 000 samples held took 46.2 MB.
+def _verify_in_blocks(L, rows, tmp_path, monkeypatch):
+    """verify-operators' report at L (seed 0) with the isometry pairs
+    transformed `rows` rows at a time (the default blocks if None), and the
+    number of rows each `analysis` call transformed."""
+    seen, analysis = [], transform.analysis
+
+    def spy(ops, x):
+        seen.append(len(x))
+        return analysis(ops, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(transform, "analysis", spy)
+        if rows:
+            mp.setattr(cli, "_PAIR_BLOCK", rows * transform.build_operators(L).d_spatial)
+        assert main(["verify-operators", "--L", str(L), "--out", str(tmp_path / "v.json")]) == 0
+    return _read_json(tmp_path / "v.json"), seen
+
+
+# blocks of 2 rows, of 6 (and a last one of 2), and one block of the whole batch
+@pytest.mark.parametrize("rows", [2, 6, 200])
+def test_verify_operators_in_pair_blocks_keeps_its_report(rows, tmp_path, monkeypatch):
+    want, _ = _verify_in_blocks(8, 200, tmp_path, monkeypatch)
+    got, seen = _verify_in_blocks(8, rows, tmp_path, monkeypatch)
+    assert got == want and got["pass"] is True
+    assert seen == [rows] * (200 // rows) + [200 % rows] * (200 % rows > 0) + [20]
+
+
+def test_verify_operators_at_L32_in_blocks_of_any_size_agrees(tmp_path, monkeypatch):
+    # the default blocks of 32 rows keep the bits of one block; blocks of 2 rows
+    # multiply the Legendre blocks in other products, whose last bits differ
+    want, _ = _verify_in_blocks(32, 200, tmp_path, monkeypatch)
+    got, seen = _verify_in_blocks(32, None, tmp_path, monkeypatch)
+    assert got == want and seen == [32] * 6 + [8, 20]
+    got, _ = _verify_in_blocks(32, 2, tmp_path, monkeypatch)
+    assert got["pass"] is True
+    for key, value in want["residuals"].items():
+        assert abs(got["residuals"][key] - value) <= 1e-13, key
+
+
+# Measured peaks in a fresh process.  verify-operators: 11.6 MB, with its
+# 200-row batch transformed 32 rows (whole pairs) at a time (27.0 MB with the
+# whole batch at once).  covariance holds one L^2 x L^2 array at a time, one
+# block of its samples and a panel of L^2 / 8 columns: 15.0 MB at L = 32 with
+# blocks of 512 rows (23.2 MB with an L^2 x L^2 product buffer and a dense
+# t Sigma beside the estimate), 12.0 MB with 100 samples, one block (20.3 MB
+# with t Sigma and the estimate both dense), and 6.7 MB at L = 16 with blocks
+# of 2048 rows (46.2 MB with all 20 000 samples held).  bound-check draws its
+# 500 trials up front (16.4 MB) and evaluates 32 at a time: 24.7 MB (93.7 MB
+# as one batch).
 @pytest.mark.parametrize("argv,bound", [
-    (["verify-operators", "--L", "32"], 40e6),
-    (["covariance", "--L", "32", "--samples", "2000"], 35e6),
+    (["verify-operators", "--L", "32"], 15e6),
+    (["covariance", "--L", "32", "--samples", "2000"], 20e6),
     (["covariance", "--L", "16", "--samples", "20000"], 8e6),
+    (["covariance", "--L", "32", "--samples", "100"], 14e6),
+    (["bound-check", "--L", "32", "--trials", "500"], 30e6),
 ])
 def test_L32_checks_run_within_a_memory_bound(argv, bound):
     tracemalloc.start()

@@ -279,8 +279,9 @@ def test_bound_check_runs_no_eigendecomposition_given_the_operators(
 
 
 def test_bound_check_memory_at_L64():
-    # each per-order [part, m, trial, ell] array is dropped after its last use:
-    # 100 trials at L = 64 peak near 70 MiB, against 95 MiB when all stay alive
+    # the trials are drawn at once (13.1 MB for 100 trials at L = 64) and
+    # evaluated 8 at a time, each per-order [part, m, trial, ell] array dropped
+    # after its last use: 20.7 MiB, against 69.5 MiB as one batch of 100
     L = 64
     bops = lossmap.bound_operators(transform.build_operators(L), noise.build_covariance(L))
     tracemalloc.start()
@@ -290,4 +291,40 @@ def test_bound_check_memory_at_L64():
     finally:
         tracemalloc.stop()
     assert rep["n_trials"] == 100 and rep["violations"] == 0
-    assert peak <= 80 * 2**20
+    assert peak <= 27 * 2**20
+
+
+def _bound_in_blocks(bops, n, per_block, monkeypatch):
+    """check_theorem2_bound's report (seed 3) with `per_block` trials per batch,
+    and the number of trials each batch evaluated."""
+    seen, terms = [], lossmap._trial_terms
+
+    def spy(bops, schedule, draws):
+        seen.append(len(draws["t"]))
+        return terms(bops, schedule, draws)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lossmap, "_trial_terms", spy)
+        mp.setattr(lossmap, "_TRIAL_BLOCK", per_block * bops.L * bops.L)
+        return lossmap.check_theorem2_bound(bops, sde.VpSchedule(), n, 3), seen
+
+
+# batches of 1 trial, of 7 (and a last one of 2), and one batch of all 30; the
+# bits of one batch held for every batch but of 1 trial at L = 4 and 16, and for
+# none at L = 32, whose per-order products round differently with fewer rows
+@pytest.mark.parametrize("L,per_block,same_bits", [
+    (4, 1, False), (4, 7, True), (4, 30, True), (16, 7, True), (32, 1, False), (32, 7, False),
+])
+def test_bound_check_in_trial_batches_keeps_its_report(L, per_block, same_bits, ops_cache,
+                                                        cov_cache, monkeypatch):
+    ops = ops_cache[L] if L in ops_cache else transform.build_operators(L)
+    cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
+    bops = lossmap.bound_operators(ops, cov)
+    want, _ = _bound_in_blocks(bops, 30, 30, monkeypatch)
+    got, seen = _bound_in_blocks(bops, 30, per_block, monkeypatch)
+    assert seen == [per_block] * (30 // per_block) + [30 % per_block] * (30 % per_block > 0)
+    assert got["violations"] == 0 and got["n_trials"] == 30
+    if same_bits:
+        assert got == want
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-13, abs=0), key

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from dense_reference import sliced_wasserstein_in_logs, wasserstein_in_logs
 from spherediff import metrics
 
@@ -199,6 +200,28 @@ def test_rel_frobenius_scales_sums_of_squares_that_underflow():
     assert metrics._rel_frobenius(err, 1e-320 * np.ones(3)) is None
     assert metrics._rel_frobenius(1e-200 * err, np.zeros(3)) is None
     assert metrics._rel_frobenius(np.zeros(3), ref) == 0.0
+
+
+def test_rel_frobenius_from_parts_keeps_the_bits_of_both_arrays_at_once():
+    # every branch: sums in range, an err or a ref whose squares overflow or
+    # underflow (alone or both), subnormal, zero and non-finite arguments
+    rng = np.random.default_rng(5)
+    e, r = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    e[0, 0] = -0.0
+    cases = [(e, r), (1e200 * e, 1e200 * r), (1e276 * e, 1e-2 * r), (e, 1e200 * r),
+             (e, 1e-170 * r), (1e-170 * e, r), (1e-300 * e, 1e-300 * r), (1e300 * e, 1e-10 * r),
+             (np.array([5e-324]), np.ones(1)), (np.array([3e-320, -4e-320]), np.array([1.0, 0.0])),
+             (e, np.zeros(3)), (e, 1e-320 * np.ones(3)), (np.zeros(3), r), (-0.0 * e, r),
+             (np.array([np.inf, 1e300]), np.ones(2)), (np.array([np.nan, 1.0]), np.ones(2)),
+             (e, np.array([np.inf, 1.0]))]
+    for err, ref in cases:
+        want = dense.rel_frobenius(err, ref)
+        got = metrics._rel_frobenius(err, ref)
+        parts = [metrics._frobenius_parts(x.copy(), overwrite=True) for x in (err, ref)]
+        for value in (got, metrics._frobenius_ratio(*parts)):
+            assert value is None if want is None else repr(value) == repr(want), (err, ref)
+    assert metrics._frobenius_parts(np.array([-0.0, 0.0]))[1:] == (0.0, None)
+    assert str(metrics._frobenius_parts(-0.0 * e)[1]) == "0.0"
 
 
 def test_rel_frobenius_scales_an_error_whose_largest_magnitude_is_subnormal():

@@ -285,6 +285,18 @@ def test_streamed_covariance_matches_the_dense_estimator(L):
             assert got.tobytes() == got.T.copy().tobytes(), n
 
 
+# panels of one column, of 33 columns (and a last one of 4), of 21 (the default
+# L^2 // 8, and a last one of 1) and one panel of every column
+@pytest.mark.parametrize("share", [10**6, 5, 8, 1])
+def test_streamed_covariance_in_panels_of_any_width_agrees(share, monkeypatch):
+    cov, n = noise.build_covariance(13), 3001
+    want = noise.empirical_covariance(noise.sample_mirrored_bm(cov, 0.8, n, 21))
+    monkeypatch.setattr(noise, "_PANEL_SHARE", share)
+    got = noise.mirrored_bm_covariance(cov, 0.8, n, 21)
+    assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want)
+    assert got.tobytes() == got.T.copy().tobytes()
+
+
 def test_streamed_covariance_of_large_counts_holds_bounded_blocks():
     for d in (1, 256, 1024, 4096):
         for n in (10**5, 10**7):

@@ -53,6 +53,9 @@ def test_working_sets_measures_every_row_in_a_child(tmp_path):
     report = json.loads((tmp_path / "ws.json").read_text())
     rows = _load_script("working_sets.py").rows(2)
     assert report["L"] == 2 and [r["argv"] for r in report["rows"]] == [a for _, a in rows]
+    # the last row runs the operators workload's three commands in one child
+    assert [a[0] for a in report["rows"][-1]["argv"]] == ["verify-operators", "covariance",
+                                                          "bound-check"]
     # each child traces its own command only; its RSS includes the import
     assert all(0 < r["traced_mb"] < r["rss_mb"] for r in report["rows"])
 
