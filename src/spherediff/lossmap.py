@@ -24,7 +24,7 @@ import numpy as np
 
 # unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
 from .chart import from_chart  # noqa: F401
-from .indexing import order_slots
+from .indexing import block_slots, order_slots
 from .noise import CovarianceSet, sigma_blocks
 from .sde import VpSchedule
 from .transform import OperatorSet
@@ -95,10 +95,12 @@ def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
 def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
     """The kit of a dense Sigma: its (m, Re) blocks Sigma_m, the m = 0 one halved back
     to C_0, make the covariance set."""
-    m, _, re, _, _ = order_slots(ops.L)
-    blocks = [Sigma[np.ix_(re[m == k], re[m == k])] for k in range(ops.L)]
+    blocks = {}
+    for m, rows in block_slots(ops.L):
+        if m not in blocks:  # the (m, Re) block, which comes before (m, Im)
+            blocks[m] = Sigma[np.ix_(rows, rows)]
     blocks[0] = 0.5 * blocks[0]
-    return bound_operators(ops, CovarianceSet(L=ops.L, blocks=tuple(blocks)))
+    return bound_operators(ops, CovarianceSet(L=ops.L, blocks=tuple(blocks.values())))
 
 
 def order_residuals(bops: BoundOperators) -> dict:

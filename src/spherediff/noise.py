@@ -30,10 +30,10 @@ from . import indexing
 from .chart import from_chart  # noqa: F401
 from .grid import build_grid
 from .harmonics import norm_legendre_table
-from .transform import FMT, OperatorSet, analysis
+from .transform import OperatorSet, analysis
 
 
-_DRAW_BLOCK = 1 << 17  # normals per block of rows drawn by `sample_mirrored_bm`
+_DRAW_BLOCK = 1 << 17  # normals per block of rows drawn by the two samplers
 _PANEL_SHARE = 8  # a later covariance block's terms enter through panels of L^2 // 8 columns
 
 
@@ -161,11 +161,17 @@ def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray
 
 
 def mirrored_bm_via_spatial(ops: OperatorSet, t: float, n: int, seed) -> np.ndarray:
-    """n coefficient samples U w with spatial Brownian w ~ N(0, t I)."""
+    """n coefficient samples U w with spatial Brownian w ~ N(0, t I); the normals,
+    one (n, d_X) stream, are drawn and analysed in blocks of rows."""
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    g = np.random.default_rng(seed).standard_normal((n, ops.d_spatial))
-    return np.sqrt(t) * analysis(ops, g)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rng, d = np.random.default_rng(seed), ops.d_spatial
+    A, step = np.empty((n, ops.d_spectral), dtype=complex), max(1, _DRAW_BLOCK // d)
+    for i in range(0, n, step):
+        A[i:i + step] = np.sqrt(t) * analysis(ops, rng.standard_normal((min(step, n - i), d)))
+    return A
 
 
 def empirical_covariance(X: np.ndarray) -> np.ndarray:
@@ -246,6 +252,9 @@ def mirrored_bm_covariance(cov: CovarianceSet, t: float, n: int, seed) -> np.nda
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
+
+FMT = "%.17g"  # the 17-significant-digit format of every CSV value
+
 
 def chart_labels(L: int):
     """Row/column annotations '(ell,m,part)' in chart order."""

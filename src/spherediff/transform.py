@@ -12,11 +12,13 @@ j*N_phi + k); spectral vectors are complex in the canonical ordering of
 the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
 conjugate-symmetric to the last bit.
 
-Both transforms run one order at a time, each order's Legendre product over
-the whole batch of rows (the shape, and so the bits, of one stacked product
-of every order), and their FFTs one block of rows at a time.  So synthesis
-holds its complex output and one order's products, and analysis the
-batch's weighted FFT bins, its output and one order's products.
+Each transform takes one FFT over the batch it is given and runs one order at
+a time, each order's Legendre product over the whole batch (the shape, and so
+the bits, of one stacked product of every order), reading the order's +m and
+-m slots from `indexing.block_slots`.  So synthesis holds its complex output
+and one order's products, and analysis the batch's weighted FFT bins, its
+output and one order's products; a caller whose batch grows with an input
+passes it in blocks of rows.
 
 The dense Y (harmonics on the grid, d_X x L^2) and U = Y^H Q are built only
 on first access: the tests use them, no command does.
@@ -32,9 +34,6 @@ import numpy as np
 from . import indexing
 from .grid import GridSpec, build_grid, ring_weights_flat
 from .harmonics import norm_legendre_table
-
-
-_BLOCK_ELEMS = 1 << 17  # spatial values per block of rows in the FFTs of the transforms
 
 
 class ConstraintViolation(ValueError):
@@ -105,22 +104,13 @@ def build_operators(L: int) -> OperatorSet:
     return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
 
 
-def _row_blocks(n: int, d: int) -> list:
-    """Slices of at most max(1, 2^17 // d) consecutive rows (32 at L = 32)
-    covering n rows of width d: the FFTs run one block at a time, which
-    bounds their temporaries.  Each line's FFT is its own, so the blocks
-    leave every bit as it was."""
-    step = max(1, _BLOCK_ELEMS // d)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def _orders(L: int):
     """(m, +m slots, -m slots, (-1)^m) of each order m = 0 .. L-1, over its
-    degrees ell = m .. L-1 in ascending order."""
-    m, _, plus, minus, sign = indexing.order_slots(L)  # ell-major, so stable in ell
-    by_order = np.split(np.argsort(m, kind="stable"), np.cumsum(np.bincount(m))[:-1])
-    for k, pairs in enumerate(by_order):
-        yield k, plus[pairs], minus[pairs], sign[pairs]
+    degrees ell = m .. L-1 in ascending order: the chart rows of its Re and Im
+    blocks in `indexing.block_slots` (m = 0 has no Im block, and no -m slots)."""
+    blocks = iter(indexing.block_slots(L))
+    for m, plus in blocks:
+        yield m, plus, next(blocks)[1] if m else None, (-1.0) ** m
 
 
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
@@ -133,10 +123,10 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     n = len(fields)
     # per order m: [Re F; Im F] (2n x rings), F the weighted FFT bin m of each ring
     R = np.empty((L, 2 * n, n_theta))
-    for rows in _row_blocks(n, ops.d_spatial):
-        F = np.fft.rfft(fields[rows], axis=-1) * ops.grid.weights[:, None]  # bins 0 .. L-1
-        R[:, rows] = F.real.transpose(2, 0, 1)
-        R[:, n + rows.start:n + rows.stop] = F.imag.transpose(2, 0, 1)
+    F = np.fft.rfft(fields, axis=-1)  # bins 0 .. L-1
+    F *= ops.grid.weights[:, None]
+    R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
+    del F
     a = np.empty((n, L * L), dtype=complex)
     for m, plus, minus, sign in _orders(L):
         C = R[m] @ ops.legendre[m]  # (2n, L): [Re/Im x n, ell], 0 where ell < m
@@ -172,10 +162,8 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
         x[..., m] = G[:n] + 1j * G[n:2 * n]
         if m:  # bin n_phi - m holds order -m
             x[..., n_phi - m] = G[2 * n:3 * n] + 1j * G[3 * n:]
-    resid = 0.0
-    for rows in _row_blocks(n, ops.d_spatial):
-        np.fft.ifft(x[rows], axis=-1, norm="forward", out=x[rows])
-        resid = max(resid, float(np.max(np.abs(x[rows].imag), initial=0.0)))
+    np.fft.ifft(x, axis=-1, norm="forward", out=x)
+    resid = float(np.max(np.abs(x.imag), initial=0.0))
     if resid > imag_tol:
         raise ConstraintViolation(
             f"synthesis imaginary residual {resid:.3e} exceeds {imag_tol:.1e}; "
@@ -207,6 +195,3 @@ def mirror_residual(a: np.ndarray, L: int) -> float:
     a = _check_length("spectral coefficients", np.asarray(a, dtype=complex), L * L)
     perm, sign = indexing.mirror_permutation(L)
     return float(np.max(np.abs(a - sign * np.conj(a[..., perm])), initial=0.0))
-
-
-FMT = "%.17g"  # the 17-significant-digit format of every CSV value

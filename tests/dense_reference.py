@@ -29,10 +29,10 @@ from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthe
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
 from spherediff.indexing import IM, RE, block_slots, order_slots
 from spherediff.metrics import _rel_frobenius
-from spherediff.noise import chart_labels, empirical_covariance
+from spherediff.noise import FMT, chart_labels, empirical_covariance
 from spherediff.sde import ScoreField
-from spherediff.transform import (FMT, ConstraintViolation, OperatorSet, analysis,
-                                  mirror_residual, q_norm_sq, synthesis)
+from spherediff.transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual,
+                                  q_norm_sq, synthesis)
 
 
 def vp_drift_identity_error(ops, schedule, t: float) -> float:

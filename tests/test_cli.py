@@ -15,7 +15,7 @@ import pytest
 
 from dense_reference import sigma_csv, sliced_wasserstein_in_logs
 import spherediff
-from spherediff import chart, cli, metrics, noise, sde, transform
+from spherediff import chart, cli, lossmap, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR, main
 
 
@@ -79,7 +79,8 @@ def test_verify_operators_default_out_respects_env(tmp_path):
 
 def test_verify_operators_impossible_tolerance_fails(tmp_path, capsys):
     assert main(["verify-operators", "--L", "2", "--tol", "0"]) == 2
-    assert "FAILED" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spherediff verify-operators: failed: ")
     assert _read_json(tmp_path / "verify_operators_L2.json")["pass"] is False
 
 
@@ -103,14 +104,13 @@ def _dense_verify_residuals(L, seed):
         "t_z": np.max(np.abs(T @ (M - Tplus))),
         "t_tplus_minus_identity": np.max(np.abs(T @ Tplus - eye)),
     }
-    rng = np.random.default_rng(seed)
-    X = (chart.from_chart(rng.standard_normal((200, L * L)), L) @ ops.Y.T).real
+    a = chart.from_chart(np.random.default_rng(seed).standard_normal((200, L * L)), L)
+    X = (a @ ops.Y.T).real
     A = X @ ops.U.T
     lhs = np.sum(X[0::2] * ops.q * X[1::2], axis=1)
     rhs = np.sum(A[0::2].conj() * A[1::2], axis=1).real
     res["isometry_relative"] = np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
-    a = chart.from_chart(rng.standard_normal((20, L * L)), L)
-    res["analysis_synthesis_round_trip"] = np.max(np.abs(((a @ ops.Y.T).real @ ops.U.T) - a))
+    res["analysis_synthesis_round_trip"] = np.max(np.abs(A - a))
     return res
 
 
@@ -140,7 +140,7 @@ def test_verify_operators_fails_when_a_ring_weight_is_off(tmp_path, monkeypatch,
 
     monkeypatch.setattr(transform, "build_grid", off_grid)
     assert main(["verify-operators", "--L", "4"]) == 2
-    assert "FAILED" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("spherediff verify-operators: failed: ")
     assert "uy_minus_identity" in _read_json(tmp_path / "verify_operators_L4.json")["failures"]
 
 
@@ -178,7 +178,7 @@ def test_verify_operators_in_pair_blocks_keeps_its_report(rows, tmp_path, monkey
     want, _ = _verify_in_blocks(8, 200, tmp_path, monkeypatch)
     got, seen = _verify_in_blocks(8, rows, tmp_path, monkeypatch)
     assert got == want and got["pass"] is True
-    assert seen == [rows] * (200 // rows) + [200 % rows] * (200 % rows > 0) + [20]
+    assert seen == [rows] * (200 // rows) + [200 % rows] * (200 % rows > 0)
 
 
 def test_verify_operators_at_L32_in_blocks_of_any_size_agrees(tmp_path, monkeypatch):
@@ -186,7 +186,7 @@ def test_verify_operators_at_L32_in_blocks_of_any_size_agrees(tmp_path, monkeypa
     # multiply the Legendre blocks in other products, whose last bits differ
     want, _ = _verify_in_blocks(32, 200, tmp_path, monkeypatch)
     got, seen = _verify_in_blocks(32, None, tmp_path, monkeypatch)
-    assert got == want and seen == [32] * 6 + [8, 20]
+    assert got == want and seen == [32] * 6 + [8]
     got, _ = _verify_in_blocks(32, 2, tmp_path, monkeypatch)
     assert got["pass"] is True
     for key, value in want["residuals"].items():
@@ -728,6 +728,19 @@ def test_bound_check_success(tmp_path):
     assert rep["min_slack"] > 0
     for v in rep["identity_residuals"].values():
         assert np.isfinite(v)
+
+
+def test_bound_check_violation_prints_one_line(tmp_path, monkeypatch, capsys):
+    check = lossmap.check_theorem2_bound
+
+    def violated(*args):
+        return {**check(*args), "violations": 3}
+
+    monkeypatch.setattr(lossmap, "check_theorem2_bound", violated)
+    assert main(["bound-check", "--L", "2", "--trials", "20"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spherediff bound-check: failed: 3 violation(s)")
+    assert _read_json(tmp_path / "bound_check_L2.json")["violations"] == 3
 
 
 def test_bound_check_usage_errors():

@@ -113,6 +113,8 @@ def test_sampler_zero_time_and_shapes(cov_cache):
         noise.sample_mirrored_bm(cov, -1.0, 5, seed=1)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         noise.sample_mirrored_bm(cov, 1.0, -1, 0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        noise.mirrored_bm_via_spatial(transform.build_operators(2), 1.0, -1, 0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
@@ -319,6 +321,17 @@ def test_sampler_draws_in_blocks_the_bits_of_one_draw(L, n, rows, monkeypatch):
     assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
+# blocks of 7 rows and a shorter last one
+@pytest.mark.parametrize("L", [2, 4, 13])
+def test_spatial_sampler_draws_in_blocks_the_bits_of_one_draw(L, monkeypatch):
+    ops = transform.build_operators(L)
+    g = np.random.default_rng(9).standard_normal((40, ops.d_spatial))
+    want = np.sqrt(0.7) * transform.analysis(ops, g)
+    monkeypatch.setattr(noise, "_DRAW_BLOCK", 7 * ops.d_spatial)
+    got = noise.mirrored_bm_via_spatial(ops, 0.7, 40, 9)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def _awkward_matrix():
     X = np.random.default_rng(6).standard_normal((5, 7)) * 10.0 ** np.arange(-3, 4)
     X[0, 0], X[1, 2], X[2, 4], X[4, 6] = 0.0, -0.0, 1e-300, -1e-300
@@ -329,7 +342,7 @@ def test_sample_csv_matches_the_per_value_formatter(tmp_path):
     X = _awkward_matrix()
     p = tmp_path / "s.csv"
     noise.save_samples(p, X, {"L": 2, "t": 1.0, "seed": 0})
-    ref = "\n".join(",".join(transform.FMT % v for v in row) for row in X) + "\n"
+    ref = "\n".join(",".join(noise.FMT % v for v in row) for row in X) + "\n"
     assert p.read_text() == ref
     assert "-0," in ref and "1e-300" in ref
 
@@ -346,7 +359,7 @@ def _texts(x):
 ), min_size=1, max_size=50))
 def test_cells_match_fmt_on_any_float64(values):
     x = np.array(values, dtype=float)
-    assert _texts(x) == [(transform.FMT % v).encode() for v in x.tolist()]
+    assert _texts(x) == [(noise.FMT % v).encode() for v in x.tolist()]
 
 
 def test_cells_match_fmt_over_a_sweep_of_a_million_values():
@@ -368,7 +381,7 @@ def test_cells_match_fmt_over_a_sweep_of_a_million_values():
     lines = np.full((x.size, 25), ord("\n"), dtype=np.uint8)
     lines[:, :24] = noise._format_cells(x)
     got = lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
-    ref = [transform.FMT % v for v in x.tolist()]
+    ref = [noise.FMT % v for v in x.tolist()]
     bad = [(v, g, r) for v, g, r in zip(x.tolist(), got, ref) if g != r]
     assert not bad, bad[:5]
 
@@ -381,12 +394,13 @@ def test_cells_fall_back_to_fmt_only_where_in_doubt(monkeypatch):
             calls.append(value)
             return str.__mod__(self, value)
 
-    monkeypatch.setattr(noise, "FMT", CountingFormat(transform.FMT))
+    fmt = noise.FMT
+    monkeypatch.setattr(noise, "FMT", CountingFormat(fmt))
     ordinary = [1.5, -0.0, 0.0, 3e-5, 123456789.125, -2.5e-200, 7e279]
-    assert _texts(ordinary) == [(transform.FMT % v).encode() for v in ordinary]
+    assert _texts(ordinary) == [(fmt % v).encode() for v in ordinary]
     assert calls == []
     huge = [1.0000000000000001e281, -3.3e300, 1.7976931348623157e308, np.inf]
-    assert _texts(huge) == [(transform.FMT % v).encode() for v in huge]
+    assert _texts(huge) == [(fmt % v).encode() for v in huge]
     assert calls == huge
 
 
@@ -452,7 +466,7 @@ def test_sigma_csv_reuses_a_mirror_cell_only_where_the_bits_agree(upper, lower, 
     text = (tmp_path / "s.csv").read_text()
     assert text == sigma_csv(X, 3)
     rows = [line.partition('",')[2].split(",") for line in text.splitlines()[1:]]
-    assert (rows[1][6] == rows[6][1]) == (transform.FMT % upper == transform.FMT % lower)
+    assert (rows[1][6] == rows[6][1]) == (noise.FMT % upper == noise.FMT % lower)
 
 
 def _first_difference(got: str, want: str):

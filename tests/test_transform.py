@@ -125,21 +125,38 @@ def test_dense_operators_are_built_on_first_access_only():
 
 # 200 rows at L = 32 is verify-operators' batch; 777 rows at L = 20 and 200 at
 # L = 36 are batches where products of blocks of rows would run on other BLAS
-# kernels than the whole batch and move bits
+# kernels than the whole batch and move bits; 20 rows at L = 64 are 2.5 * 2^17
+# spatial values
 @pytest.mark.parametrize("L,n", [(1, 3), (2, 1), (5, 40), (13, 200), (20, 777), (32, 200),
-                                 (32, 20), (36, 200)])
-def test_per_order_transforms_keep_the_bits_of_one_stacked_product(L, n, monkeypatch):
+                                 (32, 20), (36, 200), (64, 20)])
+def test_per_order_transforms_keep_the_bits_of_one_stacked_product(L, n):
     ops = transform.build_operators(L)
     a = chart.from_chart(np.random.default_rng(L).standard_normal((n, L * L)), L)
     x = dense_reference.stacked_synthesis(ops, a)
     y = dense_reference.stacked_analysis(ops, x)
-    for rows in (None, 1, 3):  # the default FFT blocks, then blocks of 1 and 3 rows
-        if rows:
-            monkeypatch.setattr(transform, "_BLOCK_ELEMS", rows * ops.d_spatial)
-        got = transform.synthesis(ops, a)
-        assert got.tobytes() == x.tobytes() and got.strides == x.strides
-        assert transform.analysis(ops, x).tobytes() == y.tobytes()
+    got = transform.synthesis(ops, a)
+    assert got.tobytes() == x.tobytes() and got.strides == x.strides
+    assert transform.analysis(ops, x).tobytes() == y.tobytes()
     x1 = dense_reference.stacked_synthesis(ops, a[:1])  # one vector
     y1 = dense_reference.stacked_analysis(ops, x1)
     assert transform.synthesis(ops, a[0]).tobytes() == x1.tobytes()
     assert transform.analysis(ops, x1[0]).tobytes() == y1.tobytes()
+
+
+def test_each_transform_call_takes_one_fft_over_its_batch(monkeypatch):
+    ops = transform.build_operators(64)
+    a = chart.from_chart(np.random.default_rng(0).standard_normal((20, 64 * 64)), 64)
+    seen = []
+
+    def spy(fft):
+        def call(x, *args, **kwargs):
+            seen.append((fft.__name__, x.shape))
+            return fft(x, *args, **kwargs)
+        return call
+
+    for name in ("rfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, spy(getattr(np.fft, name)))
+    x = transform.synthesis(ops, a)
+    assert seen == [("ifft", (20, 128, 127))]
+    transform.analysis(ops, x)
+    assert seen[1:] == [("rfft", (20, 128, 127))]
