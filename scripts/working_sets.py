@@ -10,7 +10,10 @@ child, whose peak RSS depends on where the heap lies after each command, not
 only on the largest one.  The child imports the package, starts
 `tracemalloc`, runs the commands in-process and reports the traced peak
 (NumPy's arrays and Python's objects, the import not included) and its
-`ru_maxrss` (the whole process, import included).  `sliced-w` reads
+`VmHWM` from `/proc/self/status` (the peak RSS of the whole process, import
+included, or null where that line is absent).  `VmHWM` starts afresh at
+`exec`, so unlike `ru_maxrss` it does not carry over the peak of this
+script, which starts each child with `vfork` and `exec`.  `sliced-w` reads
 two sample files of 1000 and of 1000 or 700 rows of L^2 standard normals,
 written before its child starts.  The table is printed as Markdown; `--out`
 also writes it as JSON, with the machine it ran on.
@@ -31,16 +34,28 @@ from spherediff import noise
 from spherediff.cli import ENV_OUT_DIR
 
 CHILD = """
-import json, resource, sys, tracemalloc
+import json, sys, tracemalloc
 from spherediff.cli import main
+
+
+def peak_rss_mb():  # this process image's own peak, or None where the kernel does not say
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1e3
+    except OSError:
+        pass
+    return None
+
+
 tracemalloc.start()
 rc = 0
 for argv in json.loads(sys.argv[1]):
     rc = rc or main(argv)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(json.dumps({"traced_mb": peak / 1e6,
-                  "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}))
+print(json.dumps({"traced_mb": peak / 1e6, "rss_mb": peak_rss_mb()}))
 sys.exit(rc)
 """
 
@@ -112,7 +127,8 @@ def main() -> int:
             results.append({"command": label, "argv": argv, **measure(argv, work_dir)})
     print("| command | traced peak | peak RSS |\n|---|---|---|")
     for r in results:
-        print(f"| {r['command']} | {r['traced_mb']:.1f} MB | {r['rss_mb']:.0f} MB |")
+        rss = "n/a" if r["rss_mb"] is None else f"{r['rss_mb']:.0f} MB"
+        print(f"| {r['command']} | {r['traced_mb']:.1f} MB | {rss} |")
     if args.out:
         machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
                    "numpy": np.__version__, "machine": platform.machine()}

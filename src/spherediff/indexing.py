@@ -24,17 +24,6 @@ RE = "re"
 IM = "im"
 
 
-def spectral_index(ell: int, m: int) -> int:
-    """Flat position of coefficient (ell, m) in the canonical ordering."""
-    if abs(m) > ell:
-        raise ValueError(f"order m={m} exceeds degree ell={ell}")
-    if m == 0:
-        return ell * ell
-    if m > 0:
-        return ell * ell + 2 * m - 1
-    return ell * ell - 2 * m
-
-
 def spectral_ells(L: int) -> np.ndarray:
     """Degree of each spectral slot, shape (L^2,)."""
     return np.repeat(np.arange(L), 2 * np.arange(L) + 1)
@@ -44,11 +33,6 @@ def spectral_ms(L: int) -> np.ndarray:
     """Signed order of each spectral slot, shape (L^2,), from its offset k = slot - ell^2."""
     k = np.arange(L * L) - spectral_ells(L) ** 2
     return np.where(k % 2, (k + 1) // 2, -(k // 2))
-
-
-def spectral_entries(L: int) -> list[tuple[int, int]]:
-    """(ell, m) pairs in flat order, length L^2."""
-    return list(zip(spectral_ells(L).tolist(), spectral_ms(L).tolist()))
 
 
 def chart_ms(L: int) -> np.ndarray:

@@ -122,16 +122,6 @@ def _block_matmul(K, X, out=None):
     return out
 
 
-def _root_blocks(cov: CovarianceSet) -> list:
-    """Sigma^{1/2} as (chart rows, Sigma_m^{1/2}) pairs, one per (m, part) block."""
-    return [(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)]
-
-
-def _times_root(cov: CovarianceSet, g: np.ndarray) -> np.ndarray:
-    """The rows of g times Sigma^{1/2}, one (m, part) block at a time."""
-    return _block_matmul(_root_blocks(cov), g.T).T
-
-
 def build_covariance(L: int) -> CovarianceSet:
     """The C blocks of one band limit; Sigma and its roots follow on first access."""
     return CovarianceSet(L=L, blocks=covariance_blocks(L))
@@ -143,8 +133,7 @@ def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray
     The normals g, one (n, L^2) stream, are drawn in blocks of rows into an
     (L^2, n) buffer, and each (m, part) block of Sigma^{1/2} multiplies its
     rows of that buffer in place; the samples are the transposed buffer, so
-    the working set is one copy of them.  The products are those of
-    `_times_root` on the whole draw, bit for bit.
+    the working set is one copy of them.
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
@@ -155,7 +144,8 @@ def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray
     step = max(1, _DRAW_BLOCK // d)
     for i in range(0, n, step):
         G[:, i:i + step] = rng.standard_normal((min(step, n - i), d)).T
-    Z = _block_matmul(_root_blocks(cov), G, out=G).T
+    root = [(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)]
+    Z = _block_matmul(root, G, out=G).T
     Z *= np.sqrt(t)
     return Z
 

@@ -252,13 +252,14 @@ def _endpoint(state, new, t, steps, limit):
 
 
 def forward_exact(state, schedule, seed, *, cov=None, limit=BLOWUP_LIMIT):
-    """`integrate`'s forward endpoint as one draw a x + s F xi (F = Sigma^{1/2} of the
-    covariance set `cov`, applied per block, or I when None)."""
+    """`integrate`'s forward endpoint as one draw a x + s F xi (F xi drawn by
+    `noise.sample_mirrored_bm` from the covariance set `cov`, or xi when None)."""
     a, s2, t = forward_law(schedule, state.time)
     x = state.values
-    xi = np.random.default_rng(seed).standard_normal(x.shape)
-    if cov is not None:  # F xi over xi, one (m, part) block of rows of xi^T at a time
-        _block_matmul(noise._root_blocks(cov), xi.T, out=xi.T)
+    if cov is None:
+        xi = np.random.default_rng(seed).standard_normal(x.shape)
+    else:  # F xi at t = 1, so that an overflowing s^2 reaches `_endpoint`
+        xi = noise.sample_mirrored_bm(cov, 1.0, len(x), seed)
     rows = max(1, _ADD_BLOCK // x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # `_endpoint` reports such rows
         xi *= np.sqrt(s2)  # in place, with the bits of a x + sqrt(s2) F xi

@@ -1,4 +1,4 @@
-"""Spherical analysis/synthesis on the equiangular grid, one order at a time.
+"""Spherical analysis/synthesis on the equiangular grid: one FFT, one Legendre product.
 
 The grid has 2L colatitude rings of N_phi = 2L-1 longitudes, so the orders
 m = -(L-1) ... L-1 are exactly the N_phi bins of a DFT along a ring and do
@@ -12,13 +12,13 @@ j*N_phi + k); spectral vectors are complex in the canonical ordering of
 the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
 conjugate-symmetric to the last bit.
 
-Each transform takes one FFT over the batch it is given and runs one order at
-a time, each order's Legendre product over the whole batch (the shape, and so
-the bits, of one stacked product of every order), reading the order's +m and
--m slots from `indexing.block_slots`.  So synthesis holds its complex output
-and one order's products, and analysis the batch's weighted FFT bins, its
-output and one order's products; a caller whose batch grows with an input
-passes it in blocks of rows.
+Each transform takes one FFT over the batch it is given and one stacked
+product of every order's Legendre block with the whole batch (analysis
+(L, 2n, 2L) @ (L, 2L, L), synthesis (L, 4n, L) @ (L, L, 2L)), gathering or
+scattering the (ell, m) pairs of `indexing.order_slots`.  So synthesis holds
+the padded coefficient stack, its products and its complex output, and
+analysis the batch's weighted FFT bins, their products and its output; a
+caller whose batch grows with an input passes it in blocks of rows.
 
 The dense Y (harmonics on the grid, d_X x L^2) and U = Y^H Q are built only
 on first access: the tests use them, no command does.
@@ -104,15 +104,6 @@ def build_operators(L: int) -> OperatorSet:
     return OperatorSet(L=L, grid=grid, q=ring_weights_flat(grid), legendre=legendre)
 
 
-def _orders(L: int):
-    """(m, +m slots, -m slots, (-1)^m) of each order m = 0 .. L-1, over its
-    degrees ell = m .. L-1 in ascending order: the chart rows of its Re and Im
-    blocks in `indexing.block_slots` (m = 0 has no Im block, and no -m slots)."""
-    blocks = iter(indexing.block_slots(L))
-    for m, plus in blocks:
-        yield m, plus, next(blocks)[1] if m else None, (-1.0) ** m
-
-
 def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     """Harmonic coefficients a = U x of real sampled fields, x of shape (d_X,) or (n, d_X)."""
     x = _check_length("spatial field", x, ops.d_spatial)
@@ -127,13 +118,14 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     F *= ops.grid.weights[:, None]
     R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
     del F
+    C = R @ ops.legendre  # (L, 2n, L): [m, Re/Im x n, ell], 0 where ell < m
+    del R
+    m, ell, plus, minus, sign = indexing.order_slots(L)
+    re, im = C[m, :n, ell].T, C[m, n:, ell].T  # (n, pairs)
     a = np.empty((n, L * L), dtype=complex)
-    for m, plus, minus, sign in _orders(L):
-        C = R[m] @ ops.legendre[m]  # (2n, L): [Re/Im x n, ell], 0 where ell < m
-        re, im = C[:n, m:], C[n:, m:]
-        a.real[:, plus], a.imag[:, plus] = re, im
-        if m:  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
-            a.real[:, minus], a.imag[:, minus] = sign * re, -sign * im
+    a.real[:, plus], a.imag[:, plus] = re, im
+    neg = m > 0  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
+    a.real[:, minus[neg]], a.imag[:, minus[neg]] = sign[neg] * re[:, neg], -sign[neg] * im[:, neg]
     return a.reshape(np.shape(x)[:-1] + (L * L,))
 
 
@@ -149,19 +141,24 @@ def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.
     L, n_theta, n_phi = ops.L, 2 * ops.L, 2 * ops.L - 1
     A = np.asarray(a, dtype=complex).reshape(-1, L * L)
     n = A.shape[0]
+    # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell, 0 where ell < m
+    m, ell, plus, minus, sign = indexing.order_slots(L)
+    S = np.zeros((L, 4 * n, L))
+    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
+    neg = m > 0
+    am = A[:, minus[neg]]
+    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * am.real.T
+    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * am.imag.T
+    G = S @ ops.legendre.transpose(0, 2, 1)  # (L, 4n, rings)
+    del S, am
     x = np.empty((n, n_theta, n_phi), dtype=complex)  # the ring spectra, then the samples
-    for m, plus, minus, sign in _orders(L):
-        # rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell, 0 where ell < m
-        S = np.zeros((4 * n, L))
-        ap = A[:, plus]
-        S[:n, m:], S[n:2 * n, m:] = ap.real, ap.imag
-        if m:
-            am = A[:, minus]
-            S[2 * n:3 * n, m:], S[3 * n:, m:] = sign * am.real, sign * am.imag
-        G = S @ ops.legendre[m].T  # (4n, rings)
-        x[..., m] = G[:n] + 1j * G[n:2 * n]
-        if m:  # bin n_phi - m holds order -m
-            x[..., n_phi - m] = G[2 * n:3 * n] + 1j * G[3 * n:]
+    G = G.transpose(1, 2, 0)  # (4n, rings, L)
+    # bins m = 0 .. L-1, then bin n_phi - m of order -m; each Re + 1j * Im formed in place
+    plus_bins, minus_bins = x[..., :L], x[..., L:]
+    np.add(G[:n], np.multiply(1j, G[n:2 * n], out=plus_bins), out=plus_bins)
+    np.add(G[2 * n:3 * n, :, :0:-1], np.multiply(1j, G[3 * n:, :, :0:-1], out=minus_bins),
+           out=minus_bins)
+    del G
     np.fft.ifft(x, axis=-1, norm="forward", out=x)
     resid = float(np.max(np.abs(x.imag), initial=0.0))
     if resid > imag_tol:

@@ -12,13 +12,17 @@ with one % call per row, the oracle of the block-formatting
 logs, the oracle of `metrics.wasserstein_1d` and
 `metrics.sliced_wasserstein` at orders where |x|^p leaves the float range;
 and through the dense Sigma^{1/2} of a covariance set, the oracle of the
-per-block roots and the noise factor of the reference steppers; and through
-the transforms as one stacked product over every order and row, the
-bit-for-bit oracle of the per-order `transform.synthesis` and `analysis`;
-and through the d_X x d_X target M S M^T and sample covariance of the
-paths, the oracle of the spatial diagnostics of `sde.run_chain`; and through
-the relative Frobenius error of both arrays at once, the bit-for-bit oracle
-of `metrics._frobenius_ratio` of each array's `_frobenius_parts`.
+per-block roots and the noise factor of the reference steppers; through the
+rows of a draw times Sigma^{1/2}, one (m, part) block at a time, the
+bit-for-bit oracle of `noise.sample_mirrored_bm` and the chart forward leg;
+through the transforms with one Legendre product per order, the bit-for-bit
+oracle of the one stacked product of `transform.synthesis` and `analysis`;
+through the flat spectral slot of each (ell, m), the closed-form inverse of
+`indexing.spectral_ells` and `spectral_ms`; and through the d_X x d_X target
+M S M^T and sample covariance of the paths, the oracle of the spatial
+diagnostics of `sde.run_chain`; and through the relative Frobenius error of
+both arrays at once, the bit-for-bit oracle of `metrics._frobenius_ratio` of
+each array's `_frobenius_parts`.
 """
 
 import math
@@ -27,9 +31,9 @@ import numpy as np
 
 from spherediff.chart import chart_linear_map, chart_weights, from_chart, synthesis_matrix, to_chart
 from spherediff.harmonics import FOUR_PI, _check_args, norm_legendre_table
-from spherediff.indexing import IM, RE, block_slots, order_slots
+from spherediff.indexing import IM, RE, block_slots, order_slots, spectral_ells, spectral_ms
 from spherediff.metrics import _rel_frobenius
-from spherediff.noise import FMT, chart_labels, empirical_covariance
+from spherediff.noise import FMT, _block_matmul, chart_labels, empirical_covariance
 from spherediff.sde import ScoreField
 from spherediff.transform import (ConstraintViolation, OperatorSet, analysis, mirror_residual,
                                   q_norm_sq, synthesis)
@@ -47,38 +51,43 @@ def projector(ops) -> np.ndarray:
     return ops.Y @ ops.U
 
 
-def stacked_synthesis(ops, A: np.ndarray) -> np.ndarray:
-    """Real grid samples of the rows of A, (n, L^2) complex, with the Legendre
-    products of all orders in one stacked matmul and one FFT of all rows."""
+def _orders(L: int):
+    """(m, +m slots, -m slots, (-1)^m) of each order m = 0 .. L-1, over ell = m .. L-1."""
+    m, _, plus, minus, _ = order_slots(L)
+    for k in range(L):
+        yield k, plus[m == k], minus[m == k], (-1.0) ** k
+
+
+def per_order_synthesis(ops, A: np.ndarray) -> np.ndarray:
+    """Real grid samples of the rows of A, (n, L^2) complex, with one Legendre
+    product per order and one FFT of all rows."""
     L, n = ops.L, len(A)
-    m, ell, plus, minus, sign = order_slots(L)
-    S = np.zeros((L, 4 * n, L))
-    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
-    neg = m > 0
-    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * A[:, minus[neg]].real.T
-    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * A[:, minus[neg]].imag.T
-    G = S @ ops.legendre.transpose(0, 2, 1)
-    spec = np.empty((n, 2 * L, 2 * L - 1), dtype=complex)
-    spec[..., :L] = (G[:, :n] + 1j * G[:, n:2 * n]).transpose(1, 2, 0)
-    spec[..., L:] = (G[:0:-1, 2 * n:3 * n] + 1j * G[:0:-1, 3 * n:]).transpose(1, 2, 0)
-    return np.fft.ifft(spec, axis=-1, norm="forward").reshape(n, -1).real
+    x = np.empty((n, 2 * L, 2 * L - 1), dtype=complex)
+    for m, plus, minus, sign in _orders(L):
+        # rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell, 0 where ell < m
+        S = np.zeros((4 * n, L))
+        S[:n, m:], S[n:2 * n, m:] = A[:, plus].real, A[:, plus].imag
+        if m:
+            S[2 * n:3 * n, m:], S[3 * n:, m:] = sign * A[:, minus].real, sign * A[:, minus].imag
+        G = S @ ops.legendre[m].T
+        x[..., m] = G[:n] + 1j * G[n:2 * n]
+        if m:  # bin n_phi - m holds order -m
+            x[..., -m] = G[2 * n:3 * n] + 1j * G[3 * n:]
+    return np.fft.ifft(x, axis=-1, norm="forward").reshape(n, -1).real
 
 
-def stacked_analysis(ops, x: np.ndarray) -> np.ndarray:
+def per_order_analysis(ops, x: np.ndarray) -> np.ndarray:
     """Coefficients of the rows of x, (n, d_X) real, with one FFT of all rows
-    and the Legendre products of all orders in one stacked matmul."""
+    and one Legendre product per order."""
     L, n = ops.L, len(x)
     F = np.fft.rfft(x.reshape(n, 2 * L, 2 * L - 1), axis=-1) * ops.grid.weights[:, None]
-    R = np.empty((L, 2 * n, 2 * L))
-    R[:, :n], R[:, n:] = F.real.transpose(2, 0, 1), F.imag.transpose(2, 0, 1)
-    C = R @ ops.legendre
-    m, ell, plus, minus, sign = order_slots(L)
-    re, im = C[m, :n, ell].T, C[m, n:, ell].T
     a = np.empty((n, L * L), dtype=complex)
-    a.real[:, plus], a.imag[:, plus] = re, im
-    neg = m > 0
-    a.real[:, minus[neg]] = sign[neg] * re[:, neg]
-    a.imag[:, minus[neg]] = -sign[neg] * im[:, neg]
+    for m, plus, minus, sign in _orders(L):
+        C = np.concatenate([F[..., m].real, F[..., m].imag]) @ ops.legendre[m]
+        re, im = C[:n, m:], C[n:, m:]
+        a.real[:, plus], a.imag[:, plus] = re, im
+        if m:  # a_{ell,-m} = (-1)^m conj(a_{ell,m})
+            a.real[:, minus], a.imag[:, minus] = sign * re, -sign * im
     return a
 
 
@@ -137,6 +146,22 @@ def sh_eval(ell: int, m: int, theta, phi):
     return complex(val) if np.ndim(val) == 0 else val
 
 
+def spectral_index(ell: int, m: int) -> int:
+    """Flat position of coefficient (ell, m) in the canonical ordering."""
+    if abs(m) > ell:
+        raise ValueError(f"order m={m} exceeds degree ell={ell}")
+    if m == 0:
+        return ell * ell
+    if m > 0:
+        return ell * ell + 2 * m - 1
+    return ell * ell - 2 * m
+
+
+def spectral_entries(L: int) -> list[tuple[int, int]]:
+    """(ell, m) pairs in flat order, length L^2."""
+    return list(zip(spectral_ells(L).tolist(), spectral_ms(L).tolist()))
+
+
 def chart_index(ell: int, m: int, part: str = RE) -> int:
     """Flat chart position of the given real degree of freedom (m >= 0)."""
     if m < 0 or m > ell:
@@ -156,6 +181,12 @@ def sigma_root(cov) -> np.ndarray:
     for m, rows in block_slots(cov.L):
         out[np.ix_(rows, rows)] = cov.root[m]
     return out
+
+
+def times_root(cov, g: np.ndarray) -> np.ndarray:
+    """The rows of g times Sigma^{1/2}, one (m, part) block at a time."""
+    root = [(rows, cov.root[m]) for m, rows in block_slots(cov.L)]
+    return _block_matmul(root, g.T).T
 
 
 def T(bops) -> np.ndarray:

@@ -17,14 +17,10 @@ import pytest
 
 import dense_reference
 import spherediff
-from dense_reference import chart_index
+from dense_reference import chart_index, spectral_index
 from spherediff import chart, lossmap, metrics, noise, sde, transform
 from spherediff.cli import ENV_OUT_DIR
-from spherediff.indexing import (
-    chart_entries,
-    mirror_permutation,
-    spectral_index,
-)
+from spherediff.indexing import chart_entries, mirror_permutation
 from spherediff.sde import surrogate_gaussian as _surrogate_gaussian
 
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference
+from dense_reference import spectral_index
 from sphere_helpers import BAND_LIMITS, random_symmetric_coeffs
 from spherediff import chart, transform
-from spherediff.indexing import spectral_index
 from spherediff.transform import ConstraintViolation
 
 

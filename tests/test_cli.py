@@ -267,6 +267,15 @@ def test_reverse_diffuse_steps_no_euler_maruyama_update(domain, tmp_path, monkey
     assert _read_json(tmp_path / "rev.csv.diagnostics.json")["aborted_paths"] == []
 
 
+def test_chart_forward_diffuse_draws_its_noise_through_the_sampler(tmp_path, monkeypatch):
+    calls, sample = [], noise.sample_mirrored_bm
+    monkeypatch.setattr(noise, "sample_mirrored_bm",
+                        lambda cov, t, n, seed: calls.append((t, n)) or sample(cov, t, n, seed))
+    assert main(["diffuse", "--L", "4", "--n", "20", "--steps", "50",
+                 "--out", str(tmp_path / "fwd.csv")]) == 0
+    assert calls == [(1.0, 20)]
+
+
 def test_bound_check_at_L64_builds_no_dense_operator(tmp_path, monkeypatch):
     _refuse_dense_operators(monkeypatch, bound=True)
     assert main(["bound-check", "--L", "64", "--trials", "100"]) == 0

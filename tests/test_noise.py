@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import chart_index, sample_csv, sigma_csv, sigma_root
+from dense_reference import chart_index, sample_csv, sigma_csv, sigma_root, times_root
 from sphere_helpers import BAND_LIMITS
 from spherediff import chart, noise, sde, transform
 from spherediff.indexing import chart_is_im, chart_ms
@@ -161,7 +161,8 @@ def test_chart_and_spatial_samplers_agree_in_law(ops_cache, cov_cache):
 
 def _chart_extraction_matrix(L):
     """Complex matrix E with Re(E a) = to_chart(a) for symmetric a (test helper)."""
-    from spherediff.indexing import chart_entries, spectral_index
+    from dense_reference import spectral_index
+    from spherediff.indexing import chart_entries
 
     E = np.zeros((L * L, L * L), dtype=complex)
     for i, (ell, m, part) in enumerate(chart_entries(L)):
@@ -313,7 +314,7 @@ def test_streamed_covariance_of_large_counts_holds_bounded_blocks():
                                       (32, 2000, None)])
 def test_sampler_draws_in_blocks_the_bits_of_one_draw(L, n, rows, monkeypatch):
     cov = noise.build_covariance(L)
-    want = noise._times_root(cov, np.random.default_rng(9).standard_normal((n, L * L)))
+    want = times_root(cov, np.random.default_rng(9).standard_normal((n, L * L)))
     want *= np.sqrt(0.7)
     if rows:
         monkeypatch.setattr(noise, "_DRAW_BLOCK", rows * L * L)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spherediff
@@ -58,6 +59,14 @@ def test_working_sets_measures_every_row_in_a_child(tmp_path):
                                                           "bound-check"]
     # each child traces its own command only; its RSS includes the import
     assert all(0 < r["traced_mb"] < r["rss_mb"] for r in report["rows"])
+
+
+def test_working_sets_reads_each_childs_own_peak(tmp_path):
+    # a parent that has touched 150 MB starts the child; the child's peak leaves it out
+    touched = np.ones(150_000_000 // 8)
+    report = _load_script("working_sets.py").measure(["verify-operators", "--L", "2"], tmp_path)
+    del touched
+    assert report["rss_mb"] < 100, report
 
 
 def _load_script(name):

@@ -451,7 +451,7 @@ def test_forward_exact_holds_the_normals_and_no_third_path_array(domain):
     assert peak <= 1.5 * x.nbytes, peak / x.nbytes
     xi = np.random.default_rng(3).standard_normal(x.shape)
     if cov is not None:
-        xi = noise._times_root(cov, xi)
+        xi = dense_reference.times_root(cov, xi)
     a, s2, _ = sde.forward_law(sde.VpSchedule(steps=100))
     assert np.array_equal(out.values, a * x + np.sqrt(s2) * xi)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,12 +98,15 @@ def test_synthesis_rejects_non_finite_coefficients(ops_cache, bad):
         transform.synthesis(ops_cache[2], a)
 
 
-@pytest.mark.parametrize("L", [1, 2, 4, 12, 32])
-def test_per_order_transforms_match_the_dense_matrices(L):
+# six rows at each L; 777 rows at L = 20 and 200 at L = 32 (verify-operators'
+# batch) run the stacked products on other BLAS kernels than six rows
+@pytest.mark.parametrize("L,n", [pytest.param(L, 6, id=str(L)) for L in (1, 2, 4, 12, 32)]
+                         + [(20, 777), (32, 200)])
+def test_per_order_transforms_match_the_dense_matrices(L, n):
     ops = transform.build_operators(L)
     rng = np.random.default_rng(40 + L)
-    x = rng.standard_normal((6, ops.d_spatial))
-    a = np.stack([random_symmetric_coeffs(L, rng) for _ in range(6)])
+    x = rng.standard_normal((n, ops.d_spatial))
+    a = np.stack([random_symmetric_coeffs(L, rng) for _ in range(n)])
     dense_a, dense_x = x @ ops.U.T, a @ ops.Y.T
     assert np.max(np.abs(dense_x.imag)) < 1e-12
     for got, want in ((transform.analysis(ops, x), dense_a),
@@ -130,15 +135,16 @@ def test_dense_operators_are_built_on_first_access_only():
 @pytest.mark.parametrize("L,n", [(1, 3), (2, 1), (5, 40), (13, 200), (20, 777), (32, 200),
                                  (32, 20), (36, 200), (64, 20)])
 def test_per_order_transforms_keep_the_bits_of_one_stacked_product(L, n):
+    # the loop over orders in dense_reference is the reference of the stacked products
     ops = transform.build_operators(L)
     a = chart.from_chart(np.random.default_rng(L).standard_normal((n, L * L)), L)
-    x = dense_reference.stacked_synthesis(ops, a)
-    y = dense_reference.stacked_analysis(ops, x)
+    x = dense_reference.per_order_synthesis(ops, a)
+    y = dense_reference.per_order_analysis(ops, x)
     got = transform.synthesis(ops, a)
     assert got.tobytes() == x.tobytes() and got.strides == x.strides
     assert transform.analysis(ops, x).tobytes() == y.tobytes()
-    x1 = dense_reference.stacked_synthesis(ops, a[:1])  # one vector
-    y1 = dense_reference.stacked_analysis(ops, x1)
+    x1 = dense_reference.per_order_synthesis(ops, a[:1])  # one vector
+    y1 = dense_reference.per_order_analysis(ops, x1)
     assert transform.synthesis(ops, a[0]).tobytes() == x1.tobytes()
     assert transform.analysis(ops, x1[0]).tobytes() == y1.tobytes()
 
@@ -160,3 +166,20 @@ def test_each_transform_call_takes_one_fft_over_its_batch(monkeypatch):
     assert seen == [("ifft", (20, 128, 127))]
     transform.analysis(ops, x)
     assert seen[1:] == [("rfft", (20, 128, 127))]
+
+
+def test_each_transform_call_makes_one_stacked_legendre_product():
+    seen = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            seen.append(ufunc.__name__)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    plain = transform.build_operators(64)
+    ops = dataclasses.replace(plain, legendre=plain.legendre.view(Counting))
+    a = chart.from_chart(np.random.default_rng(0).standard_normal((20, 64 * 64)), 64)
+    x = transform.synthesis(ops, a)
+    assert seen == ["matmul"]
+    assert transform.analysis(ops, x).tobytes() == transform.analysis(plain, x).tobytes()
+    assert seen == ["matmul", "matmul"]
