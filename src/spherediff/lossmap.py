@@ -24,8 +24,8 @@ import numpy as np
 
 # unused here: bench/tests/test_harness.py checks that the tracer wraps this binding too
 from .chart import from_chart  # noqa: F401
-from .indexing import block_slots, order_slots
-from .noise import CovarianceSet, sigma_blocks
+from .indexing import order_slots
+from .noise import CovarianceSet, sigma_covariance
 from .sde import VpSchedule
 from .transform import OperatorSet
 
@@ -64,43 +64,32 @@ class BoundOperators:
 
 
 def bound_operators(ops: OperatorSet, cov: CovarianceSet) -> BoundOperators:
-    """The kit of one band limit, with each Sigma_m, its eigenpairs and root read from `cov`."""
-    w = np.concatenate([ev for ev, _ in cov.eig])  # the eigenvalues of Sigma
-    keep = w > 1e-10
-    if not np.any(keep):
+    """The kit of one band limit, with the stacks Sigma_m, their eigenpairs and roots from `cov`."""
+    L, leg, q, (w, V) = ops.L, ops.legendre, ops.grid.weights, cov.eig
+    ev = w[np.triu_indices(L)]  # Sigma's eigenvalues, in the slots k >= m; the pads are -1
+    if not ev.max() > 1e-10:
         raise ValueError("Sigma has no eigenvalue above the pseudoinverse threshold")
-    cond = float(w.max() / w[keep].min()) if np.all(keep) else float("inf")
-    L, leg, q = ops.L, ops.legendre, ops.grid.weights
+    cond = float(ev.max() / ev.min()) if ev.min() > 1e-10 else float("inf")
     ms = np.arange(L)
     mult = np.where(ms > 0, 2.0, 1.0)
     A = (leg * q[:, None]).transpose(0, 2, 1) @ leg
     B = (leg * (q * q)[:, None]).transpose(0, 2, 1) @ leg
-    sigma, root, pinv = np.zeros_like(A), np.zeros_like(A), np.zeros_like(A)
-    for m, (C, R, (ev, V)) in enumerate(zip(sigma_blocks(cov.blocks), cov.root, cov.eig)):
-        keep = ev > 1e-10
-        sigma[m, m:, m:] = C
-        root[m, m:, m:] = R
-        pinv[m, m:, m:] = (V[:, keep] / ev[keep]) @ V[:, keep].T
+    keep = (w > 1e-10)[:, None, :]  # not the pads
+    pinv = np.divide(V, w[:, None, :], out=np.zeros_like(V), where=keep) @ V.transpose(0, 2, 1)
     H = B @ pinv
     trig = np.outer(ms, ops.grid.phi)
     cos, sin = np.cos(trig), -np.sin(trig)  # the Re and Im chart rows along a ring
     gram = tuple(np.einsum("mk,mk->m", u, v)[:, None, None]
                  for u, v in ((cos, cos), (cos, sin), (sin, sin)))
     eye = np.eye(L) * (ms >= ms[:, None])[:, None]  # ell >= m
-    return BoundOperators(L=L, ops=ops, sigma_cond=cond, q=q, mult=mult, A=A, B=B, sigma=sigma,
-                          sigma_root=root, sigma_pinv=pinv, H=H, K=mult[:, None, None] * A - H,
-                          eye=eye, gram=gram)
+    return BoundOperators(L=L, ops=ops, sigma_cond=cond, q=q, mult=mult, A=A, B=B,
+                          sigma=cov.sigma, sigma_root=cov.root, sigma_pinv=pinv, H=H,
+                          K=mult[:, None, None] * A - H, eye=eye, gram=gram)
 
 
 def build_bound_operators(ops: OperatorSet, Sigma: np.ndarray) -> BoundOperators:
-    """The kit of a dense Sigma: its (m, Re) blocks Sigma_m, the m = 0 one halved back
-    to C_0, make the covariance set."""
-    blocks = {}
-    for m, rows in block_slots(ops.L):
-        if m not in blocks:  # the (m, Re) block, which comes before (m, Im)
-            blocks[m] = Sigma[np.ix_(rows, rows)]
-    blocks[0] = 0.5 * blocks[0]
-    return bound_operators(ops, CovarianceSet(L=ops.L, blocks=tuple(blocks.values())))
+    """The kit of a dense Sigma, whose (m, Re) blocks are the Sigma_m."""
+    return bound_operators(ops, sigma_covariance(Sigma))
 
 
 def order_residuals(bops: BoundOperators) -> dict:

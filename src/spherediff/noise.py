@@ -11,14 +11,16 @@ covariance assembles into Sigma with the m = 0 block doubled, and the
 normative identity Sigma = T T^T ties the convention to the actual operators
 (the prefactor above makes the match exact; no rescaling is applied).
 
-The symmetric roots Sigma_m^{1/2}, from the one eigh of each Sigma_m, make
-sqrt(t) * Sigma^{1/2} g, g ~ N(0, I), a sample of the time-t marginal; they
-are applied one (m, part) block at a time and Sigma^{1/2} is never formed.
+The Sigma_m are one (L, L, L) stack [m, ell, ell'], zero where ell or ell' < m.
+Their symmetric roots, from one batched eigh, make sqrt(t) * Sigma^{1/2} g,
+g ~ N(0, I), a sample of the time-t marginal; they are applied one (m, part)
+block at a time and Sigma^{1/2} is never formed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -48,83 +50,87 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceSet:
-    """Covariance data for one band limit: the C blocks, and on first access
-    the per-order eigenpairs of Sigma, Sigma itself and the roots Sigma_m^{1/2}."""
+    """Covariance data for one band limit: the stack of the Sigma_m, and on first
+    access its eigenpairs, Sigma itself and the stack of the roots Sigma_m^{1/2}."""
 
     L: int
-    blocks: tuple = field(repr=False)  # blocks[m]: (L-m, L-m), index ell-m
+    sigma: np.ndarray = field(repr=False)  # (L, L, L): Sigma_m, zero where ell or ell' < m
 
     def __post_init__(self):
-        for b in self.blocks:
-            b.setflags(write=False)
+        self.sigma.setflags(write=False)
 
     @cached_property
-    def eig(self) -> tuple:  # (w_m, V_m) of each Sigma_m, like np.linalg.eigh
-        return tuple(tuple(map(_frozen, np.linalg.eigh(S)))
-                     for S in sigma_blocks(self.blocks))
+    def eig(self) -> tuple:  # (w, V) of `_stack_eigh`: Sigma_m's eigenpairs in slots k >= m
+        return tuple(map(_frozen, _stack_eigh(self.sigma)))
 
     @cached_property
     def Sigma(self) -> np.ndarray:  # real symmetric, L^2 x L^2
-        return _frozen(build_sigma(self.blocks, self.L))
+        return _frozen(build_sigma(self.sigma))
 
     @cached_property
-    def root(self) -> tuple:  # root[m] @ root[m] == Sigma_m, symmetric
-        return tuple(map(_frozen, factor_sigma(self.eig)[0]))
+    def root(self) -> np.ndarray:  # root[m] @ root[m] == Sigma_m, symmetric
+        return _frozen(factor_sigma(self.eig)[0])
 
 
-def covariance_blocks(L: int) -> tuple:
-    """Per-order covariance blocks C_m, m = 0..L-1."""
+def covariance_blocks(L: int) -> np.ndarray:
+    """The stack of the Sigma_m (C_m, doubled at m = 0) from one stacked Legendre product."""
     grid = build_grid(L)
-    plm = norm_legendre_table(L, np.cos(grid.theta))  # (L, L, 2L)
-    w2 = grid.weights ** 2
-    pref = (2 * L - 1) / 2.0
-    blocks = []
-    for m in range(L):
-        V = plm[m:, m, :]  # rows ell = m..L-1, cols theta rings
-        B = pref * ((V * w2) @ V.T)
-        blocks.append(0.5 * (B + B.T))  # exactly symmetric (B is up to round-off)
-    return tuple(blocks)
+    P = norm_legendre_table(L, np.cos(grid.theta)).transpose(1, 0, 2)  # [m, ell, ring]
+    B = (2 * L - 1) / 2.0 * ((P * grid.weights ** 2) @ P.transpose(0, 2, 1))
+    B[0] *= 2.0
+    return 0.5 * (B + B.transpose(0, 2, 1))  # exactly symmetric (B is up to round-off)
 
 
-def sigma_blocks(blocks: tuple) -> tuple:
-    """Sigma_m, the block of Sigma in each chart part of order m: C_m, doubled at m = 0."""
-    return tuple(2.0 * B if m == 0 else B for m, B in enumerate(blocks))
+def sigma_covariance(Sigma) -> CovarianceSet:
+    """The covariance set of a dense chart-coordinate Sigma: its (m, Re) blocks, gathered."""
+    m, ell, re, _, _ = indexing.order_slots(L := math.isqrt(len(Sigma)))
+    slot, real = np.zeros((L, L), dtype=np.intp), np.zeros((L, L), dtype=bool)
+    slot[m, ell], real[m, ell] = re, True
+    S = np.asarray(Sigma, dtype=float)[slot[:, :, None], slot[:, None, :]]
+    return CovarianceSet(L=L, sigma=np.where(real[:, :, None] & real[:, None, :], S, 0.0))
 
 
-def build_sigma(blocks: tuple, L: int) -> np.ndarray:
-    """Chart-coordinate covariance; entries off the (m, part) blocks exactly zero."""
-    Sigma, S = np.zeros((L * L, L * L)), sigma_blocks(blocks)
+def build_sigma(sigma: np.ndarray) -> np.ndarray:
+    """The chart-coordinate Sigma of the stack of the Sigma_m; zero off the (m, part) blocks."""
+    L = len(sigma)
+    Sigma = np.zeros((L * L, L * L))
     for m, rows in indexing.block_slots(L):
-        Sigma[np.ix_(rows, rows)] = S[m]
+        Sigma[np.ix_(rows, rows)] = sigma[m, m:, m:]
     return Sigma
 
 
-def factor_sigma(eig):
-    """The symmetric roots Sigma_m^{1/2} = V_m sqrt(diag(w_m)) V_m^T, m = 0..L-1.
+def _stack_eigh(S):
+    """np.linalg.eigh of the semidefinite blocks S[m, m:, m:] of a stack, zero elsewhere,
+    in one batched call: the pads ell < m get the diagonal -1, below every eigenvalue, so
+    order m's eigenpairs fill the slots k >= m and each pad's is (-1, its unit vector)."""
+    S, (m, ell) = np.array(S, dtype=float), np.tril_indices(len(S), -1)
+    S[m, ell, ell] = -1.0
+    return np.linalg.eigh(S)
 
-    `eig` holds the eigenpairs (w_m, V_m) of each Sigma_m.  An eigenvalue
-    below -1e-8 raises IndefiniteCovariance, and the others are clipped at
-    zero.  Returns (roots, min_eigenvalue).
-    """
-    min_eig = min(float(w.min()) for w, _ in eig)
+
+def factor_sigma(eig):
+    """The stack of the roots Sigma_m^{1/2} = V_m sqrt(diag(w_m)) V_m^T of an eigenpair stack
+    (`_stack_eigh`): an eigenvalue of a slot k >= m below -1e-8 raises IndefiniteCovariance,
+    and the others and the pads are clipped at zero.  Returns (roots, min_eigenvalue)."""
+    w, V = eig
+    min_eig = float(w[np.triu_indices(len(w))].min())
     if min_eig < -1e-8:
         raise IndefiniteCovariance(f"Sigma indefinite: min eigenvalue {min_eig:.3e}")
-    return tuple((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T for w, V in eig), min_eig
+    return (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.transpose(0, 2, 1), min_eig
 
 
 def _block_matmul(K, X, out=None):
-    """K X for a block-diagonal K held as (chart rows, block) pairs that cover
-    X's rows, into `out` (a new array if None); `out` may be X itself, since
-    each block reads only its own rows."""
+    """K X for the block-diagonal K with (m, part) blocks K[m, m:, m:] of a stack, X with L^2
+    chart rows, into `out` (new if None), which may be X: each block reads only its own rows."""
     out = np.empty(X.shape) if out is None else out
-    for rows, block in K:
-        out[rows] = block @ X[rows]
+    for m, rows in indexing.block_slots(len(K)):
+        out[rows] = K[m, m:, m:] @ X[rows]
     return out
 
 
 def build_covariance(L: int) -> CovarianceSet:
-    """The C blocks of one band limit; Sigma and its roots follow on first access."""
-    return CovarianceSet(L=L, blocks=covariance_blocks(L))
+    """The stack of the Sigma_m of one band limit; Sigma and its roots follow on first access."""
+    return CovarianceSet(L=L, sigma=covariance_blocks(L))
 
 
 def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray:
@@ -144,8 +150,7 @@ def sample_mirrored_bm(cov: CovarianceSet, t: float, n: int, seed) -> np.ndarray
     step = max(1, _DRAW_BLOCK // d)
     for i in range(0, n, step):
         G[:, i:i + step] = rng.standard_normal((min(step, n - i), d)).T
-    root = [(rows, cov.root[m]) for m, rows in indexing.block_slots(cov.L)]
-    Z = _block_matmul(root, G, out=G).T
+    Z = _block_matmul(cov.root, G, out=G).T
     Z *= np.sqrt(t)
     return Z
 

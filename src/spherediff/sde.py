@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chart, indexing, noise, transform
+from . import chart, noise, transform
 from .metrics import _rel_frobenius
 from .noise import _block_matmul
 
@@ -297,30 +297,37 @@ def reverse_exact(state, schedule, seed, mean, basis, *, limit=BLOWUP_LIMIT):
 # analytic Gaussian scores (closed-form, no training): a fixed basis, no LAPACK per call
 # ---------------------------------------------------------------------------
 
-def _whitened_eig(S, block_eig, p):
+def _whitened_eig(S, eig, p):
     """(lam, P, K, K^-1) from one eigh K S K = P diag(lam) P^T (of K (K S)^T's lower triangle),
-    K = N^p, N PD and zero off the (m, part) blocks of `indexing.block_slots`; block_eig(m, rows)
-    gives the eigenpairs of N[rows, rows], K and K^-1 are (rows, block) lists, and S is PD."""
-    eig = [(rows, block_eig(m, rows)) for m, rows in indexing.block_slots(math.isqrt(len(S)))]
-    if not min(w[0] for _, (w, _) in eig) > 0:
+    K = N^p, S and N PD, N with the block N_m in both parts of each m (`eig` their eigenpair
+    stack); the stacks K and K^-1 are formed at each use, so none is held through the eigh."""
+    w, V = eig
+    if not w[np.triu_indices(len(w))].min() > 0:  # the slots k >= m
         raise ValueError("the whitening matrix is not positive definite")
-    K, K_inv = ([(r, (V * w ** q) @ V.T) for r, (w, V) in eig] for q in (p, -p))
-    lam, P = np.linalg.eigh(_block_matmul(K, _block_matmul(K, np.asarray(S, dtype=float)).T))
+    # |w| is 1 on the pads, whose unit eigenvectors leave the blocks K[m, m:, m:] untouched
+    K = lambda q: (V * np.abs(w)[:, None, :] ** q) @ V.transpose(0, 2, 1)
+    lam, P = np.linalg.eigh(_block_matmul(K(p), _block_matmul(K(p), np.asarray(S, dtype=float)).T))
     if not lam[0] > 0:
         raise ValueError(f"data covariance S is not positive definite ({lam[0]:.3e})")
-    return lam, P, K, K_inv
+    return lam, P, K(p), K(-p)
 
 
-def _gaussian_basis(S, block_eig=None, M=None):
-    """(basis, F F^T = S) for N(mu, S) from one `_whitened_eig`.  Chart (`block_eig` of Sigma),
-    K = Sigma^-1/2: (kappa, B, S B = F) = (1/lam, K P lam^-1/2, K^-1 P lam^1/2), B^T S B = I,
-    B^T Sigma B = diag(kappa).  Grid (M), K = (M^T M)^1/2 (block-diagonal: orders are orthogonal
-    over the longitudes): (e, C) = (lam, K^-1 P), F = C lam^1/2; Q = M C, Q e Q^T = M S M^T."""
-    if M is not None:  # one gather per block
-        block_eig = lambda m, r: np.linalg.eigh((G := M[:, r]).T @ G)
-    lam, P, K, K_inv = _whitened_eig(S, block_eig, -0.5 if M is None else 0.5)
+def _grid_eig(leg):
+    """The eigenpair stack of (M^T M)_m = N_phi mult_m Pbar_m^T Pbar_m, M the grid's synthesis
+    matrix and leg[m, ring, ell] its Legendre table: the orders' trig rows are orthogonal over
+    the N_phi = 2L - 1 longitudes (Driscoll & Healy 1994), each of squared norm N_phi / mult_m."""
+    n_phi_mult = (2 * len(leg) - 1) * np.where(np.arange(len(leg)) > 0, 2.0, 1.0)
+    return noise._stack_eigh(n_phi_mult[:, None, None] * (leg.transpose(0, 2, 1) @ leg))
+
+
+def _gaussian_basis(S, eig, domain):
+    """(basis, F F^T = S) for N(mu, S) from one `_whitened_eig` of the eigenpair stack `eig`.
+    Chart (`CovarianceSet.eig`), K = Sigma^-1/2: (kappa, B, S B = F) = (1/lam, K P lam^-1/2,
+    K^-1 P lam^1/2), B^T S B = I, B^T Sigma B = diag(kappa).  Grid (`_grid_eig`),
+    K = (M^T M)^1/2: (e, C) = (lam, K^-1 P), F = C lam^1/2; Q = M C, Q e Q^T = M S M^T."""
+    lam, P, K, K_inv = _whitened_eig(S, eig, -0.5 if domain == "chart" else 0.5)
     F = _block_matmul(K_inv, P)
-    if M is None:
+    if domain == "chart":
         F *= np.sqrt(lam)
         return (1.0 / lam, _block_matmul(K, P) / np.sqrt(lam), F), F
     return (lam, F), F * np.sqrt(lam)
@@ -330,11 +337,11 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
     """Score of the time-t chart marginal for data z(0) ~ N(mu, S).
 
     Marginal: N(m(t) mu, A_t), A_t = m(t)^2 S + v(t) Sigma, and
-    score(z) = -A_t^{-1}(z - m mu).  With B from `_gaussian_basis` (Sigma positive
-    definite, zero off its (m, part) blocks), A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T.
+    score(z) = -A_t^{-1}(z - m mu).  With B from `_gaussian_basis` (Sigma positive definite
+    with one block Sigma_m in both parts of each m), A_t^{-1} = B diag(1 / (m^2 + v kappa)) B^T.
     """
-    mu, Sigma = np.asarray(mu, dtype=float), np.asarray(Sigma, dtype=float)
-    (kappa, B, _), _ = _gaussian_basis(S, lambda m, r: np.linalg.eigh(Sigma[np.ix_(r, r)]))
+    mu = np.asarray(mu, dtype=float)
+    (kappa, B, _), _ = _gaussian_basis(S, noise.sigma_covariance(Sigma).eig, "chart")
 
     def fn(z, t):
         m, v = schedule.mean_coeff(t), schedule.marginal_var(t)
@@ -348,12 +355,13 @@ def gaussian_chart_score(mu, S, Sigma, schedule) -> ScoreField:
 def gaussian_spatial_score(mu, S, M, schedule) -> ScoreField:
     """Score of the time-t spatial marginal for data x(0) = M z(0), z(0) ~ N(mu, S).
 
-    M (d_X x L^2, `chart.synthesis_matrix`) has full column rank; M S M^T is singular
+    M (d_X x L^2, the grid's `chart.synthesis_matrix`) has full column rank; M S M^T is singular
     (band-limited data).  With M S M^T = Q diag(e) Q^T (`_gaussian_basis`),
     A_t = m^2 M S M^T + v I inverts as A_t^{-1} = (I - Q diag(m^2 e / (m^2 e + v)) Q^T) / v.
     """
     mu_x = M @ np.asarray(mu, dtype=float)
-    (e, C), _ = _gaussian_basis(S, M=M)
+    leg = transform.build_operators(math.isqrt(M.shape[1])).legendre
+    (e, C), _ = _gaussian_basis(S, _grid_eig(leg), "spatial")
     Q = M @ C
 
     def fn(x, t):
@@ -445,7 +453,7 @@ def run_chain(L: int, schedule, domain: str, direction: str, law, n: int, seed, 
     else:
         mu, S = law
         M = None if in_chart else chart.synthesis_matrix(ops)
-        basis, F = _gaussian_basis(S, (lambda m, r: cov.eig[m]) if in_chart else None, M)
+        basis, F = _gaussian_basis(S, cov.eig if in_chart else _grid_eig(ops.legendre), domain)
         z0 = mu + np.random.default_rng(data_seed).standard_normal((n, L * L)) @ F.T
         start, mean = (z0, mu) if in_chart else (z0 @ M.T, M @ mu)
         del z0, F

@@ -176,17 +176,16 @@ def chart_index(ell: int, m: int, part: str = RE) -> int:
 
 
 def sigma_root(cov) -> np.ndarray:
-    """The dense Sigma^{1/2} (L^2 x L^2): `cov.root` scattered over the (m, part) blocks."""
+    """The dense Sigma^{1/2} (L^2 x L^2): the stack `cov.root` scattered over the (m, part) blocks."""
     out = np.zeros((cov.L * cov.L,) * 2)
     for m, rows in block_slots(cov.L):
-        out[np.ix_(rows, rows)] = cov.root[m]
+        out[np.ix_(rows, rows)] = cov.root[m, m:, m:]
     return out
 
 
 def times_root(cov, g: np.ndarray) -> np.ndarray:
     """The rows of g times Sigma^{1/2}, one (m, part) block at a time."""
-    root = [(rows, cov.root[m]) for m, rows in block_slots(cov.L)]
-    return _block_matmul(root, g.T).T
+    return _block_matmul(cov.root, g.T).T
 
 
 def T(bops) -> np.ndarray:

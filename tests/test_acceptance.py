@@ -155,7 +155,7 @@ def test_mirrored_noise_component_structure(cov4):
     var_ok = True
     worst_sigmas = 0.0
     for i, (ell, m, part) in enumerate(chart_entries(L)):
-        theo = (2.0 if m == 0 else 1.0) * t * cov4.blocks[m][ell - m, ell - m]
+        theo = t * cov4.sigma[m, ell, ell]
         emp = float(np.var(Z[:, i], ddof=1))
         se = theo * np.sqrt(2.0 / (n - 1))
         pull = abs(emp - theo) / se

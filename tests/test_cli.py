@@ -59,6 +59,26 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["diffuse", "--direction", "sideways"],
+    ["frobnicate"],
+    ["verify-operators"],
+], ids=["bad-choice", "unknown-command", "missing-required-flag"])
+def test_parser_errors_are_one_stderr_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("spherediff"), err
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diffuse", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spherediff diffuse")
+
+
 def test_verify_operators_success(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify-operators", "--L", "2", "--out", str(out)]) == 0
@@ -926,7 +946,7 @@ def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, m
     factor_sigma = noise.factor_sigma
 
     def factor_counted(eig):
-        factored.append(len(eig))
+        factored.append(eig[1].shape)
         return factor_sigma(eig)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -935,16 +955,16 @@ def test_bound_check_runs_one_eigh_per_order_and_never_factors_sigma(tmp_path, m
     out = tmp_path / "bound.json"
     assert main(["bound-check", "--L", "8", "--trials", "50", "--out", str(out)]) == 0
     assert _read_json(out)["violations"] == 0
-    assert sorted(calls) == [(n, n) for n in range(1, 9)]  # Sigma_m is (8 - m) x (8 - m)
-    assert factored == [8]  # the kit reads the roots Sigma_m^{1/2} of the covariance set
+    assert calls == [(8, 8, 8)]  # one batched call on the stack of the Sigma_m
+    assert factored == [(8, 8, 8)]  # the kit reads the roots Sigma_m^{1/2} of the covariance set
 
 
 @pytest.mark.parametrize("argv,count", [
-    # one per Sigma_m and one of the whitened S, (L^2, L^2)
-    (["diffuse", "--domain", "frequency"], 8 + 1),
-    # one per (m, part) block of M^T M and one of the whitened S, (L^2, L^2)
-    (["diffuse", "--domain", "spatial"], 15 + 1),
-    (["verify-operators"], 8),  # one per Sigma_m
+    # one of the stack of the Sigma_m and one of the whitened S, (L^2, L^2)
+    (["diffuse", "--domain", "frequency"], 2),
+    # one of the stack of the blocks of M^T M and one of the whitened S, (L^2, L^2)
+    (["diffuse", "--domain", "spatial"], 2),
+    (["verify-operators"], 1),  # one of the stack of the Sigma_m
 ], ids=["diffuse-frequency", "diffuse-spatial", "verify-operators"])
 def test_commands_eigendecompose_each_matrix_once(argv, count, tmp_path, monkeypatch):
     calls = []
@@ -965,9 +985,8 @@ def test_commands_eigendecompose_each_matrix_once(argv, count, tmp_path, monkeyp
         monkeypatch.setattr(noise.CovarianceSet, "Sigma", property(refuse))
     assert main(argv + ["--L", "8", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == count, calls
-    if argv[0] == "diffuse":  # exactly one of size L^2; the per-block ones are at most L
-        assert calls.count((64, 64)) == 1, calls
-        assert all(n <= 8 for shape in calls if shape != (64, 64) for n in shape), calls
+    if argv[0] == "diffuse":  # exactly one of size L^2 and one of an (L, L, L) stack
+        assert sorted(calls) == [(8, 8, 8), (64, 64)], calls
 
 
 def test_bound_check_builds_the_bound_operators_once(tmp_path, monkeypatch):
@@ -1089,6 +1108,36 @@ def test_config_hash_covers_every_setting_but_the_output_path(command, tmp_path,
         # a config that restates the resolved values hashes like the flags alone
         (tmp_path / "same.json").write_text(json.dumps({"beta_max": 10.0, "T": 1.0}))
         assert run(base, "out_same", "--config", "same.json") == want
+
+
+_FLOOR, _CAP = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+
+# (key, a value that `_check_diffuse_config` accepts, one beside it that it rejects)
+@pytest.mark.parametrize("key,good,bad", [
+    *[(key, low, low - 1) for key, low in
+      (("L", 1), ("steps", 1), ("n", 0), ("seed", 0), ("data_seed", 0))],
+    *[(key, sys.float_info.max, bad) for key in ("beta_min", "beta_max", "T")
+      for bad in (math.inf, -math.inf, math.nan)],
+    *[(key, _CAP, bad) for key in ("data_mean_scale", "data_cov_scale")
+      for bad in (math.inf, -math.inf, math.nan)],
+    ("data_mean_scale", 0.0, -5e-324),
+    ("data_cov_scale", _FLOOR, math.nextafter(_FLOOR, 0.0)),
+    ("data_mean_scale", _CAP, math.nextafter(_CAP, math.inf)),
+    ("data_cov_scale", _CAP, math.nextafter(_CAP, math.inf)),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_diffuse_config_range_checks_sit_at_their_bounds(key, good, bad, tmp_path, capsys):
+    base = {"seed": 5} if key == "data_seed" else {}  # data_seed 0 is no path seed of seed 5
+    cli._check_diffuse_config({**cli._DIFFUSE_DEFAULTS, **base, key: good})
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps({**base, key: bad}))
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["diffuse", "--config", str(cfg), "--L", "2", "--n", "3", "--steps", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spherediff diffuse: error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [None, "0", 1.0, True], ids=repr)

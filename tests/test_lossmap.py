@@ -265,6 +265,13 @@ def test_spatial_loss_is_frequency_loss_plus_an_out_of_band_term(L, n, ops_cache
     assert np.all(np.abs(term_q - lhs - out_of_band) <= 1e-12 * term_q)
 
 
+def test_bound_kit_reads_the_stacks_of_the_covariance_set(ops_cache, cov_cache):
+    cov = cov_cache[8]
+    bops = lossmap.bound_operators(ops_cache[8], cov)
+    assert np.shares_memory(bops.sigma_root, cov.root)
+    assert np.shares_memory(bops.sigma, cov.sigma)
+
+
 def test_bound_check_runs_no_eigendecomposition_given_the_operators(
         ops_cache, cov_cache, monkeypatch):
     ops, Sigma = ops_cache[4], cov_cache[4].Sigma

@@ -14,10 +14,11 @@ from spherediff.indexing import chart_is_im, chart_ms
 
 @pytest.mark.parametrize("L", BAND_LIMITS)
 def test_covariance_blocks_symmetric(L, cov_cache):
-    cov = cov_cache[L]
-    for m, B in enumerate(cov.blocks):
-        assert B.shape == (L - m, L - m)
+    sigma = cov_cache[L].sigma
+    assert sigma.shape == (L, L, L)
+    for m, B in enumerate(sigma):
         np.testing.assert_allclose(B, B.T, atol=1e-15)
+        assert not B[:m].any() and not B[:, :m].any()  # zero where ell or ell' < m
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS)
@@ -28,9 +29,9 @@ def test_sigma_structure(L, cov_cache):
     ms, im = chart_ms(L), chart_is_im(L)
     off_block = (ms[:, None] != ms[None, :]) | (im[:, None] != im[None, :])
     assert np.all(Sigma[off_block] == 0.0)  # cross entries exactly zero
-    # m = 0 block is doubled relative to C
+    # the m = 0 block is Sigma_0 = 2 C_0, held doubled in the stack
     cov = cov_cache[L]
-    assert Sigma[0, 0] == 2.0 * cov.blocks[0][0, 0]
+    assert Sigma[0, 0] == cov.sigma[0, 0, 0]
 
 
 @pytest.mark.parametrize("L", BAND_LIMITS)
@@ -40,9 +41,9 @@ def test_sigma_matches_the_per_entry_loop(L, cov_cache):
     for ell in range(L):
         for ellp in range(L):
             for m in range(min(ell, ellp) + 1):
-                c = cov.blocks[m][ell - m, ellp - m]
+                c = cov.sigma[m, ell, ellp]
                 if m == 0:
-                    ref[ell * ell, ellp * ellp] = 2.0 * c
+                    ref[ell * ell, ellp * ellp] = c
                 else:
                     i, j = chart_index(ell, m, "re"), chart_index(ellp, m, "re")
                     ref[i, j] = ref[i + 1, j + 1] = c
@@ -63,22 +64,26 @@ def test_factor_reproduces_sigma(L, cov_cache):
 
 
 def _eig(*sigma_blocks):
-    """Per-order eigenpairs of the blocks Sigma_0, Sigma_1, ... (test helper)."""
-    return [np.linalg.eigh(np.asarray(S, dtype=float)) for S in sigma_blocks]
+    """The eigenpair stack of the blocks Sigma_0, Sigma_1, ... (test helper)."""
+    L = len(sigma_blocks)
+    S = np.zeros((L, L, L))
+    for m, B in enumerate(sigma_blocks):
+        S[m, m:, m:] = B
+    return noise._stack_eigh(S)
 
 
 def test_factor_identity_convention():
     roots, min_eig = noise.factor_sigma(_eig(np.eye(2), np.eye(1)))  # Sigma = I at L = 2
     assert len(roots) == 2
     np.testing.assert_array_equal(roots[0], np.eye(2))
-    np.testing.assert_array_equal(roots[1], np.eye(1))
+    np.testing.assert_array_equal(roots[1], np.diag([0.0, 1.0]))  # zero on the pad ell < 1
     assert min_eig == 1.0
 
 
 def test_factor_clips_tiny_negatives_and_rejects_indefinite():
     roots, _ = noise.factor_sigma(_eig(np.diag([1.0, -1e-13]), [[1.0]]))
     np.testing.assert_allclose(roots[0] @ roots[0].T, np.diag([1.0, 0.0]), atol=1e-15)
-    np.testing.assert_allclose(roots[1] @ roots[1].T, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(roots[1] @ roots[1].T, np.diag([0.0, 1.0]), atol=1e-15)
     with pytest.raises(noise.IndefiniteCovariance):
         noise.factor_sigma(_eig(np.diag([1.0, -1e-3]), [[1.0]]))
     with pytest.raises(noise.IndefiniteCovariance):
@@ -96,12 +101,16 @@ def test_factor_deterministic():
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
 def test_covariance_eigenpairs_are_one_eigh_per_order(L, cov_cache):
     cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
-    assert len(cov.eig) == L
-    for m, (w, V) in enumerate(cov.eig):
-        S = (2.0 if m == 0 else 1.0) * cov.blocks[m]  # Sigma_m
+    w_all, V_all = cov.eig
+    assert w_all.shape == (L, L) and V_all.shape == (L, L, L)
+    for m in range(L):  # Sigma_m's eigenpairs in the slots k >= m
+        S, w, V = cov.sigma[m, m:, m:], w_all[m, m:], V_all[m, m:, m:]
         assert np.all(np.diff(w) >= 0)  # ascending, like np.linalg.eigh
         assert np.max(np.abs((V * w) @ V.T - S)) <= 1e-13
         assert np.max(np.abs(V.T @ V - np.eye(L - m))) <= 1e-13
+        # the pads' eigenvalues lie below, and no eigenvector mixes pads and slots
+        assert np.all(w_all[m, :m] < w.min())
+        assert not V_all[m, :m, m:].any() and not V_all[m, m:, :m].any()
 
 
 def test_sampler_zero_time_and_shapes(cov_cache):
@@ -248,9 +257,10 @@ def test_sigma_csv_annotations(cov_cache, tmp_path):
 @pytest.mark.parametrize("L", BAND_LIMITS + (32,))
 def test_factor_roots_are_symmetric_positive_definite_square_roots(L, cov_cache):
     cov = cov_cache[L] if L in cov_cache else noise.build_covariance(L)
-    assert len(cov.root) == L
-    for m, R in enumerate(cov.root):
-        S = (2.0 if m == 0 else 1.0) * cov.blocks[m]  # Sigma_m
+    assert cov.root.shape == (L, L, L)
+    for m in range(L):
+        R, S = cov.root[m, m:, m:], cov.sigma[m, m:, m:]  # Sigma_m
+        assert not cov.root[m, :m].any() and not cov.root[m, :, :m].any()  # zero pads
         # symmetric up to round-off: V sqrt(w) V^T is not summed symmetrically
         assert np.max(np.abs(R - R.T)) <= 1e-15 * np.max(np.abs(R))
         assert np.max(np.abs(R @ R - S)) <= 1e-13

@@ -7,6 +7,7 @@ import pytest
 
 import dense_reference
 from spherediff import chart, cli, noise, sde, transform
+from spherediff.indexing import block_slots
 
 
 def test_schedule_validation():
@@ -278,6 +279,17 @@ def test_blow_up_check_flags_exactly_the_bad_rows():
     assert sde._blown_up(x).tolist() == [False, True, True, True, True, True, False]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_blow_up_check_flags_an_edge_entry_in_a_finite_array(sign):
+    # no NaN or infinity: the whole array's max and min alone send it to the row-wise test
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (5, 3))
+    for edge, flagged in ((np.nextafter(sde.BLOWUP_LIMIT, np.inf), True),
+                          (sde.BLOWUP_LIMIT, False)):
+        y = x.copy()
+        y[3, 1] = sign * edge
+        assert sde._blown_up(y).tolist() == [False, False, False, flagged, False], edge
+
+
 def test_integrate_draws_the_same_noise_as_fresh_draws():
     s = sde.VpSchedule(steps=20)
     Lam = dense_reference.sigma_root(noise.build_covariance(2))
@@ -461,7 +473,7 @@ def test_chart_basis_from_one_whitened_eigh_at_L32():
     L = 32
     cov = noise.build_covariance(L)
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 7)
-    (kappa, B, SB), F = sde._gaussian_basis(S, lambda m, r: cov.eig[m])
+    (kappa, B, SB), F = sde._gaussian_basis(S, cov.eig, "chart")
     assert np.abs(B.T @ S @ B - np.eye(L * L)).max() <= 1e-13
     assert np.abs(B.T @ cov.Sigma @ B - np.diag(kappa)).max() <= 1e-13 * kappa.max()
     assert _rel(SB, S @ B) <= 1e-13 and F is SB
@@ -471,13 +483,29 @@ def test_chart_basis_from_one_whitened_eigh_at_L32():
 def test_grid_basis_from_one_whitened_eigh_at_L16():
     # Q = M C has Q^T Q = I and Q diag(e) Q^T = M S M^T, and F F^T = S
     L = 16
-    M = chart.synthesis_matrix(transform.build_operators(L))
+    ops = transform.build_operators(L)
+    M = chart.synthesis_matrix(ops)
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 7)
-    (e, C), F = sde._gaussian_basis(S, M=M)
+    (e, C), F = sde._gaussian_basis(S, sde._grid_eig(ops.legendre), "spatial")
     Q = M @ C
     assert np.abs(Q.T @ Q - np.eye(L * L)).max() <= 1e-13
     assert _rel((Q * e) @ Q.T, M @ S @ M.T) <= 1e-13
     assert _rel(F @ F.T, S) <= 1e-13
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 16, 32])
+def test_grid_eig_gives_the_blocks_of_m_transpose_m(L):
+    # M^T M is (M^T M)_m = N_phi mult_m Pbar_m^T Pbar_m in both parts of each m, and round-off
+    # elsewhere: the closed form needs no gather of M
+    ops = transform.build_operators(L)
+    M = chart.synthesis_matrix(ops)
+    G = M.T @ M
+    w, V = sde._grid_eig(ops.legendre)
+    blocks = np.zeros_like(G)
+    for m, rows in block_slots(L):
+        blocks[np.ix_(rows, rows)] = (V[m, m:, m:] * w[m, m:]) @ V[m, m:, m:].T
+        assert np.all(w[m, :m] == -1.0) and not V[m, :m, m:].any() and not V[m, m:, :m].any()
+    assert np.abs(G - blocks).max() <= 1e-13 * np.abs(G).max()
 
 
 def _stepped_law(step, domain, d, t, steps):
@@ -510,15 +538,16 @@ def test_reverse_law_is_the_law_of_the_euler_maruyama_steppers(domain, L, steps,
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 5)
     if domain == "chart":
         cov = noise.build_covariance(L)
-        basis, _ = sde._gaussian_basis(S, lambda m, r: cov.eig[m])
+        basis, _ = sde._gaussian_basis(S, cov.eig, "chart")
         mean, (_, V, W) = mu, basis
         score = sde.gaussian_chart_score(mu, S, cov.Sigma, s)
         root = dense_reference.sigma_root(cov)
         step = lambda st, xi: sde.reverse_step_frequency(st, s, -s.dt, cov.Sigma, root,
                                                          score, xi)
     else:
-        M = chart.synthesis_matrix(transform.build_operators(L))
-        (e, C), _ = sde._gaussian_basis(S, M=M)
+        ops = transform.build_operators(L)
+        M = chart.synthesis_matrix(ops)
+        (e, C), _ = sde._gaussian_basis(S, sde._grid_eig(ops.legendre), "spatial")
         mean, basis = M @ mu, (e, M @ C)  # the grid basis (e, Q = M C)
         V = W = basis[1]
         score = sde.gaussian_spatial_score(mu, S, M, s)
@@ -542,10 +571,11 @@ def test_reverse_exact_keeps_a_blown_up_start_row_and_reports_it(domain):
     mu, S = sde.surrogate_gaussian(L, 0.25, 0.04, 3)
     if domain == "chart":
         eig = noise.build_covariance(L).eig
-        mean, (basis, _) = mu, sde._gaussian_basis(S, lambda m, r: eig[m])
+        mean, (basis, _) = mu, sde._gaussian_basis(S, eig, "chart")
     else:
-        M = chart.synthesis_matrix(transform.build_operators(L))
-        (e, C), _ = sde._gaussian_basis(S, M=M)
+        ops = transform.build_operators(L)
+        M = chart.synthesis_matrix(ops)
+        (e, C), _ = sde._gaussian_basis(S, sde._grid_eig(ops.legendre), "spatial")
         mean, basis = M @ mu, (e, M @ C)
     A, b, s2, t = sde.reverse_law(s, 1.0, domain, mean, basis)
     d = len(basis[1])
