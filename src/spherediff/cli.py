@@ -152,8 +152,8 @@ def cmd_covariance(args) -> int:
         err[np.ix_(rows, rows)] -= theo[m, m:, m:]
     err_parts = _frobenius_parts(err, overwrite=True)  # max |err| is its scale
     del emp, err  # before the dense t Sigma is built
-    theo = noise.build_sigma(theo)
-    noise.sigma_to_csv(theo, args.L, out_dir / "covariance_theoretical.csv")
+    noise.sigma_blocks_to_csv(theo, args.L, out_dir / "covariance_theoretical.csv")
+    theo = noise.build_sigma(theo)  # for its norm only
     rel = _frobenius_ratio(err_parts, _frobenius_parts(theo, overwrite=True))
     summary = {
         "L": args.L,

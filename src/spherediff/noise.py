@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -268,26 +270,36 @@ _X0 = -281  # least decimal exponent on the fast path; 281 is the greatest
 _BLOCK = 8192  # cells formatted per call, which bounds the formatter's temporaries
 
 
-def _words(cell: bytes) -> np.ndarray:
-    """A 24-byte cell, nul-padded, as its 3 little-endian uint64 words."""
-    return np.frombuffer(cell.ljust(24, b"\0"), dtype="<u8")
+def _table(rows) -> np.ndarray:
+    """24-byte rows as the word-major (3, n) table of their little-endian uint64 words."""
+    return np.frombuffer(b"".join(rows), dtype="<u8").reshape(-1, 3).T.copy()
+
+
+def _exact_split(num: int, den: int):
+    """(hi, lo): hi = fl(num / den) and lo = fl(num / den - hi) (int / int is correctly rounded)."""
+    hi = num / den
+    hn, hd = hi.as_integer_ratio()
+    return hi, (num * hd - hn * den) / (den * hd)
 
 
 @cache
 def _pow10():
-    """10^(16 - X) for X = -281 ... 281 as hi + lo, built exactly from integers
-    (int / int is correctly rounded), with hi also split into two 26-bit
-    halves (Veltkamp)."""
-    hi, lo = [], []
-    for p in range(16 + _X0, 17 - _X0)[::-1]:
-        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
-        h = num / den
-        hn, hd = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * hd - hn * den) / (den * hd))
-    hi, lo = np.array(hi), np.array(lo)
+    """10^(16 - X) for X = -281 ... 281 as hi + lo, built exactly from integers,
+    with hi also split into two 26-bit halves (Veltkamp)."""
+    ten = list(accumulate(repeat(10, 16 - _X0), operator.mul, initial=1))  # 10^k, k = 0 ... 297
+    hi, lo = np.array([_exact_split(n, 1) for n in ten[::-1]]  # 10^297 ... 10^0
+                      + [_exact_split(1, n) for n in ten[1:-15 - _X0]]).T.copy()  # ... 10^-265
     c = 134217729.0 * hi
-    return hi, c - (c - hi), hi - (c - (c - hi)), lo
+    return tuple(map(_frozen, (hi, c - (c - hi), hi - (c - (c - hi)), lo)))
+
+
+def _layout(X: int):
+    """(cut, gap, bare, tail) of the cells of exponent X; see `_layouts`."""
+    if -4 <= X < 0:
+        gap = b"0." + b"0" * (-X - 1)
+        return 1, gap, gap, b""  # digits always follow the point
+    fixed = 0 <= X <= 16
+    return X + 2 if fixed else 2, b".", b"", b"" if fixed else b"e%+03d" % X
 
 
 @cache
@@ -297,31 +309,38 @@ def _layouts():
     move up by the length of a gap, which is filled with the point (left
     out when no digit follows it) or with the "0." and zeros of the fixed
     form below 1; the scientific form ends in "e+XX" or "e+XXX" at byte 23.
-    Returns, per X, the mask of the bytes that move and the shift in bits;
-    the fill without the point (row i of X = _X0 + i) and with it (row
+    Returns word-major tables: per X, column i = X - _X0, the mask of the
+    bytes that move, the shift in bits and the count of digits before the
+    point; the fill without the point (column i) and with it (column
     i + 563); and the masks that keep the sign and the first k digits,
     k = 0 ... 17."""
-    n = 1 - 2 * _X0
-    move, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
-    fill = np.zeros((2 * n, 3), np.uint64)
-    for i, X in enumerate(range(_X0, 1 - _X0)):
-        if -4 <= X < 0:
-            cut, gap, tail = 1, b"0." + b"0" * (-X - 1), b""
-            bare = gap  # digits always follow
-        else:
-            fixed = 0 <= X <= 16
-            cut, gap, bare = X + 2 if fixed else 2, b".", b""
-            tail = b"" if fixed else b"e%+03d" % X
-        move[i], shift[i] = ~_words(b"\xff" * cut), 8 * len(gap)
-        end = _words(tail.rjust(24, b"\0"))
-        fill[i] = _words(b"\0" * cut + bare) | end
-        fill[n + i] = _words(b"\0" * cut + gap) | end
-    return move, shift, fill, np.stack([_words(b"\xff" * (1 + k)) for k in range(18)])
+    cut, gap, bare, tail = zip(*map(_layout, range(_X0, 1 - _X0)))
+    move = _table(b"\0" * c + b"\xff" * (24 - c) for c in cut)
+    fill = _table((b"\0" * c + g).ljust(24 - len(e), b"\0") + e
+                  for fills in (bare, gap) for c, g, e in zip(cut, fills, tail))
+    shift = np.array([8 * len(g) for g in gap], dtype=np.uint64)
+    X = np.arange(_X0, 1 - _X0)
+    whole = np.where((X >= 0) & (X <= 16), X + 1, 1)
+    kept = _table(b"\xff" * (1 + k) + b"\0" * (23 - k) for k in range(18))
+    return tuple(map(_frozen, (move, shift, whole, fill, kept)))
 
 
-def _scaled(a: np.ndarray, X: np.ndarray):
-    """(hi, r): a 10^(16 - X) = hi + r to about 1e-14, with hi = fl(a 10^(16 - X))."""
-    p_hi, p_hh, p_hl, p_lo = (t[X - _X0] for t in _pow10())
+@cache
+def _groups():
+    """Tables over the 4-digit groups g = 0 ... 9999: the text "%04d" % g as a
+    little-endian word moved up 2 bytes, its first two bytes moved to the top
+    of a word, its last two bytes alone, and its count of trailing zeros (4
+    for g = 0); and the first digit k = 0 ... 9 at byte 1."""
+    g = np.arange(10**4, dtype=np.uint64)
+    text = sum((g // 10**(3 - j) % 10 + ord("0")) << 8 * j for j in range(4))
+    zeros = sum((g % 10**k == 0).astype(np.intp) for k in range(1, 5))
+    lead = (np.arange(10, dtype=np.uint64) + ord("0")) << 8
+    return tuple(map(_frozen, (text << 16, text << 48, text >> 16, zeros, lead)))
+
+
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """(hi, r): a 10^(16 - X) = hi + r to about 1e-14, with hi = fl(a 10^(16 - X)), i = X - _X0."""
+    p_hi, p_hh, p_hl, p_lo = (np.take(t, i) for t in _pow10())
     c = 134217729.0 * a
     ah = c - (c - a)
     al = a - ah
@@ -329,57 +348,91 @@ def _scaled(a: np.ndarray, X: np.ndarray):
     return hi, (((ah * p_hh - hi) + ah * p_hl + al * p_hh) + al * p_hl) + a * p_lo
 
 
-def _format_cells(x: np.ndarray) -> np.ndarray:
-    """(n, 24) uint8 cells of the n float64 values x: cell i with its nul
-    bytes dropped is the text FMT % x[i]."""
+def _cell_words(x: np.ndarray) -> list:
+    """The cells of `_format_cells` word-major: three (n,) arrays, word j of
+    each cell the little-endian uint64 of its bytes 8j ... 8j + 7.  Each
+    array of a block of 8192 cells is 64 KiB, under glibc's mmap threshold,
+    so a block's temporaries reuse the heap instead of faulting in fresh
+    pages."""
     x = np.ravel(x)
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
-    X = np.floor(np.log10(a)).astype(np.intp)
-    hi, r = _scaled(a, X)
+    i = np.floor(np.log10(a)).astype(np.intp) - _X0
+    hi, r = _scaled(a, i)
     off = np.flatnonzero((hi < 1e16) | (hi >= 1e17))  # log10 rounded across a power of 10
-    X[off] += np.where(hi[off] < 1e16, -1, 1)
-    hi[off], r[off] = _scaled(a[off], X[off])
+    i[off] += np.where(hi[off] < 1e16, -1, 1)
+    hi[off], r[off] = _scaled(a[off], i[off])
     fast &= (hi > 1e16) & (hi < 1e17) & (np.abs(r - np.floor(r) - 0.5) > 1e-6)
     N = hi.astype(np.int64) + np.rint(r).astype(np.int64)
+    np.clip(N, 10**16, 10**17 - 1, out=N)  # 17 digits; FMT rewrites the cells off the fast path
 
-    D = np.empty((18, x.size), np.uint8)  # D[1:] the digits of N, most significant first
-    top = N // 10**9
-    V = np.stack([top, N - top * 10**9]).astype(np.uint32)
-    for j in range(9):  # digit 8 - j of the top 8 and 17 - j of the low 9 (D[0] gets 0)
-        q = V // 10
-        D[8 - j::9] = V - q * 10
-        V = q
-    nsig = ((D[1:] != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
-    whole = np.where((X >= 0) & (X <= 16), X + 1, 1)  # digits before the point
-    keep = np.maximum(nsig, whole)  # %g drops the trailing zeros after the point
-    D[1:] += ord("0")
-    D[0] = np.where(np.signbit(x), ord("-"), 0)
+    # N = lead 10^16 + g0 10^12 + g1 10^8 + g2 10^4 + g3, each group below 10^4
+    g01 = N // 10**8
+    g23 = N - g01 * 10**8
+    lead = g01 // 10**8
+    g01 -= lead * 10**8
+    g0, g2 = g01 // 10**4, g23 // 10**4
+    g1, g3 = g01 - g0 * 10**4, g23 - g2 * 10**4
+    at2, top2, low2, zeros, digit = _groups()
+    tz = np.take(zeros, g3)  # the trailing zeros of N: those of g3, and where it is 0 ...
+    z = np.flatnonzero(g3 == 0)
+    for g in (g2, g1, g0):  # ... those of each group before it
+        tz[z] += np.take(zeros, g[z])
+        z = z[g[z] == 0]
 
-    move, shift, fill, kept = _layouts()
-    cells = np.zeros((x.size, 24), np.uint8)
-    cells[:, :18] = D.T
-    W, i = cells.view("<u8"), X - _X0  # each gather: one np.take of whole rows
-    W &= np.take(kept, keep, axis=0)
-    up = np.take(move, i, axis=0)  # the mask of the bytes that move, then those bytes
-    up &= W
-    W ^= up
-    W |= np.take(fill, (keep > whole) * len(move) + i, axis=0)
-    # shift and carry on the flat words; word 2's top bytes are empty (the 17
-    # digits and a gap of at most 6 bytes end by byte 23), so it carries nothing
-    b = np.repeat(np.take(shift, i), 3)
-    W, up = W.reshape(-1), up.reshape(-1)
-    carry = np.right_shift(up, 64 - b)
-    W |= np.left_shift(up, b, out=up)
-    W[1:] |= carry[:-1]
+    # the sign at byte 0, the lead at byte 1 and g0 ... g3 at bytes 2, 6, 10
+    # and 14, each gather one 1-D np.take
+    W = [np.take(at2, g0), np.take(low2, g1), np.take(low2, g3)]
+    W[0] |= np.take(top2, g1)
+    W[0] |= np.take(digit, lead)
+    W[0] |= np.signbit(x) * np.uint64(ord("-"))
+    W[1] |= np.take(at2, g2)
+    W[1] |= np.take(top2, g3)
 
-    text = cells.view("S24")[:, 0]
-    zero = x == 0
-    text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
-    slow = np.flatnonzero(~fast & ~zero)
-    text[slow] = [(FMT % v).encode() for v in x[slow].tolist()]
-    return cells
+    move, shift, whole, fill, kept = _layouts()
+    whole = np.take(whole, i)  # digits before the point
+    keep = np.maximum(17 - tz, whole)  # %g drops the trailing zeros after the point
+    sel = (keep > whole) * len(shift) + i
+    up = []  # the bytes that move
+    for j, w in enumerate(W):
+        w &= np.take(kept[j], keep)
+        up.append(w & np.take(move[j], i))
+        w ^= up[j]
+        w |= np.take(fill[j], sel)
+    # shift and carry; word 2's top bytes are empty (the 17 digits and a gap
+    # of at most 6 bytes end by byte 23), so it carries nothing
+    b = np.take(shift, i)
+    W[2] |= up[1] >> (64 - b)
+    W[1] |= up[0] >> (64 - b)
+    for w, u in zip(W, up):
+        w |= np.left_shift(u, b, out=u)
+
+    # +-0 written directly; FMT itself where the fast path is in doubt
+    zero = np.flatnonzero(x == 0)
+    slow = np.flatnonzero(~fast)
+    slow = slow[x[slow] != 0]
+    sign = np.signbit(x[zero]).astype(np.intp)
+    texts = _words(*((FMT % v).encode() for v in x[slow].tolist()))
+    for w, signed, text in zip(W, _words(b"0", b"-0"), texts):
+        w[zero] = np.take(signed, sign)
+        w[slow] = text
+    return W
+
+
+def _words(*cells: bytes) -> np.ndarray:
+    """Texts of at most 24 bytes, nul-padded, word-major: (3, len(cells))."""
+    return _table(c.ljust(24, b"\0") for c in cells)
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """(n, 24) uint8 cells of the n float64 values x: cell i with its nul
+    bytes dropped is the text FMT % x[i]."""
+    W = _cell_words(x)
+    cells = np.empty((len(W[0]), 3), np.uint64)
+    for j, w in enumerate(W):
+        cells[:, j] = w
+    return cells.view(np.uint8)
 
 
 def _write_rows(f, X: np.ndarray, heads=None) -> None:
@@ -387,10 +440,10 @@ def _write_rows(f, X: np.ndarray, heads=None) -> None:
     (bytes, from `heads` when given), then each cell as FMT % value.
 
     The cells of a block of whole rows, at most 8192 (one row, if a row is
-    longer), whose bits are not +0.0 go through one `_format_cells` call;
-    +0.0 is written as "0", as FMT gives it.  Each cell is nul-padded to 24
-    bytes (the longest FMT text, "-2.2250738585072014e-308", has 24
-    characters) in the block's buffer, which is written without its nuls.
+    longer), go through one `_cell_words` call, whose words are copied into
+    the block's buffer: each cell is nul-padded to 24 bytes (the longest FMT
+    text, "-2.2250738585072014e-308", has 24 characters), and the buffer is
+    written without its nuls.
     """
     n, d = X.shape
     w = 0 if heads is None else heads.itemsize
@@ -403,25 +456,94 @@ def _write_rows(f, X: np.ndarray, heads=None) -> None:
         out = line[:len(block)]
         if heads is not None:
             out[:, :w] = heads[i0:i0 + rows, None].view(np.uint8)
-        cells = out[:, w:].reshape(len(block), d, 25)[:, :, :24].view("S24")[:, :, 0]
-        cells[:] = b"0"
-        nonzero = block.view(np.uint64) != 0
-        cells[nonzero] = _format_cells(block[nonzero]).view("S24")[:, 0]
+        cells = out[:, w:].reshape(len(block), d, 25)[:, :, :24].view("<u8")
+        for j, word in enumerate(_cell_words(block)):
+            cells[:, :, j] = word.reshape(len(block), d)
         f.write(out.tobytes().translate(None, b"\0"))
+
+
+def _csv_heads(L: int):
+    """The header line of a chart-indexed CSV and the heads of its rows, nul-padded."""
+    labels = chart_labels(L)
+    header = ("index," + ",".join(f'"{c}"' for c in labels) + "\n").encode()
+    return header, np.array([f'"{c}",'.encode() for c in labels])
 
 
 def sigma_to_csv(mat: np.ndarray, L: int, path) -> None:
     """Write a chart-indexed L^2 x L^2 matrix to `path` as annotated CSV:
     a header of the '(ell,m,part)' labels, then each row after its label,
     each cell FMT % value, streamed in blocks of rows."""
-    labels = chart_labels(L)
     mat = np.asarray(mat, dtype=float)
-    d = len(labels)
+    d = L * L
     if mat.shape != (d, d):
         raise ValueError(f"need a {d} x {d} matrix at L = {L}, got shape {mat.shape}")
+    header, heads = _csv_heads(L)
     with open(path, "wb") as f:
-        f.write(("index," + ",".join(f'"{c}"' for c in labels) + "\n").encode())
-        _write_rows(f, mat, np.array([f'"{c}",'.encode() for c in labels]))
+        f.write(header)
+        _write_rows(f, mat, heads)
+
+
+def _block_templates(L: int, w: int):
+    """The row templates of the (m, part) blocks of Sigma (`indexing.block_slots`)
+    for `sigma_blocks_to_csv`: a w-byte slot for the head, then the row with a
+    24-byte nul slot for each block cell and the "0," runs of the cells off the
+    block, the run before the first cell and each run after a cell padded with
+    nuls to whole words.  Returns the (blocks, width) uint8 templates; the word
+    of each template's first cell; the template of each chart row; and, per
+    degree k, the words of the runs after the cells of the degrees below k."""
+    d = L * L
+    pad = lambda b: b.ljust(-(-len(b) // 8) * 8, b"\0")
+    runs = [pad(b"," + b"0," * (2 * k)) for k in range(L - 1)]  # after the cell of degree k
+    R = np.cumsum([0] + [len(r) // 8 for r in runs])
+    blocks = indexing.block_slots(L)
+    order, first, last = (np.array(v) for v in zip(*((m, c[0], c[-1]) for m, c in blocks)))
+    base = w // 8 - (-2 * first // 8)
+    ends = 8 * (base + 3 * (L - order) + R[-1] - R[order]) + 2 * (d - 1 - last) + 1
+    tmpl, key = np.zeros((len(blocks), -(-ends.max() // 8) * 8), np.uint8), np.empty(d, np.intp)
+    for k, (m, cols) in enumerate(blocks):
+        c0, c1 = int(cols[0]), int(cols[-1])
+        tail = b"," + b"0," * (d - 2 - c1) + b"0\n" if c1 < d - 1 else b"\n"
+        row = (b"\0" * 24).join([pad(b"0," * c0), *runs[m:L - 1], tail])
+        tmpl[k, w:w + len(row)] = np.frombuffer(row, np.uint8)
+        key[cols] = k
+    return tmpl, base, key, R
+
+
+def sigma_blocks_to_csv(sigma: np.ndarray, L: int, path) -> None:
+    """`sigma_to_csv(build_sigma(sigma), L, path)`, byte for byte, from the
+    (L, L, L) stack of the Sigma_m, without the dense matrix.
+
+    Each row is laid out from the template of its (m, part) block
+    (`_block_templates`), so the zeros off the blocks are written as "0"
+    runs and never formatted.  Rows go out in chart order, a block of whole
+    (ell, m) pairs at a time (about the dense writer's buffer): each pair's
+    row of Sigma_m is formatted once, its words are scattered into the
+    pair's Re and Im rows, and the block is written without its nuls.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (L, L, L):
+        raise ValueError(f"need an {L} x {L} x {L} stack at L = {L}, got shape {sigma.shape}")
+    header, heads = _csv_heads(L)
+    tmpl, base, key, R = _block_templates(L, -(-heads.itemsize // 8) * 8)
+    m, ell, re, im, _ = indexing.order_slots(L)  # the (ell, m) pairs in chart order
+    step, width = max(1, _BLOCK * 25 // (2 * tmpl.shape[1])), tmpl.shape[1] // 8
+    with open(path, "wb") as f:
+        f.write(header)
+        for p0 in range(0, len(m), step):
+            r0, r1 = re[p0], (re[p0 + step] if p0 + step < len(m) else L * L)
+            p, col = np.nonzero(np.arange(L) >= m[p0:p0 + step, None])  # the block cells
+            q = p0 + p  # the pair of each cell
+            cells = _cell_words(sigma[m[q], ell[q], col])
+            at = 3 * (col - m[q]) + R[col] - R[m[q]]  # its word after its row's first cell
+            c = np.flatnonzero(m[q] > 0)  # each cell goes to its Re row, then (m > 0) its Im row
+            rows, c = np.concatenate([re[q], im[q[c]]]), np.concatenate([np.arange(len(q)), c])
+            start = (rows - r0) * width + base[key[rows]] + at[c]
+            out = np.take(tmpl, key[r0:r1], axis=0)
+            out[:, :heads.itemsize] = heads[r0:r1, None].view(np.uint8)
+            words = out.view(np.uint64).reshape(-1)
+            for j, word in enumerate(cells):
+                words[start + j] = word[c]
+            f.write(out.tobytes().translate(None, b"\0"))
 
 
 def save_samples(path, X: np.ndarray, meta: dict, *, raw: bool = False) -> None:

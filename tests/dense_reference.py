@@ -22,7 +22,9 @@ through the flat spectral slot of each (ell, m), the closed-form inverse of
 M S M^T and sample covariance of the paths, the oracle of the spatial
 diagnostics of `sde.run_chain`; and through the relative Frobenius error of
 both arrays at once, the bit-for-bit oracle of `metrics._frobenius_ratio` of
-each array's `_frobenius_parts`.
+each array's `_frobenius_parts`; and through the per-exponent loops that
+built the CSV formatter's tables, the bit-for-bit oracles of
+`noise._pow10` and `noise._layouts`.
 """
 
 import math
@@ -290,6 +292,49 @@ def sample_csv(X) -> bytes:
     """The sample CSV of X with one % call per row."""
     row_fmt = ",".join([FMT] * X.shape[1])
     return ("\n".join(row_fmt % tuple(row.tolist()) for row in X) + "\n").encode()
+
+
+def pow10_table(x0: int = -281):
+    """(hi, hi's upper and lower 26-bit halves, lo) of 10^(16 - X) = hi + lo for
+    X = x0 ... -x0, one exponent at a time from Python integers."""
+    hi, lo = [], []
+    for p in range(16 + x0, 17 - x0)[::-1]:
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(hi), np.array(lo)
+    c = 134217729.0 * hi
+    return hi, c - (c - hi), hi - (c - (c - hi)), lo
+
+
+def _cell_words(cell: bytes) -> np.ndarray:
+    """A 24-byte cell, nul-padded, as its 3 little-endian uint64 words."""
+    return np.frombuffer(cell.ljust(24, b"\0"), dtype="<u8")
+
+
+def layout_tables(x0: int = -281):
+    """The formatter's cell layouts, one exponent X = x0 ... -x0 at a time,
+    cell-major: the mask of the bytes that move and the shift in bits, row
+    i of X = x0 + i; the fill without the point (row i) and with it (row
+    i + n); and the masks that keep the sign and the first k digits."""
+    n = 1 - 2 * x0
+    move, shift = np.zeros((n, 3), np.uint64), np.zeros(n, np.uint64)
+    fill = np.zeros((2 * n, 3), np.uint64)
+    for i, X in enumerate(range(x0, 1 - x0)):
+        if -4 <= X < 0:
+            cut, gap, tail = 1, b"0." + b"0" * (-X - 1), b""
+            bare = gap  # digits always follow
+        else:
+            fixed = 0 <= X <= 16
+            cut, gap, bare = X + 2 if fixed else 2, b".", b""
+            tail = b"" if fixed else b"e%+03d" % X
+        move[i], shift[i] = ~_cell_words(b"\xff" * cut), 8 * len(gap)
+        end = _cell_words(tail.rjust(24, b"\0"))
+        fill[i] = _cell_words(b"\0" * cut + bare) | end
+        fill[n + i] = _cell_words(b"\0" * cut + gap) | end
+    return move, shift, fill, np.stack([_cell_words(b"\xff" * (1 + k)) for k in range(18)])
 
 
 def wasserstein_in_logs(a, b, p: float) -> float:

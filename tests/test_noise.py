@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import chart_index, sample_csv, sigma_csv, sigma_root, times_root
+from dense_reference import (chart_index, layout_tables, pow10_table, sample_csv, sigma_csv,
+                             sigma_root, times_root)
 from sphere_helpers import BAND_LIMITS
 from spherediff import chart, noise, sde, transform
 from spherediff.indexing import chart_is_im, chart_ms
@@ -415,6 +416,29 @@ def test_cells_fall_back_to_fmt_only_where_in_doubt(monkeypatch):
     assert calls == huge
 
 
+def test_formatter_tables_have_the_bits_of_the_per_exponent_loops():
+    for got, want in zip(noise._pow10(), pow10_table()):
+        assert got.tobytes() == want.tobytes()
+    move, shift, whole, fill, kept = noise._layouts()
+    ref_move, ref_shift, ref_fill, ref_kept = layout_tables()
+    for got, want in ((move, ref_move), (fill, ref_fill), (kept, ref_kept)):
+        assert got.shape == want.T.shape and np.array_equal(got, want.T)  # word-major
+    assert np.array_equal(shift, ref_shift)
+    X = np.arange(noise._X0, 1 - noise._X0)
+    assert whole.tolist() == [x + 1 if 0 <= x <= 16 else 1 for x in X.tolist()]
+
+
+def test_digit_group_tables_hold_each_groups_text_and_trailing_zeros():
+    at2, top2, low2, zeros, lead = noise._groups()
+    g = np.arange(10**4)
+    text = [b"%04d" % k for k in g.tolist()]
+    assert at2.tobytes() == b"".join(b"\0\0" + t + b"\0\0" for t in text)
+    assert top2.tobytes() == b"".join(b"\0" * 6 + t[:2] for t in text)
+    assert low2.tobytes() == b"".join(t[2:] + b"\0" * 6 for t in text)
+    assert zeros.tolist() == [len(t) - len(t.rstrip(b"0")) for t in text]
+    assert lead.tobytes() == b"".join(b"\0%d" % k + b"\0" * 6 for k in range(10))
+
+
 @pytest.mark.parametrize("shape", [(250, 552), (1000, 56)])
 def test_sample_csv_at_diffuse_size_matches_the_per_row_oracle(shape, tmp_path):
     X = np.random.default_rng(shape[1]).standard_normal(shape)
@@ -529,6 +553,69 @@ def test_sigma_csv_at_L32_streams_within_a_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3e6, peak
+
+
+@pytest.mark.parametrize("L", [*range(1, 14), 16, 32])
+def test_stack_csv_has_the_bytes_of_the_dense_writer(L, tmp_path):
+    stack = 0.7 * noise.build_covariance(L).sigma
+    noise.sigma_to_csv(noise.build_sigma(stack), L, tmp_path / "dense.csv")
+    noise.sigma_blocks_to_csv(stack, L, tmp_path / "stack.csv")
+    assert (tmp_path / "stack.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def _adversarial_stack(L, seed):
+    """A stack of awkward values in every slot, pads included."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([float(f"1e{p}") for p in (-5, -4, 16, 17, -280, 280, -281, 281)])
+    special = np.concatenate([
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1.5],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), -edges,
+        rng.integers(1, 2**52, 8, dtype=np.uint64).view(float),  # subnormals
+        [9.999999999999999e-5, 0.00012345, 1.2345e-5, 9999999999999998.0, 1.7976931348623157e308],
+    ])
+    S = rng.standard_normal((L, L, L)) * 10.0 ** rng.integers(-300, 301, (L, L, L))
+    pick = rng.integers(0, 2 * len(special), (L, L, L))
+    S[pick < len(special)] = special[pick[pick < len(special)]]
+    return S
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 13])
+def test_stack_csv_of_adversarial_values_has_the_bytes_of_the_dense_writer(L, tmp_path):
+    stack = _adversarial_stack(L, L)
+    noise.sigma_blocks_to_csv(stack, L, tmp_path / "stack.csv")
+    text = (tmp_path / "stack.csv").read_text()
+    assert _first_difference(text, sigma_csv(noise.build_sigma(stack), L)) is None
+    if L == 13:  # the fallback path, the %g switch points and the zeros were all written
+        assert all(s in text for s in (",nan", "inf", "-0,", "e-05", "0.0001", "e+16", "e-281"))
+
+
+def test_stack_csv_leaves_the_pads_of_the_stack_out(tmp_path):
+    stack = 0.7 * noise.build_covariance(6).sigma
+    noisy = stack + np.tril(np.full((6, 6), np.nan), -1)[:, :, None]  # every slot ell < m
+    noise.sigma_blocks_to_csv(noisy, 6, tmp_path / "noisy.csv")
+    noise.sigma_blocks_to_csv(stack, 6, tmp_path / "stack.csv")
+    assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "stack.csv").read_bytes()
+
+
+def test_stack_csv_streams_within_a_memory_bound(tmp_path):
+    # Measured: 1.0 MB at L = 32 and 2.3 MB at L = 64, mostly the 2L - 1 row
+    # templates (1.3 MB at L = 64) and one block of rows, while the file
+    # grows from 2.6 MB to 37 MB.  The bound is the dense writer's at L = 32.
+    for L in (32, 64):
+        stack = 0.7 * noise.build_covariance(L).sigma
+        tracemalloc.start()
+        try:
+            noise.sigma_blocks_to_csv(stack, L, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, (L, peak)
+    assert (tmp_path / "t.csv").stat().st_size > 10 * peak
+
+
+def test_stack_csv_rejects_a_stack_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError, match="2 x 2 x 2"):
+        noise.sigma_blocks_to_csv(np.zeros((2, 2, 3)), 2, tmp_path / "s.csv")
 
 
 def test_sigma_csv_rejects_a_matrix_of_the_wrong_shape(tmp_path):
