@@ -333,7 +333,7 @@ def _groups():
     for g = 0); and the first digit k = 0 ... 9 at byte 1."""
     g = np.arange(10**4, dtype=np.uint64)
     text = sum((g // 10**(3 - j) % 10 + ord("0")) << 8 * j for j in range(4))
-    zeros = sum((g % 10**k == 0).astype(np.intp) for k in range(1, 5))
+    zeros = sum((g % 10**k == 0).astype(np.uint8) for k in range(1, 5))
     lead = (np.arange(10, dtype=np.uint64) + ord("0")) << 8
     return tuple(map(_frozen, (text << 16, text << 48, text >> 16, zeros, lead)))
 
@@ -348,13 +348,11 @@ def _scaled(a: np.ndarray, i: np.ndarray):
     return hi, (((ah * p_hh - hi) + ah * p_hl + al * p_hh) + al * p_hl) + a * p_lo
 
 
-def _cell_words(x: np.ndarray) -> list:
-    """The cells of `_format_cells` word-major: three (n,) arrays, word j of
-    each cell the little-endian uint64 of its bytes 8j ... 8j + 7.  Each
-    array of a block of 8192 cells is 64 KiB, under glibc's mmap threshold,
-    so a block's temporaries reuse the heap instead of faulting in fresh
-    pages."""
-    x = np.ravel(x)
+def _digit_words(x: np.ndarray):
+    """(fast, i, tz, W) of the float64 values x: whether each is on the fast
+    path, i = X - _X0 for its decimal exponent X, the trailing zeros of its
+    17 significant digits N, and the words of its cell before the layout:
+    the sign at byte 0 and the digits at bytes 1-17."""
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
@@ -368,12 +366,13 @@ def _cell_words(x: np.ndarray) -> list:
     np.clip(N, 10**16, 10**17 - 1, out=N)  # 17 digits; FMT rewrites the cells off the fast path
 
     # N = lead 10^16 + g0 10^12 + g1 10^8 + g2 10^4 + g3, each group below 10^4
-    g01 = N // 10**8
-    g23 = N - g01 * 10**8
-    lead = g01 // 10**8
-    g01 -= lead * 10**8
-    g0, g2 = g01 // 10**4, g23 // 10**4
-    g1, g3 = g01 - g0 * 10**4, g23 - g2 * 10**4
+    g1 = N // 10**8
+    g3 = N - g1 * 10**8
+    lead = g1 // 10**8
+    g1 -= lead * 10**8
+    g0, g2 = g1 // 10**4, g3 // 10**4
+    g1 -= g0 * 10**4
+    g3 -= g2 * 10**4
     at2, top2, low2, zeros, digit = _groups()
     tz = np.take(zeros, g3)  # the trailing zeros of N: those of g3, and where it is 0 ...
     z = np.flatnonzero(g3 == 0)
@@ -381,15 +380,26 @@ def _cell_words(x: np.ndarray) -> list:
         tz[z] += np.take(zeros, g[z])
         z = z[g[z] == 0]
 
-    # the sign at byte 0, the lead at byte 1 and g0 ... g3 at bytes 2, 6, 10
-    # and 14, each gather one 1-D np.take
+    # the lead at byte 1 and g0 ... g3 at bytes 2, 6, 10 and 14, each gather
+    # one 1-D np.take
     W = [np.take(at2, g0), np.take(low2, g1), np.take(low2, g3)]
     W[0] |= np.take(top2, g1)
     W[0] |= np.take(digit, lead)
     W[0] |= np.signbit(x) * np.uint64(ord("-"))
     W[1] |= np.take(at2, g2)
     W[1] |= np.take(top2, g3)
+    return fast, i, tz, W
 
+
+def _cell_words(x: np.ndarray) -> list:
+    """The cells of `_format_cells` word-major: three (n,) arrays, word j of
+    each cell the little-endian uint64 of its bytes 8j ... 8j + 7.  Each
+    array of a block of 8192 cells is 64 KiB, under glibc's mmap threshold,
+    so a block's temporaries reuse the heap instead of faulting in fresh
+    pages; the digits' temporaries end with `_digit_words`, which keeps the
+    heap that stays resident small."""
+    x = np.ravel(x)
+    fast, i, tz, W = _digit_words(x)
     move, shift, whole, fill, kept = _layouts()
     whole = np.take(whole, i)  # digits before the point
     keep = np.maximum(17 - tz, whole)  # %g drops the trailing zeros after the point
