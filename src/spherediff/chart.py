@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import indexing
-from .transform import ConstraintViolation, OperatorSet, mirror_residual
+from .transform import OperatorSet, _check_mirror
 
 
 def to_chart(a: np.ndarray, L: int, *, tol: float = 1e-8) -> np.ndarray:
@@ -28,13 +28,7 @@ def to_chart(a: np.ndarray, L: int, *, tol: float = 1e-8) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape[-1] != L * L:
         raise ValueError(f"expected {L * L} coefficients, got {a.shape[-1]}")
-    if not np.all(np.isfinite(a)):  # a NaN residual would pass `resid > tol`
-        raise ValueError("coefficients contain non-finite entries")
-    resid = mirror_residual(a, L)
-    if resid > tol:
-        raise ConstraintViolation(
-            f"coefficients break conjugate symmetry by {resid:.3e} (tol {tol:.1e})"
-        )
+    _check_mirror(a, L, tol)
     perm, _ = indexing.mirror_permutation(L)
     # Im(a_{ell,m}) sits in the chart slot that the spectral order gives (ell,-m)
     return np.where(indexing.spectral_ms(L) < 0, a[..., perm].imag, a.real)

@@ -2,21 +2,22 @@
 
 The grid has 2L colatitude rings of N_phi = 2L-1 longitudes, so the orders
 m = -(L-1) ... L-1 are exactly the N_phi bins of a DFT along a ring and do
-not alias.  `analysis` (a = U x) therefore takes a real FFT of every ring and
-contracts bin m >= 0 with the ring weights q_j and the Legendre block
-Pbar_{ell,m}(cos theta_j); `synthesis` (x = Y a) contracts each order's
-coefficients with the same block, fills the +m and -m bins and takes a
-complex inverse FFT.  Spatial vectors are real, theta-major (index
+not alias.  `analysis` (a = U x) takes a real FFT of every ring, contracts
+bin m >= 0 with the ring weights q_j and the Legendre block
+Pbar_{ell,m}(cos theta_j), and fills the -m slots by a real field's mirror
+rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
+conjugate-symmetric to the last bit.  `synthesis` (x = Y a) checks that rule
+as `chart.to_chart` does, contracts each order's (ell, m >= 0) coefficients
+with the same block into bin m, fills bin N_phi - m with its conjugate and
+takes a complex inverse FFT.  Spatial vectors are real, theta-major (index
 j*N_phi + k); spectral vectors are complex in the canonical ordering of
-`indexing`.  Analysis fills the -m slots of a real field's coefficients by
-the mirror rule a_{ell,-m} = (-1)^m conj(a_{ell,m}), so its output is
-conjugate-symmetric to the last bit.
+`indexing`.
 
 Each transform takes one FFT over the batch it is given and one stacked
 product of every order's Legendre block with the whole batch (analysis
-(L, 2n, 2L) @ (L, 2L, L), synthesis (L, 4n, L) @ (L, L, 2L)), gathering or
-scattering the (ell, m) pairs of `indexing.order_slots`.  So synthesis holds
-the padded coefficient stack, its products and its complex output, and
+(L, 2n, 2L) @ (L, 2L, L), synthesis (L, 2n, L) @ (L, L, 2L)), gathering or
+scattering the (ell, m >= 0) pairs of `indexing.order_slots`.  So synthesis
+holds the padded coefficient stack, its products and its complex output, and
 analysis the batch's weighted FFT bins, their products and its output; a
 caller whose batch grows with an input passes it in blocks of rows.
 
@@ -129,43 +130,33 @@ def analysis(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
     return a.reshape(np.shape(x)[:-1] + (L * L,))
 
 
-def synthesis(ops: OperatorSet, a: np.ndarray, *, imag_tol: float = 1e-8) -> np.ndarray:
+def synthesis(ops: OperatorSet, a: np.ndarray) -> np.ndarray:
     """Grid samples x = Y a of conjugate-symmetric coefficients, a of shape (L^2,) or (n, L^2).
 
-    The imaginary residue of Y a is checked (constraint violation above
-    `imag_tol`) and stripped, rather than trusting the caller.
+    Coefficients with a non-finite entry or a mirror residual above 1e-8 are
+    rejected, as `chart.to_chart` rejects them; the product reads only the
+    (ell, m >= 0) half, and bin N_phi - m is the conjugate of bin m, so the
+    samples are real.
     """
     a = _check_length("spectral coefficients", a, ops.d_spectral)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("spectral coefficients contain non-finite entries")
     L, n_theta, n_phi = ops.L, 2 * ops.L, 2 * ops.L - 1
     A = np.asarray(a, dtype=complex).reshape(-1, L * L)
+    _check_mirror(A, L)
     n = A.shape[0]
-    # per order m: rows Re/Im of a_{ell,m}, then of (-1)^m a_{ell,-m}; columns ell, 0 where ell < m
-    m, ell, plus, minus, sign = indexing.order_slots(L)
-    S = np.zeros((L, 4 * n, L))
-    S[m, :n, ell], S[m, n:2 * n, ell] = A[:, plus].real.T, A[:, plus].imag.T
-    neg = m > 0
-    am = A[:, minus[neg]]
-    S[m[neg], 2 * n:3 * n, ell[neg]] = sign[neg, None] * am.real.T
-    S[m[neg], 3 * n:, ell[neg]] = sign[neg, None] * am.imag.T
-    G = S @ ops.legendre.transpose(0, 2, 1)  # (L, 4n, rings)
-    del S, am
+    # per order m: rows Re/Im of a_{ell,m}; columns ell, 0 where ell < m
+    m, ell, plus, _, _ = indexing.order_slots(L)
+    S = np.zeros((L, 2 * n, L))
+    S[m, :n, ell], S[m, n:, ell] = A[:, plus].real.T, A[:, plus].imag.T
+    G = S @ ops.legendre.transpose(0, 2, 1)  # (L, 2n, rings)
+    del S
     x = np.empty((n, n_theta, n_phi), dtype=complex)  # the ring spectra, then the samples
-    G = G.transpose(1, 2, 0)  # (4n, rings, L)
-    # bins m = 0 .. L-1, then bin n_phi - m of order -m; each Re + 1j * Im formed in place
-    plus_bins, minus_bins = x[..., :L], x[..., L:]
-    np.add(G[:n], np.multiply(1j, G[n:2 * n], out=plus_bins), out=plus_bins)
-    np.add(G[2 * n:3 * n, :, :0:-1], np.multiply(1j, G[3 * n:, :, :0:-1], out=minus_bins),
-           out=minus_bins)
+    G = G.transpose(1, 2, 0)  # (2n, rings, L)
+    # bins m = 0 .. L-1, each Re + 1j * Im formed in place; bin n_phi - m holds their conjugates
+    bins = x[..., :L]
+    np.add(G[:n], np.multiply(1j, G[n:], out=bins), out=bins)
     del G
-    np.fft.ifft(x, axis=-1, norm="forward", out=x)
-    resid = float(np.max(np.abs(x.imag), initial=0.0))
-    if resid > imag_tol:
-        raise ConstraintViolation(
-            f"synthesis imaginary residual {resid:.3e} exceeds {imag_tol:.1e}; "
-            "coefficients are not conjugate-symmetric"
-        )
+    np.conjugate(x[..., L - 1:0:-1], out=x[..., L:])
+    np.fft.ifft(x, axis=-1, norm="forward", out=x)  # irfft is slower where n_phi is prime
     return x.reshape(n, ops.d_spatial).real.reshape(np.shape(a)[:-1] + (ops.d_spatial,))
 
 
@@ -190,5 +181,16 @@ def mirror_residual(a: np.ndarray, L: int) -> float:
     """Max deviation from a_{ell,m} = (-1)^m conj(a_{ell,-m}), incl. Im(a_{ell,0}),
     over every vector of a (..., L^2) stack."""
     a = _check_length("spectral coefficients", np.asarray(a, dtype=complex), L * L)
-    perm, sign = indexing.mirror_permutation(L)
-    return float(np.max(np.abs(a - sign * np.conj(a[..., perm])), initial=0.0))
+    _, _, plus, minus, sign = indexing.order_slots(L)  # each (ell, m >= 0) pair once
+    return float(np.max(np.abs(a[..., plus] - sign * np.conj(a[..., minus])), initial=0.0))
+
+
+def _check_mirror(a: np.ndarray, L: int, tol: float = 1e-8) -> None:
+    """Reject coefficients (..., L^2) with a non-finite entry or a mirror residual above `tol`."""
+    if not np.all(np.isfinite(a)):  # a NaN residual would pass `resid > tol`
+        raise ValueError("coefficients contain non-finite entries")
+    resid = mirror_residual(a, L)
+    if resid > tol:
+        raise ConstraintViolation(
+            f"coefficients break conjugate symmetry by {resid:.3e} (tol {tol:.1e})"
+        )

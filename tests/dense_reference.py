@@ -265,8 +265,8 @@ def loss_frequency_complex(s_hat, s_ref, Sigma: np.ndarray, L: int) -> float:
 def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet) -> ScoreField:
     """Spatial score x -> Y s_hat(U x), lifted through the chart.
 
-    Mirror symmetry of the lifted score makes the output real; the imaginary
-    residue is checked against 1e-10 and stripped.
+    The lifted score comes from `from_chart`, so it is conjugate-symmetric
+    and its synthesis is real.
     """
     if s_hat_chart.domain != "chart":
         raise ValueError("auxiliary score requires a chart-domain score field")
@@ -275,7 +275,7 @@ def auxiliary_spatial_score(s_hat_chart: ScoreField, ops: OperatorSet) -> ScoreF
     def fn(x, t):
         z = to_chart(analysis(ops, np.atleast_2d(x)), L)
         s_complex = from_chart(np.asarray(s_hat_chart(z, t), dtype=float), L)
-        return synthesis(ops, s_complex, imag_tol=1e-10).reshape(np.shape(x))
+        return synthesis(ops, s_complex).reshape(np.shape(x))
 
     return ScoreField(fn=fn, domain="spatial")
 

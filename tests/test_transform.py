@@ -120,6 +120,24 @@ def test_per_order_transforms_match_the_dense_matrices(L, n):
     assert transform.synthesis(ops, a[:0]).shape == (0, ops.d_spatial)
 
 
+@pytest.mark.parametrize("L,slot,delta,bad", [(1, 0, 2e-8j, True), (2, 0, 2e-8j, True),
+                                              (4, 2, 3e-8, True), (4, 0, 4e-9j, False)])
+def test_synthesis_and_to_chart_check_one_mirror_rule(L, slot, delta, bad, ops_cache):
+    # mirror residuals 4e-8, 4e-8, 3e-8 and 8e-9 against the one tolerance 1e-8
+    ops = ops_cache[L]
+    a = np.zeros(L * L, dtype=complex)
+    a[slot] += delta
+    if not bad:
+        assert chart.to_chart(a, L).shape == (L * L,)
+        assert transform.synthesis(ops, a).shape == (ops.d_spatial,)
+        return
+    with pytest.raises(ConstraintViolation) as to_chart_error:
+        chart.to_chart(a, L)
+    with pytest.raises(ConstraintViolation) as synthesis_error:
+        transform.synthesis(ops, a)
+    assert str(synthesis_error.value) == str(to_chart_error.value)
+
+
 def test_dense_operators_are_built_on_first_access_only():
     ops = transform.build_operators(3)
     assert "Y" not in vars(ops) and "U" not in vars(ops)
@@ -169,11 +187,12 @@ def test_each_transform_call_takes_one_fft_over_its_batch(monkeypatch):
 
 
 def test_each_transform_call_makes_one_stacked_legendre_product():
-    seen = []
+    seen, operands = [], []
 
     class Counting(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             seen.append(ufunc.__name__)
+            operands.append([np.shape(arg) for arg in inputs])
             return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
     plain = transform.build_operators(64)
@@ -181,5 +200,6 @@ def test_each_transform_call_makes_one_stacked_legendre_product():
     a = chart.from_chart(np.random.default_rng(0).standard_normal((20, 64 * 64)), 64)
     x = transform.synthesis(ops, a)
     assert seen == ["matmul"]
+    assert operands == [[(64, 40, 64), (64, 64, 128)]]  # the (ell, m >= 0) half of 20 rows
     assert transform.analysis(ops, x).tobytes() == transform.analysis(plain, x).tobytes()
     assert seen == ["matmul", "matmul"]
