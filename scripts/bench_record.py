@@ -10,7 +10,9 @@ sides.  For every workload and every end-to-end metric of BENCHMARK.json the
 record gives, over the `--trace 0` pairs, both sides' median and quartiles
 (inclusive method), the relative change of the median, the median gap
 against the parent's interquartile range, and the pairs in which the change
-is better.  It also lists `nondeterministic_files` per side, and, where both
+is better; each side's fastest single iteration (`run_s` and `setup_s`) over
+all those pairs, and the count of timed iterations.  It also lists
+`nondeterministic_files` per side, and, where both
 sides have `--trace 1` results, the mean of each per-layer metric.  The
 environment block is the change's, with the parent's commit and source hash
 beside it.  A side's commit is written as null unless the source hash that
@@ -95,6 +97,18 @@ def fold(parent_runs: dict, change_runs: dict, spec: dict, repo: Path = ROOT) ->
                 m: compare([parent_runs[k]["metrics"][m] for k in timed],
                            [change_runs[k]["metrics"][m] for k in timed], better)
                 for m, better in end_to_end.items()
+            }
+            # each side's fastest single iteration over all pairs: where the
+            # iterations fall in bands that switch within a run, it shows the floor
+            # the medians hide
+            entry["per_iteration_min"] = {
+                m: {side: min(x for k in timed for x in runs[k]["report"][f"{m}_samples"])
+                    for side, runs in (("parent", parent_runs), ("change", change_runs))}
+                for m in ("run_s", "setup_s")
+            }
+            entry["iterations"] = {
+                side: sum(len(runs[k]["report"]["run_s_samples"]) for k in timed)
+                for side, runs in (("parent", parent_runs), ("change", change_runs))
             }
             entry["nondeterministic_files"] = {
                 side: [runs[k]["report"]["nondeterministic_files"] for k in timed]

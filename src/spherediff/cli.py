@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chart, indexing, lossmap, metrics, noise, sde, transform
-from .metrics import _frobenius_parts, _frobenius_ratio
+from .metrics import _rel_frobenius
 
 ENV_OUT_DIR = "SPHEREDIFF_OUT_DIR"
 _PAIR_BLOCK = 1 << 17  # spatial values per block of verify-operators' isometry pairs
@@ -150,17 +150,18 @@ def cmd_covariance(args) -> int:
     err = emp  # emp - t Sigma in place; t Sigma is zero off its (m, part) blocks
     for m, rows in indexing.block_slots(args.L):
         err[np.ix_(rows, rows)] -= theo[m, m:, m:]
-    err_parts = _frobenius_parts(err, overwrite=True)  # max |err| is its scale
-    del emp, err  # before the dense t Sigma is built
+    # t Sigma's entries are those of its 2L - 1 (m, part) blocks: Sigma_0 once, each
+    # Sigma_m (m > 0) for its Re and its Im part
+    rel = _rel_frobenius(err, theo[np.r_[0:args.L, 1:args.L]])
+    max_err = np.maximum(err.max(), -err.min()) + 0.0  # as +0.0 at 0
+    del emp, err  # before the closed-form CSV is written
     noise.sigma_blocks_to_csv(theo, args.L, out_dir / "covariance_theoretical.csv")
-    theo = noise.build_sigma(theo)  # for its norm only
-    rel = _frobenius_ratio(err_parts, _frobenius_parts(theo, overwrite=True))
     summary = {
         "L": args.L,
         "samples": args.samples,
         "t": args.t,
         "rel_frobenius_error": rel,
-        "max_abs_entry_error": float(err_parts[1]),
+        "max_abs_entry_error": float(max_err),
         "provenance": _provenance(_settings(args)),
     }
     _write_json(out_dir / "summary.json", summary)

@@ -32,50 +32,30 @@ class SlicedWassersteinResult:
         return (self.value - 2.0 * self.se, self.value + 2.0 * self.se)
 
 
-def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
-    """|err| / |ref| in the Frobenius norm (see `_frobenius_ratio`)."""
-    return _frobenius_ratio(_frobenius_parts(err), _frobenius_parts(ref))
-
-
-def _frobenius_parts(x: np.ndarray, *, overwrite: bool = False) -> tuple:
-    """(sum of squares, s = max |x|, sum of squares of x / s where 0 < s < inf)
-    of x, each sum one einsum.  With `overwrite` the last is taken at once,
-    dividing x in place; else it is a function, called only where needed."""
+def _sumsq(x: np.ndarray) -> tuple:
+    """(t, h): t the sum of squares of x 2^-h, h = frexp(max |x|)[1], so that
+    max |x 2^-h| lies in [1/2, 1) (h = 0 where x is 0 or not finite).  Where the
+    plain sum of squares is a normal float, t is that one einsum times 4^-h,
+    exact and with no copy; else the sum is taken over an ldexp copy of x."""
     v = np.ravel(x)
-    sumsq = np.einsum("i,i->", v, v)
-    s = np.maximum(v.max(initial=0.0), -v.min(initial=0.0)) + 0.0  # max |x|, as +0.0 at 0
-
-    def scaled():
-        w = np.divide(v, s, out=v if overwrite else None)
-        return np.einsum("i,i->", w, w)
-
-    return sumsq, s, (scaled() if overwrite else scaled) if 0 < s < np.inf else None
+    h = np.frexp(np.maximum(v.max(initial=0.0), -v.min(initial=0.0)))[1]
+    t = np.einsum("i,i->", v, v)
+    if np.finfo(float).tiny <= t < np.inf:
+        return np.ldexp(t, -2 * h), h
+    w = np.ldexp(v, -h)
+    return np.einsum("i,i->", w, w), h
 
 
-def _frobenius_ratio(err_parts: tuple, ref_parts: tuple):
-    """|err| / |ref| from `_frobenius_parts` of each, None where ref is 0 or
-    its largest magnitude is subnormal.
-
-    As in `_power_mean_root`, where a sum of squares leaves the normal float
-    range (its squares overflow, or underflow below the smallest normal
-    float), the sums over each argument divided by its largest magnitude are
-    used, and the magnitudes scale the ratio back: for ref when that
-    magnitude is a normal float, for err when it is finite and not 0 (a
-    subnormal one too); a ratio that itself overflows is None too.
-    """
-    (num, s_err, num_scaled), (den, s_ref, den_scaled) = err_parts, ref_parts
-    tiny = np.finfo(float).tiny
-    if not (tiny <= num < np.inf and tiny <= den < np.inf):
-        scalable = 0 < s_err < np.inf, tiny <= s_ref < np.inf
-        if any(ok and not tiny <= s < np.inf for ok, s in zip(scalable, (num, den))):
-            if not scalable[1]:  # ref is 0, subnormal or not finite
-                return None
-            s_err, num_scaled = (s_err, num_scaled) if scalable[0] else (1.0, num)
-            num_scaled, den_scaled = (f() if callable(f) else f for f in (num_scaled, den_scaled))
-            with np.errstate(over="ignore"):
-                ratio = s_err / s_ref * (np.sqrt(num_scaled) / np.sqrt(den_scaled))
-            return float(ratio) if np.isfinite(ratio) else None
-    return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None
+def _rel_frobenius(err: np.ndarray, ref: np.ndarray):
+    """|err| / |ref| in the Frobenius norm from the `_sumsq` of each, scaled back
+    by 2^(h_err - h_ref) (exact); None where ref's largest magnitude is 0 or
+    subnormal, or where the ratio of finite arrays overflows."""
+    (t_e, h_e), (t_r, h_r) = _sumsq(err), _sumsq(ref)
+    if t_r == 0 or h_r <= np.finfo(float).minexp:
+        return None
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(np.sqrt(t_e) / np.sqrt(t_r), h_e - h_r)
+    return None if np.isinf(ratio) and t_e < np.inf else float(ratio)
 
 
 @functools.cache
@@ -113,7 +93,10 @@ def _power_mean_root(diff, p: float, w=None) -> np.ndarray:
     Where that sum leaves the normal float range (|D_i|^p overflows, or the
     sum falls among the subnormals or to 0), the row is summed again over
     |D| / M, M its largest |D_i|, from a second diff(), and M scales the root
-    back.  Sums inside the range keep the bits of the plain form.
+    back.  Sums inside the range keep the bits of the plain form.  The row is
+    divided by M itself, not scaled by a power of 2 as `_sumsq` scales: the
+    largest term must be exactly 1, since any smaller one, raised to a large
+    enough p (above about 1075 for 1/2), underflows to 0 with every other term.
     """
     P = diff()
     np.abs(P, out=P)
@@ -196,10 +179,10 @@ def sliced_wasserstein(A, B, p: float = 2.0, n_proj: int = 1000,
         per[i:i + len(dirs)] = _sorted_wasserstein(PA, PB, p)
         del PA, PB  # before the next block's products are made
 
-    with np.errstate(over="ignore"):  # an overflow is summed again below
-        value, sd = per.mean(), per.std(ddof=1) if n_proj > 1 else 0.0
-    if not (np.isfinite(value) and np.isfinite(sd)):  # over per / max(per), scaled back
-        top, per = per.max(), per / per.max()
-        value, sd = top * per.mean(), top * per.std(ddof=1) if n_proj > 1 else 0.0
-    return SlicedWassersteinResult(value=float(value), se=float(sd / np.sqrt(n_proj)),
+    # over per 2^-h (exact), h = frexp(max(per))[1], so that no square overflows
+    h = np.frexp(per.max())[1]
+    np.ldexp(per, -h, out=per)
+    value, sd = per.mean(), per.std(ddof=1) if n_proj > 1 else 0.0
+    return SlicedWassersteinResult(value=float(np.ldexp(value, h)),
+                                   se=float(np.ldexp(sd, h) / np.sqrt(n_proj)),
                                    n_proj=n_proj, p=p)

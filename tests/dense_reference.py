@@ -21,8 +21,8 @@ through the flat spectral slot of each (ell, m), the closed-form inverse of
 `indexing.spectral_ells` and `spectral_ms`; and through the d_X x d_X target
 M S M^T and sample covariance of the paths, the oracle of the spatial
 diagnostics of `sde.run_chain`; and through the relative Frobenius error of
-both arrays at once, the bit-for-bit oracle of `metrics._frobenius_ratio` of
-each array's `_frobenius_parts`; and through the per-exponent loops that
+both arrays at once, the bit-for-bit oracle of `metrics._rel_frobenius`,
+which takes each array's `_sumsq` alone; and through the per-exponent loops that
 built the CSV formatter's tables, the bit-for-bit oracles of
 `noise._pow10` and `noise._layouts`.
 """
@@ -371,24 +371,22 @@ def grid_diagnostics(x, mu, S, M) -> dict:
 
 
 def rel_frobenius(err, ref):
-    """|err| / |ref| in the Frobenius norm with both arrays at hand: each sum
-    of squares is summed again over its array divided by its largest
-    magnitude only where a sum leaves the normal float range (the rules of
-    `metrics._frobenius_ratio`)."""
-    def sumsq(x, scale=1.0):
-        v = np.ravel(x) if scale == 1.0 else np.ravel(x) / scale
-        return np.einsum("i,i->", v, v)
-
+    """|err| / |ref| in the Frobenius norm with both arrays at hand: the plain
+    ratio of the roots of the two sums of squares where both sums are normal
+    floats, else the ratio of the sums over each array times 2^-h, h the
+    exponent of its largest magnitude (np.frexp), scaled back by 2^(h_err -
+    h_ref); None where ref's largest magnitude is 0 or subnormal, or where the
+    ratio of finite arrays overflows (the rules of `metrics._rel_frobenius`)."""
+    vs = [np.ravel(x) for x in (err, ref)]
+    sums = [np.einsum("i,i->", v, v) for v in vs]
     tiny = np.finfo(float).tiny
-    num, den = sumsq(err), sumsq(ref)
-    if not (tiny <= num < np.inf and tiny <= den < np.inf):
-        s_err, s_ref = (np.max(np.abs(x), initial=0.0) for x in (err, ref))
-        scalable = 0 < s_err < np.inf, tiny <= s_ref < np.inf
-        if any(ok and not tiny <= s < np.inf for ok, s in zip(scalable, (num, den))):
-            if not scalable[1]:
-                return None
-            s_err = s_err if scalable[0] else 1.0
-            with np.errstate(over="ignore"):
-                ratio = s_err / s_ref * (np.sqrt(sumsq(err, s_err)) / np.sqrt(sumsq(ref, s_ref)))
-            return float(ratio) if np.isfinite(ratio) else None
-    return float(np.sqrt(num)) / float(np.sqrt(den)) if den else None
+    if all(tiny <= s < np.inf for s in sums):
+        return float(np.sqrt(sums[0])) / float(np.sqrt(sums[1]))
+    tops = [np.max(np.abs(v), initial=0.0) for v in vs]
+    if 0 <= tops[1] < tiny:
+        return None
+    hs = [np.frexp(s)[1] for s in tops]  # 0 at inf and nan
+    num, den = (np.einsum("i,i->", w, w) for w in map(np.ldexp, vs, [-h for h in hs]))
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(np.sqrt(num) / np.sqrt(den), hs[0] - hs[1])
+    return None if np.isinf(ratio) and np.all(np.isfinite(vs[0])) else float(ratio)

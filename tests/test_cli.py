@@ -216,10 +216,10 @@ def test_verify_operators_at_L32_in_blocks_of_any_size_agrees(tmp_path, monkeypa
 # Measured peaks in a fresh process.  verify-operators: 11.6 MB, with its
 # 200-row batch transformed 32 rows (whole pairs) at a time (27.0 MB with the
 # whole batch at once).  covariance holds one L^2 x L^2 array at a time, one
-# block of its samples and a panel of L^2 / 8 columns: 15.0 MB at L = 32 with
+# block of its samples and a panel of L^2 / 8 columns: 15.5 MB at L = 32 with
 # blocks of 512 rows (23.2 MB with an L^2 x L^2 product buffer and a dense
-# t Sigma beside the estimate), 12.0 MB with 100 samples, one block (20.3 MB
-# with t Sigma and the estimate both dense), and 6.7 MB at L = 16 with blocks
+# t Sigma beside the estimate), 12.1 MB with 100 samples, one block (20.3 MB
+# with t Sigma and the estimate both dense), and 6.8 MB at L = 16 with blocks
 # of 2048 rows (46.2 MB with all 20 000 samples held).  bound-check draws its
 # 500 trials up front (16.4 MB) and evaluates 32 at a time: 24.7 MB (93.7 MB
 # as one batch).
@@ -267,8 +267,9 @@ def _refuse_dense_operators(monkeypatch, *, bound):
     (["bound-check", "--L", "4", "--trials", "20"], False),
     (["bound-check", "--L", "4", "--trials", "20"], True),
     (["verify-operators", "--L", "4"], True),
+    (["covariance", "--L", "32", "--samples", "100"], True),
 ], ids=["diffuse-frequency", "diffuse-spatial", "bound-check", "bound-check-per-order",
-        "verify-operators-per-order"])
+        "verify-operators-per-order", "covariance"])
 def test_commands_build_no_dense_operator(argv, bound, monkeypatch):
     _refuse_dense_operators(monkeypatch, bound=bound)
     assert main(argv) == 0
@@ -331,6 +332,17 @@ def test_covariance_at_a_tiny_normal_time_reports_its_relative_error(tmp_path):
                      "--out-dir", str(tmp_path / t)]) == 0
         got[t] = _read_json(tmp_path / t / "summary.json")["rel_frobenius_error"]
     assert got["1e-300"] == pytest.approx(got["1"], rel=1e-12)
+
+
+def test_covariance_at_a_power_of_two_time_reports_the_same_relative_error(tmp_path):
+    # t = 2^-600 scales the draws by 2^-300 and both covariances by 2^-600, all exactly,
+    # and the ratio of the two norms takes its powers of 2 back exactly
+    got = {}
+    for t in (repr(2.0 ** -600), "1"):
+        assert main(["covariance", "--L", "2", "--samples", "10", "--t", t,
+                     "--out-dir", str(tmp_path / t)]) == 0
+        got[t] = _read_json(tmp_path / t / "summary.json")["rel_frobenius_error"]
+    assert got[repr(2.0 ** -600)] == got["1"]
 
 
 def test_covariance_csvs_at_L32_equal_the_per_value_formatter(tmp_path):

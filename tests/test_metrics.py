@@ -217,11 +217,28 @@ def test_rel_frobenius_from_parts_keeps_the_bits_of_both_arrays_at_once():
     for err, ref in cases:
         want = dense.rel_frobenius(err, ref)
         got = metrics._rel_frobenius(err, ref)
-        parts = [metrics._frobenius_parts(x.copy(), overwrite=True) for x in (err, ref)]
-        for value in (got, metrics._frobenius_ratio(*parts)):
-            assert value is None if want is None else repr(value) == repr(want), (err, ref)
-    assert metrics._frobenius_parts(np.array([-0.0, 0.0]))[1:] == (0.0, None)
-    assert str(metrics._frobenius_parts(-0.0 * e)[1]) == "0.0"
+        assert got is None if want is None else repr(got) == repr(want), (err, ref)
+    # each array alone: the sum of squares of x 2^-h, max |x 2^-h| in [1/2, 1)
+    for x in (e, 1e200 * e, 1e-170 * e, 1e-300 * e, np.array([5e-324]), np.array([3e-320, -4e-320])):
+        t, h = metrics._sumsq(x)
+        w = np.ldexp(np.ravel(x), -h)
+        assert 0.5 <= np.max(np.abs(w)) < 1 and t == np.einsum("i,i->", w, w), x
+    assert metrics._sumsq(np.array([-0.0, 0.0])) == (0.0, 0)
+    assert metrics._sumsq(-0.0 * e) == (0.0, 0)
+
+
+@pytest.mark.parametrize("k", [520, -520, 700, -700, 900, -900, 1000, -1000, 0])
+def test_rel_frobenius_is_exactly_equivariant_under_powers_of_two(k):
+    # scaling either argument by a power of 2 is exact, and so is the ratio's
+    # response to it, wherever the scaled ratio is a normal float
+    rng = np.random.default_rng(5)
+    e, r = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    base = metrics._rel_frobenius(e, r)
+    for j in (520, -520, 700, -700, 900, -900, 1000, -1000, 0):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(base, k - j)
+        if np.finfo(float).tiny <= want < np.inf:
+            assert metrics._rel_frobenius(np.ldexp(e, k), np.ldexp(r, j)) == want, j
 
 
 def test_rel_frobenius_scales_an_error_whose_largest_magnitude_is_subnormal():
@@ -230,6 +247,24 @@ def test_rel_frobenius_scales_an_error_whose_largest_magnitude_is_subnormal():
     got = metrics._rel_frobenius(np.array([3e-320, -4e-320]), np.array([1.0, 0.0]))
     assert got == pytest.approx(5e-320, rel=1e-3)  # subnormals carry few digits
     assert metrics._rel_frobenius(np.array([5e-324]), np.array([5e-324])) is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [200, 150], ids=["equal-counts", "unequal-counts"])
+def test_wasserstein_above_order_1075_matches_the_log_scaled_reference(m):
+    # there (1/2)^p underflows: each row is divided by its largest |difference|,
+    # which must then be exactly 1 for the sum to keep a nonzero term
+    rng = np.random.default_rng(29)
+    A, B = rng.standard_normal((200, 4)), rng.standard_normal((m, 4)) + 0.5
+    got = {p: (metrics.wasserstein_1d(A[:, 0], B[:, 0], p=p),
+               metrics.sliced_wasserstein(A, B, p=p, n_proj=16, seed=3).value)
+           for p in (2000.0, 1e15, 1e308)}
+    for p in (2000.0, 1e15):
+        assert got[p][0] == pytest.approx(wasserstein_in_logs(A[:, 0], B[:, 0], p), rel=1e-12)
+        assert got[p][1] == pytest.approx(sliced_wasserstein_in_logs(A, B, p, 16, 3).mean(),
+                                          rel=1e-12)
+    assert all(map(math.isfinite, got[1e308]))
+    assert got[1e308] == pytest.approx(got[1e15], rel=1e-12)
 
 
 # Measured peaks (1000 rows of 16 coordinates, 500 projections, blocks of 65

@@ -110,7 +110,10 @@ def test_bench_record_names_a_commit_only_where_its_sources_match(tmp_path):
     def runs(commit, digest):  # two timed runs of one workload, as bench/run.py records them
         env = {"git_commit": commit, "src_sha256": digest}
         return {("w", seed, 0): {"metrics": {"run_s": 1.0 + seed}, "environment": env,
-                                 "report": {"nondeterministic_files": 0}} for seed in (1, 2)}
+                                 "report": {"nondeterministic_files": 0,
+                                            "run_s_samples": [1.0 + seed, 0.5 + seed],
+                                            "setup_s_samples": [0.25 * seed]}}
+                for seed in (1, 2)}
 
     spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
     env = record.fold(runs(first, first_digest), runs(first, dirty_digest), spec, repo)
@@ -122,3 +125,21 @@ def test_bench_record_names_a_commit_only_where_its_sources_match(tmp_path):
     env = record.fold(runs(None, first_digest), runs(second, first_digest), spec, repo)
     assert (env["environment"]["parent_git_commit"], env["environment"]["git_commit"]) == (
         None, None)
+
+
+def test_bench_record_gives_each_sides_fastest_single_iteration(tmp_path):
+    record = _load_script("bench_record.py")
+
+    def runs(offset):  # two timed runs of one workload, two iterations each
+        return {("w", seed, 0): {"metrics": {"run_s": offset + seed},
+                                 "environment": {"git_commit": None, "src_sha256": None},
+                                 "report": {"nondeterministic_files": 0,
+                                            "run_s_samples": [offset + seed, offset + seed / 2],
+                                            "setup_s_samples": [offset + seed / 4]}}
+                for seed in (1, 2)}
+
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}], "per_layer": []}
+    entry = record.fold(runs(1.0), runs(2.0), spec, tmp_path)["workloads"]["w"]
+    assert entry["per_iteration_min"] == {"run_s": {"parent": 1.5, "change": 2.5},
+                                          "setup_s": {"parent": 1.25, "change": 2.25}}
+    assert entry["iterations"] == {"parent": 4, "change": 4}
