@@ -22,8 +22,8 @@ through the flat spectral slot of each (ell, m), the closed-form inverse of
 M S M^T and sample covariance of the paths, the oracle of the spatial
 diagnostics of `sde.run_chain`; and through the relative Frobenius error of
 both arrays at once, the bit-for-bit oracle of `metrics._rel_frobenius`,
-which takes each array's `_sumsq` alone; and through the per-exponent loops that
-built the CSV formatter's tables, the bit-for-bit oracles of
+which takes each array's `_sumsq` alone; and through the per-exponent loops
+that built the CSV formatter's tables, the bit-for-bit oracles of
 `noise._pow10` and `noise._layouts`.
 """
 

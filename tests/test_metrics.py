@@ -219,7 +219,8 @@ def test_rel_frobenius_from_parts_keeps_the_bits_of_both_arrays_at_once():
         got = metrics._rel_frobenius(err, ref)
         assert got is None if want is None else repr(got) == repr(want), (err, ref)
     # each array alone: the sum of squares of x 2^-h, max |x 2^-h| in [1/2, 1)
-    for x in (e, 1e200 * e, 1e-170 * e, 1e-300 * e, np.array([5e-324]), np.array([3e-320, -4e-320])):
+    for x in (e, 1e200 * e, 1e-170 * e, 1e-300 * e, np.array([5e-324]),
+              np.array([3e-320, -4e-320])):
         t, h = metrics._sumsq(x)
         w = np.ldexp(np.ravel(x), -h)
         assert 0.5 <= np.max(np.abs(w)) < 1 and t == np.einsum("i,i->", w, w), x
